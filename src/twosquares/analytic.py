@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import BoundError, SemanticsError
-from .formula import And, Atom, Copula, Formula, Not, Or, atoms, render, term_names
-from .verdicts import Counterexample, Valid, Verdict
+from .formula import Atom, Copula, Formula, holds, term_names
+from .verdicts import Verdict, first_counterexample
 
 _INDIVIDUALS = ("1", "2", "3", "4", "5", "6")
 MAX_DOMAIN = 6
@@ -70,25 +70,21 @@ class AnalyticModel:
 
 def eval_analytic(model: AnalyticModel, f: Formula, policy: ImportPolicy = IMPORT_ON) -> bool:
     """Evaluate an analytic-only formula in `model` under `policy`."""
-    if isinstance(f, Atom):
-        if not f.copula.analytic:
-            raise SemanticsError(f"synthetic copula {f.copula.value!r} under analytic semantics")
-        s = model.extension(f.subject)
-        p = model.extension(f.predicate)
-        if f.copula is Copula.A:
-            return (bool(s) or not policy.existential_import) and s <= p
-        if f.copula is Copula.E:
+
+    def atom(a: Atom) -> bool:
+        copula = a.copula
+        if copula.synthetic:
+            raise SemanticsError(f"synthetic copula {copula.value!r} under analytic semantics")
+        s = model.extension(a.subject)
+        p = model.extension(a.predicate)
+        if copula is Copula.E:
             return not (s & p)
-        if f.copula is Copula.I:
+        if copula is Copula.I:
             return bool(s & p)
-        return not eval_analytic(model, Atom(f.subject, Copula.A, f.predicate), policy)
-    if isinstance(f, Not):
-        return not eval_analytic(model, f.operand, policy)
-    if isinstance(f, And):
-        return eval_analytic(model, f.left, policy) and eval_analytic(model, f.right, policy)
-    if isinstance(f, Or):
-        return eval_analytic(model, f.left, policy) or eval_analytic(model, f.right, policy)
-    return (not eval_analytic(model, f.left, policy)) or eval_analytic(model, f.right, policy)
+        universal = (bool(s) or not policy.existential_import) and s <= p
+        return universal if copula is Copula.A else not universal
+
+    return holds(f, atom)
 
 
 def enumerate_analytic_models(terms: tuple[str, ...], max_domain: int) -> Iterator[AnalyticModel]:
@@ -107,13 +103,11 @@ def enumerate_analytic_models(terms: tuple[str, ...], max_domain: int) -> Iterat
             yield AnalyticModel(domain, ext)
 
 
-def _trace(model: AnalyticModel, f: Formula, policy: ImportPolicy) -> tuple[tuple[str, bool], ...]:
-    return tuple((render(a), eval_analytic(model, a, policy)) for a in atoms(f))
-
-
 def decide_analytic_validity(f: Formula, bound: int, policy: ImportPolicy = IMPORT_ON) -> Verdict:
     """Valid up to `bound`, or the first (minimal) countermodel."""
-    for model in enumerate_analytic_models(term_names(f), bound):
-        if not eval_analytic(model, f, policy):
-            return Counterexample(model, _trace(model, f, policy))
-    return Valid(bound)
+    return first_counterexample(
+        enumerate_analytic_models(term_names(f), bound),
+        f,
+        lambda model, g: eval_analytic(model, g, policy),
+        bound,
+    )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import InstantiationError, ParseError
 
@@ -103,6 +103,24 @@ def atoms(f: Formula) -> tuple[Atom, ...]:
 
     walk(f)
     return tuple(seen)
+
+
+def holds(f: Formula, atom: Callable[[Atom], bool]) -> bool:
+    """Classical truth of `f`, with `atom` giving each atom's truth.
+
+    Operands are evaluated left to right and short-circuit, so `atom` is
+    never asked about an atom whose operand is already decided; an error
+    it raises for such an atom does not surface.
+    """
+    if isinstance(f, Atom):
+        return atom(f)
+    if isinstance(f, Not):
+        return not holds(f.operand, atom)
+    if isinstance(f, And):
+        return holds(f.left, atom) and holds(f.right, atom)
+    if isinstance(f, Or):
+        return holds(f.left, atom) or holds(f.right, atom)
+    return (not holds(f.left, atom)) or holds(f.right, atom)
 
 
 def term_names(f: Formula) -> tuple[str, ...]:

@@ -28,19 +28,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import BoundError, ParseError
-from .formula import (
-    And,
-    Atom,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    Schema,
-    atoms,
-    instantiate,
-    parse,
-    render,
-)
+from .formula import Formula, Implies, Schema, atoms, holds, instantiate, parse, render
+from .opposition import catalog_entries, catalog_formula
 
 MAX_TAUTOLOGY_ATOMS = 12
 
@@ -53,9 +42,14 @@ SCHEMAS: Mapping[str, Schema] = {
     "def-e": Schema(parse("(X se Y -> ~(X si Y)) & (~(X si Y) -> X se Y)"), ("X", "Y")),
 }
 
-# Axiom schemas that the bounded model checker refutes under the direct
-# nonempty reading; derivations using them are flagged, not rejected.
-SEMANTICALLY_REFUTED = ("axiom6", "axiom8")
+# Axiom schemas whose catalog entry records a countermodel under the
+# direct nonempty reading; derivations using them are flagged, not rejected.
+_REFUTED_FORMULAS = {
+    e.schema.formula for e in catalog_entries() if e.source == "axiom" and not e.expected.valid
+}
+SEMANTICALLY_REFUTED = tuple(
+    sid for sid, schema in SCHEMAS.items() if schema.formula in _REFUTED_FORMULAS
+)
 
 
 def is_tautology(f: Formula) -> bool:
@@ -63,20 +57,8 @@ def is_tautology(f: Formula) -> bool:
     letters = atoms(f)
     if len(letters) > MAX_TAUTOLOGY_ATOMS:
         raise BoundError(f"{len(letters)} distinct atoms exceed the budget of {MAX_TAUTOLOGY_ATOMS}")
-
-    def evaluate(g: Formula, env: Mapping[Atom, bool]) -> bool:
-        if isinstance(g, Atom):
-            return env[g]
-        if isinstance(g, Not):
-            return not evaluate(g.operand, env)
-        if isinstance(g, And):
-            return evaluate(g.left, env) and evaluate(g.right, env)
-        if isinstance(g, Or):
-            return evaluate(g.left, env) or evaluate(g.right, env)
-        return (not evaluate(g.left, env)) or evaluate(g.right, env)
-
     for values in itertools.product((False, True), repeat=len(letters)):
-        if not evaluate(f, dict(zip(letters, values))):
+        if not holds(f, dict(zip(letters, values)).__getitem__):
             return False
     return True
 
@@ -363,8 +345,6 @@ def _build_derivation(target: Formula, premises: tuple) -> Derivation:
 def bundled_theorem_derivations() -> dict[str, Derivation]:
     """Checked derivations for T01-T20 from axiom5 plus the definitional
     schemas; keyed by catalog id."""
-    from .opposition import catalog_entries, catalog_formula
-
     out = {}
     for entry in catalog_entries():
         if entry.source != "theorem-list":

@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Callable, Mapping
 
 from .errors import BoundError, SemanticsError
-from .formula import And, Atom, Formula, Not, Or
+from .formula import And, Atom, Formula, Not, Or, holds
 
 MAX_ATOMS = 4
 MAX_EXCEPTIONS = 16
@@ -466,20 +466,7 @@ def verify_two_squares(alg: FiniteBooleanAlgebra) -> Proposition1Report:
 
 
 # --- matrix logic ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MatrixLogic:
-    """Truth values = the carrier; the only designated value is *1."""
-
-    algebra: FiniteBooleanAlgebra
-
-    @property
-    def designated(self) -> UltraElement:
-        return mk_standard(self.algebra, self.algebra.top)
-
-    def is_designated(self, x: UltraElement) -> bool:
-        return x == self.designated
-
+# Truth values are the carrier; the only designated value is *1.
 
 def matrix_neg(x: UltraElement) -> UltraElement:
     return complement(x)
@@ -491,9 +478,7 @@ def matrix_imp(x: UltraElement, y: UltraElement) -> UltraElement:
     return join(complement(join(x, y)), y)
 
 
-def matrix_eval(
-    ml: MatrixLogic, f: Formula, valuation: Mapping[Atom, UltraElement]
-) -> UltraElement:
+def matrix_eval(f: Formula, valuation: Mapping[Atom, UltraElement]) -> UltraElement:
     """Evaluate a formula over opaque atoms into the carrier."""
     if isinstance(f, Atom):
         try:
@@ -501,12 +486,12 @@ def matrix_eval(
         except KeyError:
             raise SemanticsError(f"no value bound for atom {f}") from None
     if isinstance(f, Not):
-        return matrix_neg(matrix_eval(ml, f.operand, valuation))
+        return matrix_neg(matrix_eval(f.operand, valuation))
     if isinstance(f, And):
-        return meet(matrix_eval(ml, f.left, valuation), matrix_eval(ml, f.right, valuation))
+        return meet(matrix_eval(f.left, valuation), matrix_eval(f.right, valuation))
     if isinstance(f, Or):
-        return join(matrix_eval(ml, f.left, valuation), matrix_eval(ml, f.right, valuation))
-    return matrix_imp(matrix_eval(ml, f.left, valuation), matrix_eval(ml, f.right, valuation))
+        return join(matrix_eval(f.left, valuation), matrix_eval(f.right, valuation))
+    return matrix_imp(matrix_eval(f.left, valuation), matrix_eval(f.right, valuation))
 
 
 # --- syllogistic bridge models ------------------------------------------------
@@ -575,12 +560,4 @@ def bridge_satisfies(bm: BridgeModel, f: Formula) -> bool:
     """Satisfaction: an atom holds iff its interpreted value is designated;
     compounds follow the classical clauses (an implication holds iff its
     antecedent fails or its consequent holds)."""
-    if isinstance(f, Atom):
-        return bm.designated(bm.interpret(f))
-    if isinstance(f, Not):
-        return not bridge_satisfies(bm, f.operand)
-    if isinstance(f, And):
-        return bridge_satisfies(bm, f.left) and bridge_satisfies(bm, f.right)
-    if isinstance(f, Or):
-        return bridge_satisfies(bm, f.left) or bridge_satisfies(bm, f.right)
-    return (not bridge_satisfies(bm, f.left)) or bridge_satisfies(bm, f.right)
+    return holds(f, lambda atom: bm.designated(bm.interpret(atom)))

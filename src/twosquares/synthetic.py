@@ -14,13 +14,15 @@ implemented literally and the resulting behaviour is surfaced in
 reports rather than repaired.
 
 Three readings of "A is S" are supported.  Direct treats it as a
-primitive relation given by the model.  The two Derived readings route
-it through the composite copula definition over a structure with a
-primitive relation between individuals plus a denotation for each term;
-they differ in the last conjunct (Literal demands forall C. (C prim a
-and C prim b), Charitable weakens it to forall C. (C prim a -> C prim
-b)).  Neither derived reading is preferred; they exist to probe the
-composite definition.
+primitive relation given by the model.  The two Derived readings produce
+that relation with the composite copula definition over a structure with
+a primitive relation between individuals plus a denotation for each
+term: the structure induces the direct model in which x is t iff the
+composite copula holds between x and t's denotation, and the forms are
+evaluated on that model.  The readings differ in the last conjunct
+(Literal demands forall C. (C prim a and C prim b), Charitable weakens
+it to forall C. (C prim a -> C prim b)).  Neither derived reading is
+preferred; they exist to probe the composite definition.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from enum import Enum
 from typing import Iterator, Mapping
 
 from .errors import BoundError, SemanticsError
-from .formula import And, Atom, Copula, Formula, Not, Or, atoms, render, term_names
-from .verdicts import Counterexample, Valid, Verdict
+from .formula import Atom, Copula, Formula, holds, term_names
+from .verdicts import Verdict, first_counterexample
 
 _INDIVIDUALS = ("u", "v", "w", "x")
 MAX_UNIVERSE_DIRECT = 4
@@ -163,7 +165,34 @@ def derived_copula(c: CopulaStructure, a: str, b: str, charitable: bool) -> bool
     return all(c.prim(x, a) and c.prim(x, b) for x in u)
 
 
-def _atom_truth(copula: Copula, is_s, is_p, universe) -> bool:
+def induced_model(c: CopulaStructure, charitable: bool) -> SyntheticModel:
+    """The direct model a structure induces under a derived reading: x is
+    t iff derived_copula(c, x, c.denote[t], charitable).
+
+    With pred(x) = {y : y prim x}, x can be a subject iff pred(x) is a
+    nonempty clique; the literal reading then holds iff pred(x) = pred(b)
+    = U, the charitable one iff pred(x) is a subset of pred(b).
+    """
+    pred = {x: set() for x in c.universe}
+    for y, x in c.is_prim:
+        pred[x].add(y)
+    everyone = set(c.universe)
+    subjects = [
+        x for x, p in pred.items() if p and c.is_prim.issuperset(itertools.product(p, p))
+    ]
+    facts = frozenset(
+        (x, t)
+        for t, b in c.denote.items()
+        for x in subjects
+        if (pred[x] <= pred[b] if charitable else pred[x] == pred[b] == everyone)
+    )
+    return SyntheticModel(c.universe, facts)
+
+
+def _atom_truth(copula: Copula, model: SyntheticModel, s: str, p: str) -> bool:
+    universe = model.universe
+    is_s = lambda a: model.holds(a, s)
+    is_p = lambda a: model.holds(a, p)
     if copula is Copula.SA:
         return any(is_s(a) for a in universe) or all(is_p(a) and is_s(a) for a in universe)
     if copula is Copula.SI:
@@ -181,7 +210,8 @@ def eval_synthetic(
     f: Formula,
     opts: SyntheticOptions = DIRECT_NONEMPTY,
 ) -> bool:
-    """Evaluate a synthetic-only formula under the chosen reading."""
+    """Evaluate a synthetic-only formula under the chosen reading; a
+    derived reading evaluates it on the structure's induced model."""
     direct = opts.reading is Reading.DIRECT
     if direct and not isinstance(model, SyntheticModel):
         raise SemanticsError("direct reading expects a SyntheticModel")
@@ -189,32 +219,20 @@ def eval_synthetic(
         raise SemanticsError("derived readings expect a CopulaStructure")
     if not model.universe and not opts.allow_empty_universe:
         raise SemanticsError("empty universe disallowed by the evaluation options")
-    charitable = opts.reading is Reading.DERIVED_CHARITABLE
+    if not direct:
+        denotation = model.denotation
+        model = induced_model(model, opts.reading is Reading.DERIVED_CHARITABLE)
 
-    def evaluate(g: Formula) -> bool:
-        if isinstance(g, Atom):
-            if not g.copula.synthetic:
-                raise SemanticsError(
-                    f"analytic copula {g.copula.value!r} under synthetic semantics"
-                )
-            if direct:
-                is_s = lambda a: model.holds(a, g.subject)
-                is_p = lambda a: model.holds(a, g.predicate)
-            else:
-                den_s = model.denotation(g.subject)
-                den_p = model.denotation(g.predicate)
-                is_s = lambda a: derived_copula(model, a, den_s, charitable)
-                is_p = lambda a: derived_copula(model, a, den_p, charitable)
-            return _atom_truth(g.copula, is_s, is_p, model.universe)
-        if isinstance(g, Not):
-            return not evaluate(g.operand)
-        if isinstance(g, And):
-            return evaluate(g.left) and evaluate(g.right)
-        if isinstance(g, Or):
-            return evaluate(g.left) or evaluate(g.right)
-        return (not evaluate(g.left)) or evaluate(g.right)
+    def atom(g: Atom) -> bool:
+        if not g.copula.synthetic:
+            raise SemanticsError(f"analytic copula {g.copula.value!r} under synthetic semantics")
+        if not direct:
+            # a term without a denotation is an error, not an empty term
+            denotation(g.subject)
+            denotation(g.predicate)
+        return _atom_truth(g.copula, model, g.subject, g.predicate)
 
-    return evaluate(f)
+    return holds(f, atom)
 
 
 def _check_universe_bound(max_u: int, opts: SyntheticOptions) -> None:
@@ -265,10 +283,6 @@ def enumerate_copula_structures(
                 yield CopulaStructure(universe, prim, denote)
 
 
-def _trace(model, f: Formula, opts: SyntheticOptions) -> tuple[tuple[str, bool], ...]:
-    return tuple((render(a), eval_synthetic(model, a, opts)) for a in atoms(f))
-
-
 def decide_synthetic_validity(
     f: Formula, bound: int, opts: SyntheticOptions = DIRECT_NONEMPTY
 ) -> Verdict:
@@ -278,7 +292,4 @@ def decide_synthetic_validity(
         models = enumerate_synthetic_models(terms, bound, opts)
     else:
         models = enumerate_copula_structures(terms, bound, opts)
-    for model in models:
-        if not eval_synthetic(model, f, opts):
-            return Counterexample(model, _trace(model, f, opts))
-    return Valid(bound)
+    return first_counterexample(models, f, lambda model, g: eval_synthetic(model, g, opts), bound)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -179,3 +180,52 @@ def test_verify_paper_json_to_file(capsys, tmp_path):
     report = json.loads(out_path.read_text())
     assert report["pass"] is True
     assert report["bounds"] == {"model_bound": 3, "atom_count": 2}
+
+
+@pytest.mark.parametrize(
+    "model, text, options, code, output",
+    [
+        # The left disjunct decides the analytic formula; X is never looked up.
+        ({"domain": ["1"], "ext": {"S": ["1"], "P": ["1"]}}, "S a P | X a Y",
+         ("--semantics", "analytic"), 0, "true"),
+        ({"domain": ["1"], "ext": {"S": ["1"], "P": ["1"]}}, "X a Y | S a P",
+         ("--semantics", "analytic"), 2, "term 'X' has no extent"),
+        # Nothing is S literally here, so the unknown right disjunct is reached.
+        ({"universe": ["u", "v"], "isPrim": [["u", "u"], ["u", "v"]],
+          "denote": {"S": "u", "P": "v"}}, "S sa P | X sa Y",
+         ("--reading", "derived"), 2, "term 'X' has no denotation"),
+        ({"universe": ["u"], "isPrim": [["u", "u"]], "denote": {"S": "u", "P": "u"}},
+         "S sa P | X sa Y", ("--reading", "derived"), 0, "true"),
+    ],
+    ids=["analytic-left-decides", "analytic-unknown-first", "derived-unknown-reached",
+         "derived-left-decides"],
+)
+def test_eval_short_circuits_before_unknown_terms(
+    capsys, tmp_path, model, text, options, code, output
+):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    got_code, out, err = run(capsys, "eval", text, "--model", str(path), *options)
+    assert got_code == code
+    assert output in (out if code == 0 else err)
+
+
+# Output of `python -m twosquares <argv>`, pinned byte for byte so that a
+# changed verdict or witness shows up as a failure, not only run-to-run drift.
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "golden, argv, code",
+    [
+        ("verify_paper_b3_a2.json", ("verify-paper", "--json", "--bound", "3", "--atoms", "2"), 0),
+        ("verify_paper_b4_a3.json", ("verify-paper", "--json", "--bound", "4", "--atoms", "3"), 0),
+        ("square_derived_b2.json", ("square", "--reading", "derived", "--bound", "2", "--json"), 1),
+        ("square_derived_charitable_b2.json",
+         ("square", "--reading", "derived-charitable", "--bound", "2", "--json"), 1),
+    ],
+)
+def test_output_matches_golden_bytes(capsys, golden, argv, code):
+    got_code, out, _ = run(capsys, *argv)
+    assert got_code == code
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()

@@ -111,19 +111,15 @@ def test_rejects_empty_and_bad_index_order():
 
 
 def test_flags_semantically_refuted_axioms():
-    d = Derivation(
-        (
-            DerivationLine(
-                1,
-                parse("S so P -> P so S"),
-                AxiomInstance("axiom6", (("S", "S"), ("P", "P"))),
-            ),
-        )
-    )
-    result = check_derivation(d, ALL_SOURCES)
-    assert result.ok
-    assert result.refuted_axioms_used == ("axiom6",)
-    assert "unsound" in result.describe() or "refuted" in result.describe()
+    for schema_id, text, binding in (
+        ("axiom6", "S so P -> P so S", (("S", "S"), ("P", "P"))),
+        ("axiom8", "(M sa P & S se M) -> S se P", (("M", "M"), ("P", "P"), ("S", "S"))),
+    ):
+        d = Derivation((DerivationLine(1, parse(text), AxiomInstance(schema_id, binding)),))
+        result = check_derivation(d, ALL_SOURCES)
+        assert result.ok
+        assert result.refuted_axioms_used == (schema_id,)
+        assert "unsound" in result.describe() or "refuted" in result.describe()
 
 
 def test_check_is_independent_of_annotation_details():

@@ -14,6 +14,7 @@ from twosquares.synthetic import (
     enumerate_copula_structures,
     enumerate_synthetic_models,
     eval_synthetic,
+    induced_model,
 )
 from twosquares.verdicts import Counterexample, Valid
 
@@ -156,6 +157,20 @@ def test_derived_copula_unknown_individual():
     c = structure("ab", set())
     with pytest.raises(SemanticsError):
         derived_copula(c, "a", "z", charitable=True)
+
+
+@pytest.mark.parametrize("terms", [("P", "S"), ("M", "P", "S")])
+def test_induced_model_matches_derived_copula(terms):
+    for opts in (DERIVED, CHARITABLE):
+        charitable = opts is CHARITABLE
+        for c in enumerate_copula_structures(terms, 3, opts):
+            expected = {
+                (x, t)
+                for t in terms
+                for x in c.universe
+                if derived_copula(c, x, c.denote[t], charitable)
+            }
+            assert induced_model(c, charitable).facts == expected, c
 
 
 # --- enumeration --------------------------------------------------------------

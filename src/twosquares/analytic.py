@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import BoundError, SemanticsError
+from .errors import BoundError, SemanticsError, json_object, string_list
 from .formula import Atom, Copula, Formula, holds, term_names
 from .verdicts import Verdict, first_counterexample
 
@@ -60,8 +60,12 @@ class AnalyticModel:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> AnalyticModel:
-        domain = tuple(data["domain"])
-        ext = {t: frozenset(members) for t, members in data["ext"].items()}
+        data = json_object(data, "analytic model", ("domain", "ext"))
+        domain = string_list(data["domain"], "domain", distinct=True)
+        ext = {
+            t: frozenset(string_list(members, f"extent of {t!r}"))
+            for t, members in json_object(data["ext"], "ext").items()
+        }
         for term, members in ext.items():
             if not members <= set(domain):
                 raise SemanticsError(f"extent of {term!r} leaves the domain")

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the shape checks on
+JSON input that raise them."""
+
+from typing import Any, Mapping
 
 
 class TwoSquaresError(Exception):
@@ -28,3 +31,23 @@ class SemanticsError(TwoSquaresError):
 
 class BoundError(TwoSquaresError):
     """A search or enumeration bound was exceeded."""
+
+
+def json_object(data: Any, what: str, required: tuple[str, ...] = ()) -> Mapping:
+    """`data` if it is a JSON object holding every `required` key."""
+    if not isinstance(data, Mapping):
+        raise SemanticsError(f"{what} must be a JSON object")
+    for key in required:
+        if key not in data:
+            raise SemanticsError(f"{what} lacks {key!r}")
+    return data
+
+
+def string_list(data: Any, what: str, distinct: bool = False) -> tuple[str, ...]:
+    """`data` as a tuple if it is a JSON list of strings, without repeats
+    when `distinct`."""
+    if not isinstance(data, list) or not all(isinstance(item, str) for item in data):
+        raise SemanticsError(f"{what} must be a list of strings")
+    if distinct and len(set(data)) != len(data):
+        raise SemanticsError(f"{what} repeats an entry")
+    return tuple(data)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .analytic import (
     IMPORT_ON,
@@ -33,12 +33,10 @@ from .errors import SemanticsError
 from .formula import Formula, Schema, copulas, instantiate, render, schema_of
 from .synthetic import (
     DIRECT_NONEMPTY,
-    Reading,
     SyntheticOptions,
     decide_synthetic_validity,
-    enumerate_copula_structures,
-    enumerate_synthetic_models,
     eval_synthetic,
+    synthetic_models,
 )
 from .verdicts import Counterexample, Valid, Verdict
 
@@ -83,10 +81,8 @@ class SyntheticSemantics:
     def accepts(self, f: Formula) -> bool:
         return all(c.synthetic for c in copulas(f))
 
-    def models(self, terms: tuple[str, ...], bound: int) -> Iterator[Any]:
-        if self.options.reading is Reading.DIRECT:
-            return enumerate_synthetic_models(terms, bound, self.options)
-        return enumerate_copula_structures(terms, bound, self.options)
+    def models(self, terms: tuple[str, ...], bound: int) -> Iterable[Any]:
+        return synthetic_models(terms, bound, self.options)
 
     def evaluate(self, model: Any, f: Formula) -> bool:
         return eval_synthetic(model, f, self.options)

@@ -11,8 +11,9 @@ so a class is just the coefficient pair (f0, f1) = (f(0), f(1)).
 Within this fragment the quotient is exact rather than approximated:
 two Shannon forms disagree on the complement of an order interval,
 which in an infinite algebra is never finite and nonempty, so cofinite
-agreement coincides with equality of the pairs.  Finite exception
-lists are therefore discarded outright by `quotient`.
+agreement coincides with equality of the pairs.  A function that
+differs from a Shannon form at finitely many arguments therefore lies
+in that form's class, and a class is its coefficient pair alone.
 
 Classes of constant functions are the standard elements *m (pairs with
 f0 = f1).  The argument-flip x |-> x(~a) swaps the coefficients; the
@@ -32,7 +33,6 @@ from .errors import BoundError, SemanticsError
 from .formula import And, Atom, Formula, Not, Or, holds
 
 MAX_ATOMS = 4
-MAX_EXCEPTIONS = 16
 _ATOM_NAMES = "pqrs"
 
 
@@ -117,46 +117,6 @@ def all_elements(alg: FiniteBooleanAlgebra) -> tuple[UltraElement, ...]:
     return tuple(
         UltraElement(alg, f0, f1) for f0 in alg.elements() for f1 in alg.elements()
     )
-
-
-@dataclass(frozen=True)
-class RawFunction:
-    """A Shannon-form function with finitely many pointwise overrides.
-
-    The index set stands in for the (conceptually infinite) argument
-    space: at a non-exception index i the value is the Shannon form
-    evaluated at the algebra element i mod size.  Exceptions are a
-    finite set and hence null for the quotient.
-    """
-
-    algebra: FiniteBooleanAlgebra
-    f0: int
-    f1: int
-    exceptions: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(self.exceptions) > MAX_EXCEPTIONS:
-            raise BoundError(f"exception list longer than {MAX_EXCEPTIONS}")
-        self.algebra.check(self.f0)
-        self.algebra.check(self.f1)
-        for index, value in self.exceptions:
-            if index < 0:
-                raise SemanticsError("exception index must be nonnegative")
-            self.algebra.check(value)
-
-    def value_at(self, index: int) -> int:
-        for i, value in reversed(self.exceptions):
-            if i == index:
-                return value
-        a = index % self.algebra.size
-        alg = self.algebra
-        return alg.join(alg.meet(a, self.f1), alg.meet(alg.comp(a), self.f0))
-
-
-def quotient(raw: RawFunction) -> UltraElement:
-    """Collapse a raw function to its class: the exception list is finite,
-    hence Frechet-null, and only the Shannon pair survives."""
-    return UltraElement(raw.algebra, raw.f0, raw.f1)
 
 
 # --- lattice structure -------------------------------------------------------

@@ -23,16 +23,22 @@ evaluated on that model.  The readings differ in the last conjunct
 (Literal demands forall C. (C prim a and C prim b), Charitable weakens
 it to forall C. (C prim a -> C prim b)).  Neither derived reading is
 preferred; they exist to probe the composite definition.
+
+A form's truth depends only on which sets of terms the individuals of
+a model realize, so derived decisions range over the derived image:
+one witness structure per realized type-set, found by one scan of the
+structures per term set, bound and reading.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .errors import BoundError, SemanticsError
+from .errors import BoundError, SemanticsError, json_object, string_list
 from .formula import Atom, Copula, Formula, holds, term_names
 from .verdicts import Verdict, first_counterexample
 
@@ -85,12 +91,13 @@ class SyntheticModel:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> SyntheticModel:
-        universe = tuple(data["universe"])
+        data = json_object(data, "synthetic model", ("universe",))
+        universe = string_list(data["universe"], "universe", distinct=True)
         facts = set()
-        for individual, terms in data.get("is", {}).items():
+        for individual, terms in json_object(data.get("is", {}), "is").items():
             if individual not in universe:
                 raise SemanticsError(f"individual {individual!r} outside the universe")
-            for t in terms:
+            for t in string_list(terms, f"terms of {individual!r}"):
                 facts.add((individual, t))
         return cls(universe, frozenset(facts))
 
@@ -127,9 +134,15 @@ class CopulaStructure:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> CopulaStructure:
-        universe = tuple(data["universe"])
-        pairs = frozenset((a, b) for a, b in data.get("isPrim", []))
-        denote = dict(data.get("denote", {}))
+        data = json_object(data, "copula structure", ("universe",))
+        universe = string_list(data["universe"], "universe", distinct=True)
+        prim = data.get("isPrim", [])
+        if not isinstance(prim, list) or any(
+            len(string_list(p, "isPrim entry")) != 2 for p in prim
+        ):
+            raise SemanticsError("isPrim must be a list of [individual, individual] pairs")
+        pairs = frozenset(tuple(p) for p in prim)
+        denote = dict(json_object(data.get("denote", {}), "denote"))
         for a, b in pairs:
             if a not in universe or b not in universe:
                 raise SemanticsError(f"primitive pair ({a!r}, {b!r}) outside the universe")
@@ -283,13 +296,51 @@ def enumerate_copula_structures(
                 yield CopulaStructure(universe, prim, denote)
 
 
+def _type_set(model: SyntheticModel) -> frozenset[frozenset[str]]:
+    """The set of term-types the individuals of `model` realize."""
+    types = {x: set() for x in model.universe}
+    for x, t in model.facts:
+        types[x].add(t)
+    return frozenset(frozenset(ts) for ts in types.values())
+
+
+@functools.cache
+def derived_image(
+    terms: tuple[str, ...], bound: int, opts: SyntheticOptions
+) -> tuple[CopulaStructure, ...]:
+    """The first structure, in enumeration order, of each type-set the
+    induced models realize, in order of first appearance.
+
+    Every form quantifies over individuals only through their types, so
+    each structure agrees with the witness of its type-set on every
+    formula over `terms`; the first structure that falsifies a formula,
+    or that shows a truth-pair category, is the first of its type-set.
+    Searching the image therefore gives the verdicts and witnesses of a
+    full scan."""
+    charitable = opts.reading is Reading.DERIVED_CHARITABLE
+    witnesses: dict[frozenset, CopulaStructure] = {}
+    for c in enumerate_copula_structures(terms, bound, opts):
+        witnesses.setdefault(_type_set(induced_model(c, charitable)), c)
+    return tuple(witnesses.values())
+
+
+def synthetic_models(
+    terms: tuple[str, ...], bound: int, opts: SyntheticOptions
+) -> Iterable[SyntheticModel | CopulaStructure]:
+    """What a search under `opts` ranges over: every direct model up to
+    `bound`, or a derived reading's image."""
+    if opts.reading is Reading.DIRECT:
+        return enumerate_synthetic_models(terms, bound, opts)
+    return derived_image(terms, bound, opts)
+
+
 def decide_synthetic_validity(
     f: Formula, bound: int, opts: SyntheticOptions = DIRECT_NONEMPTY
 ) -> Verdict:
     """Valid up to `bound`, or the first (minimal) countermodel."""
-    terms = term_names(f)
-    if opts.reading is Reading.DIRECT:
-        models = enumerate_synthetic_models(terms, bound, opts)
-    else:
-        models = enumerate_copula_structures(terms, bound, opts)
-    return first_counterexample(models, f, lambda model, g: eval_synthetic(model, g, opts), bound)
+    return first_counterexample(
+        synthetic_models(term_names(f), bound, opts),
+        f,
+        lambda model, g: eval_synthetic(model, g, opts),
+        bound,
+    )

@@ -210,6 +210,28 @@ def test_eval_short_circuits_before_unknown_terms(
     assert output in (out if code == 0 else err)
 
 
+@pytest.mark.parametrize(
+    "model, options, message",
+    [
+        ([{"domain": ["1"]}], ("--semantics", "analytic"), "must be a JSON object"),
+        ({"ext": {"S": ["1"]}}, ("--semantics", "analytic"), "lacks 'domain'"),
+        ({"universe": ["u"], "is": {"u": "PM"}}, (), "must be a list of strings"),
+        ({"universe": ["u", "u"]}, (), "repeats an entry"),
+        ({"universe": ["u", "v"], "isPrim": ["uv"], "denote": {"S": "u", "P": "v"}},
+         ("--reading", "derived"), "isPrim entry must be a list of strings"),
+    ],
+    ids=["json-list", "missing-domain", "terms-as-string", "duplicate-individual",
+         "prim-entry-not-a-pair"],
+)
+def test_eval_rejects_malformed_model_files(capsys, tmp_path, model, options, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run(capsys, "eval", "S sa P", "--model", str(path), *options)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 # Output of `python -m twosquares <argv>`, pinned byte for byte so that a
 # changed verdict or witness shows up as a failure, not only run-to-run drift.
 GOLDEN = Path(__file__).parent / "data"
@@ -223,6 +245,9 @@ GOLDEN = Path(__file__).parent / "data"
         ("square_derived_b2.json", ("square", "--reading", "derived", "--bound", "2", "--json"), 1),
         ("square_derived_charitable_b2.json",
          ("square", "--reading", "derived-charitable", "--bound", "2", "--json"), 1),
+        ("square_derived_b3.json", ("square", "--reading", "derived", "--bound", "3", "--json"), 1),
+        ("square_derived_charitable_b3.json",
+         ("square", "--reading", "derived-charitable", "--bound", "3", "--json"), 1),
     ],
 )
 def test_output_matches_golden_bytes(capsys, golden, argv, code):

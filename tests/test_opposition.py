@@ -1,21 +1,32 @@
 import pytest
 
 from twosquares.analytic import IMPORT_ON
-from twosquares.errors import SemanticsError
-from twosquares.formula import parse, render, schema_of
+from twosquares.errors import BoundError, SemanticsError
+from twosquares.formula import instantiate, parse, render, schema_of, term_names
 from twosquares.opposition import (
     AnalyticSemantics,
     RelationKind,
     SyntheticSemantics,
     analytic_square,
     catalog_entries,
+    catalog_formula,
     classify_pair,
     run_catalog,
     synthetic_square,
     verify_square,
 )
-from twosquares.synthetic import DIRECT_EMPTY_OK, DIRECT_NONEMPTY
-from twosquares.verdicts import Counterexample, Valid
+from twosquares.synthetic import (
+    DIRECT_EMPTY_OK,
+    DIRECT_NONEMPTY,
+    Reading,
+    SyntheticOptions,
+    decide_synthetic_validity,
+    derived_image,
+    enumerate_copula_structures,
+    eval_synthetic,
+    induced_model,
+)
+from twosquares.verdicts import Counterexample, Valid, first_counterexample
 
 ANALYTIC = AnalyticSemantics(IMPORT_ON)
 SYNTHETIC = SyntheticSemantics(DIRECT_NONEMPTY)
@@ -159,3 +170,101 @@ def test_counterexamples_persist_at_larger_bounds():
 def test_entry_schemas_render_round_trip():
     for entry in catalog_entries():
         assert parse(render(entry.schema.formula)) == entry.schema.formula
+
+
+# --- the derived image against a full scan -------------------------------------
+
+DERIVED_OPTIONS = [
+    SyntheticOptions(reading, empty)
+    for reading in (Reading.DERIVED_LITERAL, Reading.DERIVED_CHARITABLE)
+    for empty in (False, True)
+]
+
+
+def full_scan_decide(f, bound, opts):
+    """Oracle: the first falsifying structure over every structure."""
+    return first_counterexample(
+        enumerate_copula_structures(term_names(f), bound, opts),
+        f,
+        lambda model, g: eval_synthetic(model, g, opts),
+        bound,
+    )
+
+
+def full_scan_witnesses(phi, psi, opts, bound):
+    """Oracle: classify_pair's truth-pair loop over every structure."""
+    left = instantiate(phi, {m: m for m in phi.metavars})
+    right = instantiate(psi, {m: m for m in psi.metavars})
+    found = {}
+    for model in enumerate_copula_structures(tuple(sorted(phi.metavars)), bound, opts):
+        p, q = eval_synthetic(model, left, opts), eval_synthetic(model, right, opts)
+        category = {(True, True): "both_true", (True, False): "first_only",
+                    (False, True): "second_only", (False, False): "both_false"}[p, q]
+        found.setdefault(category, model)
+    return found
+
+
+def verdict_bytes(verdict):
+    if isinstance(verdict, Valid):
+        return ("valid", verdict.bound)
+    return ("counterexample", verdict.model.to_dict(), verdict.atom_trace)
+
+
+@pytest.mark.parametrize("opts", DERIVED_OPTIONS, ids=lambda o: o.label())
+def test_derived_image_decides_like_a_full_scan(opts):
+    square = synthetic_square()
+    semantics = SyntheticSemantics(opts)
+    for bound in (1, 2, 3):
+        for entry in catalog_entries():
+            f = catalog_formula(entry)
+            assert verdict_bytes(decide_synthetic_validity(f, bound, opts)) == verdict_bytes(
+                full_scan_decide(f, bound, opts)
+            ), (entry.id, bound)
+        for first, second, _ in square.expected:
+            phi, psi = square.corners[first], square.corners[second]
+            relation = classify_pair(phi, psi, semantics, bound)
+            got = {name: m.to_dict() for name, m in relation.witnesses().items()}
+            expected = full_scan_witnesses(phi, psi, opts, bound)
+            assert got == {name: m.to_dict() for name, m in expected.items()}, (first, second)
+
+
+@pytest.mark.parametrize("reading", [Reading.DERIVED_LITERAL, Reading.DERIVED_CHARITABLE])
+@pytest.mark.parametrize("terms", [("P", "S"), ("M", "P", "S")])
+def test_derived_image_holds_the_first_structure_of_every_atom_profile(reading, terms):
+    # Every formula over `terms` is a Boolean combination of the atoms
+    # below, so the image decides every such formula like a full scan iff
+    # it keeps, in enumeration order, the first structure of each profile.
+    opts = SyntheticOptions(reading)
+    atoms = [parse(f"{s} {c} {p}") for s in terms for p in terms for c in ("sa", "si")]
+    first = {}
+    order = []
+    for c in enumerate_copula_structures(terms, 3, opts):
+        model = induced_model(c, reading is Reading.DERIVED_CHARITABLE)
+        profile = tuple(eval_synthetic(model, a, DIRECT_EMPTY_OK) for a in atoms)
+        first.setdefault(profile, c.to_dict())
+        order.append(c.to_dict())
+    image = [c.to_dict() for c in derived_image(terms, 3, opts)]
+    assert all(witness in image for witness in first.values())
+    positions = [order.index(witness) for witness in image]
+    assert positions == sorted(positions)
+
+
+@pytest.mark.parametrize(
+    "reading, terms, size",
+    [
+        (Reading.DERIVED_LITERAL, ("P", "S"), 2),
+        (Reading.DERIVED_LITERAL, ("M", "P", "S"), 2),
+        (Reading.DERIVED_CHARITABLE, ("P", "S"), 11),
+        (Reading.DERIVED_CHARITABLE, ("M", "P", "S"), 34),
+    ],
+)
+def test_derived_image_sizes_at_bound_3(reading, terms, size):
+    assert len(derived_image(terms, 3, SyntheticOptions(reading))) == size
+
+
+@pytest.mark.parametrize("opts", DERIVED_OPTIONS, ids=lambda o: o.label())
+def test_derived_image_keeps_the_bound_guard(opts):
+    with pytest.raises(BoundError):
+        derived_image(("P", "S"), 4, opts)
+    with pytest.raises(BoundError):
+        decide_synthetic_validity(parse("S sa P"), 4, opts)

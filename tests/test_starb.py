@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
@@ -12,7 +13,6 @@ from twosquares.starb import (
     FiniteBooleanAlgebra,
     Filter,
     OrderMode,
-    RawFunction,
     Strict,
     UltraElement,
     algebraic_opposition,
@@ -29,7 +29,6 @@ from twosquares.starb import (
     meet,
     mk_standard,
     quadruple,
-    quotient,
     verify_two_squares,
 )
 
@@ -153,6 +152,50 @@ def test_inf_sup_with_flip_are_standard():
 
 
 # --- quotient -------------------------------------------------------------------
+
+# Test-only model of the construction: a raw function of the (conceptually
+# infinite) argument space before the quotient, with finitely many overrides.
+MAX_EXCEPTIONS = 16
+
+
+@dataclass(frozen=True)
+class RawFunction:
+    """A Shannon-form function with finitely many pointwise overrides.
+
+    At a non-exception index i the value is the Shannon form evaluated
+    at the algebra element i mod size.  Exceptions are a finite set and
+    hence null for the quotient.
+    """
+
+    algebra: FiniteBooleanAlgebra
+    f0: int
+    f1: int
+    exceptions: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        if len(self.exceptions) > MAX_EXCEPTIONS:
+            raise BoundError(f"exception list longer than {MAX_EXCEPTIONS}")
+        self.algebra.check(self.f0)
+        self.algebra.check(self.f1)
+        for index, value in self.exceptions:
+            if index < 0:
+                raise SemanticsError("exception index must be nonnegative")
+            self.algebra.check(value)
+
+    def value_at(self, index: int) -> int:
+        for i, value in reversed(self.exceptions):
+            if i == index:
+                return value
+        a = index % self.algebra.size
+        alg = self.algebra
+        return alg.join(alg.meet(a, self.f1), alg.meet(alg.comp(a), self.f0))
+
+
+def quotient(raw: RawFunction) -> UltraElement:
+    """Collapse a raw function to its class: the exception list is finite,
+    hence Frechet-null, and only the Shannon pair survives."""
+    return UltraElement(raw.algebra, raw.f0, raw.f1)
+
 
 def test_quotient_discards_exceptions():
     raw = RawFunction(ALG2, P, P, ((0, 1), (5, 2), (9, 0)))

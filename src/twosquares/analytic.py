@@ -9,13 +9,15 @@ six relations of the conventional square hold at once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import BoundError, SemanticsError, json_object, string_list
 from .formula import Atom, Copula, Formula, holds, term_names
-from .verdicts import Verdict, first_counterexample
+from .search import ModelSpace, any_of, atom_vectors, monadic_layout
+from .verdicts import Verdict
 
 _INDIVIDUALS = ("1", "2", "3", "4", "5", "6")
 MAX_DOMAIN = 6
@@ -91,27 +93,53 @@ def eval_analytic(model: AnalyticModel, f: Formula, policy: ImportPolicy = IMPOR
     return holds(f, atom)
 
 
+def _check_domain_bound(max_domain: int) -> None:
+    if not 0 <= max_domain <= MAX_DOMAIN:
+        raise BoundError(f"domain bound {max_domain} outside 0..{MAX_DOMAIN}")
+
+
+def _model(terms: tuple[str, ...], size: int, masks: tuple[int, ...]) -> AnalyticModel:
+    domain = _INDIVIDUALS[:size]
+    ext = {
+        t: frozenset(domain[i] for i in range(size) if masks[k] >> i & 1)
+        for k, t in enumerate(terms)
+    }
+    return AnalyticModel(domain, ext)
+
+
 def enumerate_analytic_models(terms: tuple[str, ...], max_domain: int) -> Iterator[AnalyticModel]:
     """All models with |domain| <= max_domain, smallest domain first, then
     lexicographic extension assignments (subset bitmasks ascending, the
     first term varying slowest)."""
-    if not 0 <= max_domain <= MAX_DOMAIN:
-        raise BoundError(f"domain bound {max_domain} outside 0..{MAX_DOMAIN}")
+    _check_domain_bound(max_domain)
     for size in range(max_domain + 1):
-        domain = _INDIVIDUALS[:size]
         for masks in itertools.product(range(1 << size), repeat=len(terms)):
-            ext = {
-                t: frozenset(domain[i] for i in range(size) if masks[k] >> i & 1)
-                for k, t in enumerate(terms)
-            }
-            yield AnalyticModel(domain, ext)
+            yield _model(terms, size, masks)
+
+
+@functools.cache
+def _atom_vector(policy: ImportPolicy, k: int, bound: int, s: int, p: int, copula: Copula) -> int:
+    """Truth of `s copula p` (term positions) over every model up to `bound`."""
+    layout = monadic_layout(k, 0, bound)
+    subject, predicate = layout.member[s], layout.member[p]
+    if copula in (Copula.E, Copula.I):
+        overlap = any_of(x & y for x, y in zip(subject, predicate))
+        return layout.full & (overlap if copula is Copula.I else ~overlap)
+    universal = ~any_of(x & ~y for x, y in zip(subject, predicate))
+    if policy.existential_import:
+        universal &= any_of(subject)
+    return layout.full & (universal if copula is Copula.A else ~universal)
+
+
+def analytic_space(terms: tuple[str, ...], bound: int, policy: ImportPolicy) -> ModelSpace:
+    """Every model of `enumerate_analytic_models(terms, bound)`, in order."""
+    _check_domain_bound(bound)
+    k = len(terms)
+    atom = atom_vectors(terms, False, lambda s, p, c: _atom_vector(policy, k, bound, s, p, c))
+    layout = monadic_layout(k, 0, bound)
+    return ModelSpace(layout.full, bound, atom, lambda index: _model(terms, *layout.masks(index)))
 
 
 def decide_analytic_validity(f: Formula, bound: int, policy: ImportPolicy = IMPORT_ON) -> Verdict:
     """Valid up to `bound`, or the first (minimal) countermodel."""
-    return first_counterexample(
-        enumerate_analytic_models(term_names(f), bound),
-        f,
-        lambda model, g: eval_analytic(model, g, policy),
-        bound,
-    )
+    return analytic_space(term_names(f), bound, policy).decide(f)

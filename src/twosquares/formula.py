@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Mapping, TypeVar
 
 from .errors import InstantiationError, ParseError
 
@@ -87,6 +87,8 @@ class Implies:
 
 Formula = Atom | Not | And | Or | Implies
 
+T = TypeVar("T")
+
 
 def atoms(f: Formula) -> tuple[Atom, ...]:
     """Distinct atoms of `f` in first-occurrence order."""
@@ -123,6 +125,28 @@ def holds(f: Formula, atom: Callable[[Atom], bool]) -> bool:
     return (not holds(f.left, atom)) or holds(f.right, atom)
 
 
+def fold(
+    f: Formula,
+    atom: Callable[[Atom], T],
+    neg: Callable[[T], T],
+    conj: Callable[[T, T], T],
+    disj: Callable[[T, T], T],
+    imp: Callable[[T, T], T],
+) -> T:
+    """The value of `f`, with `atom` giving each atom's value and the
+    other four combining operand values; every operand is evaluated."""
+
+    def walk(g: Formula) -> T:
+        if isinstance(g, Atom):
+            return atom(g)
+        if isinstance(g, Not):
+            return neg(walk(g.operand))
+        op = conj if isinstance(g, And) else disj if isinstance(g, Or) else imp
+        return op(walk(g.left), walk(g.right))
+
+    return walk(f)
+
+
 def term_names(f: Formula) -> tuple[str, ...]:
     """Sorted term identifiers occurring in `f`."""
     names = set()
@@ -130,10 +154,6 @@ def term_names(f: Formula) -> tuple[str, ...]:
         names.add(atom.subject)
         names.add(atom.predicate)
     return tuple(sorted(names))
-
-
-def copulas(f: Formula) -> frozenset[Copula]:
-    return frozenset(a.copula for a in atoms(f))
 
 
 @dataclass(frozen=True)
@@ -171,18 +191,14 @@ def instantiate(schema: Schema, binding: Mapping[str, str]) -> Formula:
     def subst(name: str) -> str:
         return binding[name] if name in meta else name
 
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, Atom):
-            return Atom(subst(f.subject), f.copula, subst(f.predicate))
-        if isinstance(f, Not):
-            return Not(walk(f.operand))
-        if isinstance(f, And):
-            return And(walk(f.left), walk(f.right))
-        if isinstance(f, Or):
-            return Or(walk(f.left), walk(f.right))
-        return Implies(walk(f.left), walk(f.right))
-
-    return walk(schema.formula)
+    return fold(
+        schema.formula,
+        lambda a: Atom(subst(a.subject), a.copula, subst(a.predicate)),
+        Not,
+        And,
+        Or,
+        Implies,
+    )
 
 
 def schema_of(text: str) -> Schema:

@@ -20,23 +20,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Mapping
 
 from .analytic import (
     IMPORT_ON,
     ImportPolicy,
+    analytic_space,
     decide_analytic_validity,
-    enumerate_analytic_models,
     eval_analytic,
 )
-from .errors import SemanticsError
-from .formula import Formula, Schema, copulas, instantiate, render, schema_of
+from .formula import Formula, Schema, instantiate, render, schema_of
+from .search import ModelSpace
 from .synthetic import (
     DIRECT_NONEMPTY,
     SyntheticOptions,
     decide_synthetic_validity,
     eval_synthetic,
-    synthetic_models,
+    synthetic_space,
 )
 from .verdicts import Counterexample, Valid, Verdict
 
@@ -51,11 +51,8 @@ class AnalyticSemantics:
     def to_dict(self) -> dict:
         return {"family": "analytic", "existential_import": self.policy.existential_import}
 
-    def accepts(self, f: Formula) -> bool:
-        return all(c.analytic for c in copulas(f))
-
-    def models(self, terms: tuple[str, ...], bound: int) -> Iterator[Any]:
-        return enumerate_analytic_models(terms, bound)
+    def space(self, terms: tuple[str, ...], bound: int) -> ModelSpace:
+        return analytic_space(terms, bound, self.policy)
 
     def evaluate(self, model: Any, f: Formula) -> bool:
         return eval_analytic(model, f, self.policy)
@@ -78,11 +75,8 @@ class SyntheticSemantics:
             "allow_empty_universe": self.options.allow_empty_universe,
         }
 
-    def accepts(self, f: Formula) -> bool:
-        return all(c.synthetic for c in copulas(f))
-
-    def models(self, terms: tuple[str, ...], bound: int) -> Iterable[Any]:
-        return synthetic_models(terms, bound, self.options)
+    def space(self, terms: tuple[str, ...], bound: int) -> ModelSpace:
+        return synthetic_space(terms, bound, self.options)
 
     def evaluate(self, model: Any, f: Formula) -> bool:
         return eval_synthetic(model, f, self.options)
@@ -128,29 +122,19 @@ def classify_pair(
     phi: Schema, psi: Schema, semantics: Semantics, bound: int
 ) -> OppositionRelation:
     """Classify the opposition relation between two schemas over the same
-    two metavariables by exhaustive search at the bound."""
+    two metavariables by exhaustive search at the bound: each category's
+    witness is the first model in search order that shows it."""
     if set(phi.metavars) != set(psi.metavars) or len(phi.metavars) != 2:
         raise ValueError("schemas must share the same two metavariables")
     identity = {m: m for m in phi.metavars}
     left = instantiate(phi, identity)
     right = instantiate(psi, identity)
-    for f in (left, right):
-        if not semantics.accepts(f):
-            raise SemanticsError("mixed copula families: formula does not fit the semantics")
-    terms = tuple(sorted(phi.metavars))
-
-    both_true = both_false = first_only = second_only = None
-    for model in semantics.models(terms, bound):
-        p = semantics.evaluate(model, left)
-        q = semantics.evaluate(model, right)
-        if p and q and both_true is None:
-            both_true = model
-        elif p and not q and first_only is None:
-            first_only = model
-        elif q and not p and second_only is None:
-            second_only = model
-        elif not p and not q and both_false is None:
-            both_false = model
+    space = semantics.space(tuple(sorted(phi.metavars)), bound)
+    p, q = space.vector(left), space.vector(right)
+    both_true = space.first(p & q)
+    both_false = space.first(space.full & ~(p | q))
+    first_only = space.first(p & ~q)
+    second_only = space.first(q & ~p)
 
     if both_true is None and both_false is None:
         kind = RelationKind.CONTRADICTORY

@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Callable, Mapping
 
 from .errors import BoundError, SemanticsError
-from .formula import And, Atom, Formula, Not, Or, holds
+from .formula import Atom, Formula, fold, holds
 
 MAX_ATOMS = 4
 _ATOM_NAMES = "pqrs"
@@ -440,18 +440,14 @@ def matrix_imp(x: UltraElement, y: UltraElement) -> UltraElement:
 
 def matrix_eval(f: Formula, valuation: Mapping[Atom, UltraElement]) -> UltraElement:
     """Evaluate a formula over opaque atoms into the carrier."""
-    if isinstance(f, Atom):
+
+    def atom(a: Atom) -> UltraElement:
         try:
-            return valuation[f]
+            return valuation[a]
         except KeyError:
-            raise SemanticsError(f"no value bound for atom {f}") from None
-    if isinstance(f, Not):
-        return matrix_neg(matrix_eval(f.operand, valuation))
-    if isinstance(f, And):
-        return meet(matrix_eval(f.left, valuation), matrix_eval(f.right, valuation))
-    if isinstance(f, Or):
-        return join(matrix_eval(f.left, valuation), matrix_eval(f.right, valuation))
-    return matrix_imp(matrix_eval(f.left, valuation), matrix_eval(f.right, valuation))
+            raise SemanticsError(f"no value bound for atom {a}") from None
+
+    return fold(f, atom, matrix_neg, meet, join, matrix_imp)
 
 
 # --- syllogistic bridge models ------------------------------------------------

@@ -27,7 +27,7 @@ preferred; they exist to probe the composite definition.
 A form's truth depends only on which sets of terms the individuals of
 a model realize, so derived decisions range over the derived image:
 one witness structure per realized type-set, found by one scan of the
-structures per term set, bound and reading.
+structures per term count, bound and reading.
 """
 
 from __future__ import annotations
@@ -36,11 +36,13 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
+from .copula import CopulaStructure, derived_copula  # noqa: F401  (derived_copula is re-exported)
 from .errors import BoundError, SemanticsError, json_object, string_list
 from .formula import Atom, Copula, Formula, holds, term_names
-from .verdicts import Verdict, first_counterexample
+from .search import ModelSpace, any_of, atom_vectors, monadic_layout
+from .verdicts import Verdict
 
 _INDIVIDUALS = ("u", "v", "w", "x")
 MAX_UNIVERSE_DIRECT = 4
@@ -100,82 +102,6 @@ class SyntheticModel:
             for t in string_list(terms, f"terms of {individual!r}"):
                 facts.add((individual, t))
         return cls(universe, frozenset(facts))
-
-
-@dataclass(frozen=True)
-class CopulaStructure:
-    """Carrier for the composite copula: a primitive relation between
-    individuals and a denoting individual per term."""
-
-    universe: tuple[str, ...]
-    is_prim: frozenset[tuple[str, str]]
-    denote: Mapping[str, str]
-
-    def prim(self, a: str, b: str) -> bool:
-        return (a, b) in self.is_prim
-
-    def denotation(self, term: str) -> str:
-        try:
-            return self.denote[term]
-        except KeyError:
-            raise SemanticsError(f"term {term!r} has no denotation") from None
-
-    def summary(self) -> str:
-        prim = ",".join(f"({a},{b})" for a, b in sorted(self.is_prim))
-        den = ",".join(f"{t}->{self.denote[t]}" for t in sorted(self.denote))
-        return "U={%s}; prim={%s}; %s" % (",".join(self.universe), prim, den)
-
-    def to_dict(self) -> dict:
-        return {
-            "universe": list(self.universe),
-            "isPrim": [list(pair) for pair in sorted(self.is_prim)],
-            "denote": {t: self.denote[t] for t in sorted(self.denote)},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> CopulaStructure:
-        data = json_object(data, "copula structure", ("universe",))
-        universe = string_list(data["universe"], "universe", distinct=True)
-        prim = data.get("isPrim", [])
-        if not isinstance(prim, list) or any(
-            len(string_list(p, "isPrim entry")) != 2 for p in prim
-        ):
-            raise SemanticsError("isPrim must be a list of [individual, individual] pairs")
-        pairs = frozenset(tuple(p) for p in prim)
-        denote = dict(json_object(data.get("denote", {}), "denote"))
-        for a, b in pairs:
-            if a not in universe or b not in universe:
-                raise SemanticsError(f"primitive pair ({a!r}, {b!r}) outside the universe")
-        for term, ind in denote.items():
-            if ind not in universe:
-                raise SemanticsError(f"denotation of {term!r} outside the universe")
-        return cls(universe, pairs, denote)
-
-
-def derived_copula(c: CopulaStructure, a: str, b: str, charitable: bool) -> bool:
-    """The composite "a is b" over the primitive relation.
-
-    Literal mode:  (exists C. C prim a)
-                   and (forall C, D. (C prim a and D prim a) -> C prim D)
-                   and (forall C. C prim a and C prim b).
-    Charitable mode replaces the last conjunct by
-    forall C. (C prim a -> C prim b).
-    """
-    if a not in c.universe or b not in c.universe:
-        raise SemanticsError(f"unknown individual in copula: {a!r}, {b!r}")
-    u = c.universe
-    if not any(c.prim(x, a) for x in u):
-        return False
-    if not all(
-        c.prim(x, y)
-        for x in u
-        for y in u
-        if c.prim(x, a) and c.prim(y, a)
-    ):
-        return False
-    if charitable:
-        return all(c.prim(x, b) for x in u if c.prim(x, a))
-    return all(c.prim(x, a) and c.prim(x, b) for x in u)
 
 
 def induced_model(c: CopulaStructure, charitable: bool) -> SyntheticModel:
@@ -254,6 +180,14 @@ def _check_universe_bound(max_u: int, opts: SyntheticOptions) -> None:
         raise BoundError(f"universe bound {max_u} outside 0..{cap} for {opts.reading.value}")
 
 
+def _model(terms: tuple[str, ...], size: int, masks: tuple[int, ...]) -> SyntheticModel:
+    universe = _INDIVIDUALS[:size]
+    facts = frozenset(
+        (universe[i], t) for k, t in enumerate(terms) for i in range(size) if masks[k] >> i & 1
+    )
+    return SyntheticModel(universe, facts)
+
+
 def enumerate_synthetic_models(
     terms: tuple[str, ...], max_u: int, opts: SyntheticOptions = DIRECT_NONEMPTY
 ) -> Iterator[SyntheticModel]:
@@ -263,15 +197,8 @@ def enumerate_synthetic_models(
     _check_universe_bound(max_u, opts)
     start = 0 if opts.allow_empty_universe else 1
     for size in range(start, max_u + 1):
-        universe = _INDIVIDUALS[:size]
         for masks in itertools.product(range(1 << size), repeat=len(terms)):
-            facts = frozenset(
-                (universe[i], t)
-                for k, t in enumerate(terms)
-                for i in range(size)
-                if masks[k] >> i & 1
-            )
-            yield SyntheticModel(universe, facts)
+            yield _model(terms, size, masks)
 
 
 def enumerate_copula_structures(
@@ -296,7 +223,7 @@ def enumerate_copula_structures(
                 yield CopulaStructure(universe, prim, denote)
 
 
-def _type_set(model: SyntheticModel) -> frozenset[frozenset[str]]:
+def _type_set(model: SyntheticModel) -> frozenset[frozenset]:
     """The set of term-types the individuals of `model` realize."""
     types = {x: set() for x in model.universe}
     for x, t in model.facts:
@@ -305,6 +232,19 @@ def _type_set(model: SyntheticModel) -> frozenset[frozenset[str]]:
 
 
 @functools.cache
+def _derived_scan(k: int, bound: int, opts: SyntheticOptions) -> tuple[CopulaStructure, ...]:
+    """`derived_image` over the term positions 0..k-1 as term names."""
+    charitable = opts.reading is Reading.DERIVED_CHARITABLE
+    witnesses: dict[frozenset, CopulaStructure] = {}
+    for c in enumerate_copula_structures(tuple(range(k)), bound, opts):
+        witnesses.setdefault(_type_set(induced_model(c, charitable)), c)
+    return tuple(witnesses.values())
+
+
+def _named(c: CopulaStructure, terms: tuple[str, ...]) -> CopulaStructure:
+    return CopulaStructure(c.universe, c.is_prim, {terms[t]: x for t, x in c.denote.items()})
+
+
 def derived_image(
     terms: tuple[str, ...], bound: int, opts: SyntheticOptions
 ) -> tuple[CopulaStructure, ...]:
@@ -316,31 +256,48 @@ def derived_image(
     formula over `terms`; the first structure that falsifies a formula,
     or that shows a truth-pair category, is the first of its type-set.
     Searching the image therefore gives the verdicts and witnesses of a
-    full scan."""
-    charitable = opts.reading is Reading.DERIVED_CHARITABLE
-    witnesses: dict[frozenset, CopulaStructure] = {}
-    for c in enumerate_copula_structures(terms, bound, opts):
-        witnesses.setdefault(_type_set(induced_model(c, charitable)), c)
-    return tuple(witnesses.values())
+    full scan.  Structures are enumerated by term position, so one scan
+    per term count serves every choice of term names."""
+    return tuple(_named(c, terms) for c in _derived_scan(len(terms), bound, opts))
 
 
-def synthetic_models(
-    terms: tuple[str, ...], bound: int, opts: SyntheticOptions
-) -> Iterable[SyntheticModel | CopulaStructure]:
-    """What a search under `opts` ranges over: every direct model up to
-    `bound`, or a derived reading's image."""
-    if opts.reading is Reading.DIRECT:
-        return enumerate_synthetic_models(terms, bound, opts)
-    return derived_image(terms, bound, opts)
+@functools.cache
+def _atom_vector(opts: SyntheticOptions, k: int, bound: int, s: int, p: int, copula: Copula) -> int:
+    """Truth of `s copula p` (term positions) over the search space."""
+    if opts.reading is not Reading.DIRECT:
+        charitable = opts.reading is Reading.DERIVED_CHARITABLE
+        image = _derived_scan(k, bound, opts)
+        return sum(
+            _atom_truth(copula, induced_model(c, charitable), s, p) << m
+            for m, c in enumerate(image)
+        )
+    layout = monadic_layout(k, 0 if opts.allow_empty_universe else 1, bound)
+    rows = tuple(zip(layout.present, layout.member[s], layout.member[p]))
+    if copula in (Copula.SA, Copula.SO):
+        # some individual is S, or no individual fails to be both P and S
+        v = any_of(layout.member[s]) | ~any_of(e & ~(x & y) for e, x, y in rows)
+        return layout.full & (v if copula is Copula.SA else ~v)
+    # no individual fails to be P and not S
+    v = ~any_of(e & ~(y & ~x) for e, x, y in rows)
+    return layout.full & (v if copula is Copula.SI else ~v)
+
+
+def synthetic_space(terms: tuple[str, ...], bound: int, opts: SyntheticOptions) -> ModelSpace:
+    """Every direct model up to `bound` in enumeration order, or a
+    derived reading's image."""
+    _check_universe_bound(bound, opts)
+    k = len(terms)
+    atom = atom_vectors(terms, True, lambda s, p, c: _atom_vector(opts, k, bound, s, p, c))
+    if opts.reading is not Reading.DIRECT:
+        image = _derived_scan(k, bound, opts)
+        full = (1 << len(image)) - 1
+        return ModelSpace(full, bound, atom, lambda index: _named(image[index], terms))
+    layout = monadic_layout(k, 0 if opts.allow_empty_universe else 1, bound)
+    return ModelSpace(layout.full, bound, atom, lambda index: _model(terms, *layout.masks(index)))
 
 
 def decide_synthetic_validity(
     f: Formula, bound: int, opts: SyntheticOptions = DIRECT_NONEMPTY
 ) -> Verdict:
     """Valid up to `bound`, or the first (minimal) countermodel."""
-    return first_counterexample(
-        synthetic_models(term_names(f), bound, opts),
-        f,
-        lambda model, g: eval_synthetic(model, g, opts),
-        bound,
-    )
+    return synthetic_space(term_names(f), bound, opts).decide(f)

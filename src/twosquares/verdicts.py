@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
-
-from .formula import Formula, atoms, render
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -31,13 +29,3 @@ class Counterexample:
 
 Verdict = Valid | Counterexample
 
-
-def first_counterexample(
-    models: Iterable[Any], f: Formula, evaluate: Callable[[Any, Formula], bool], bound: int
-) -> Verdict:
-    """Valid up to `bound`, or the first of `models` that falsifies `f`
-    together with the truth value of each of its atoms there."""
-    for model in models:
-        if not evaluate(model, f):
-            return Counterexample(model, tuple((render(a), evaluate(model, a)) for a in atoms(f)))
-    return Valid(bound)

@@ -84,8 +84,20 @@ def test_subalternation_fails_without_import():
 
 
 def test_propositional_tautology_valid_any_bound():
-    for bound in (0, 1, 2):
-        assert decide_analytic_validity(parse("S a P | ~(S a P)"), bound) == Valid(bound)
+    # The last case has four terms at bound 5: 1 118 481 models.
+    for text, bound in (
+        ("S a P | ~(S a P)", 0),
+        ("S a P | ~(S a P)", 1),
+        ("S a P | ~(S a P)", 2),
+        ("(S a P -> M i Q) | (M i Q -> S a P)", 5),
+    ):
+        assert decide_analytic_validity(parse(text), bound) == Valid(bound)
+
+
+def test_decision_rejects_a_synthetic_copula():
+    # The left disjunct is valid, but the search reads every atom.
+    with pytest.raises(SemanticsError):
+        decide_analytic_validity(parse("(S a P | ~(S a P)) | S sa P"), 2)
 
 
 def test_duality_on_every_model():

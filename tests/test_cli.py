@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twosquares.cli import main
+from twosquares.formula import Copula
+from twosquares.proofs import bundled_theorem_scripts
+from twosquares.synthetic import Reading
 
 
 def run(capsys, *argv):
@@ -254,3 +261,107 @@ def test_output_matches_golden_bytes(capsys, golden, argv, code):
     got_code, out, _ = run(capsys, *argv)
     assert got_code == code
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+# --- fuzzing the command line -------------------------------------------------
+
+def formulas(copulas):
+    """Formula texts over S, P and, less often, M with the given copulas."""
+    terms = st.sampled_from(["S", "P", "S", "P", "M"])
+    atoms = st.builds("{} {} {}".format, terms, st.sampled_from(copulas), terms)
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            inner.map("~({})".format),
+            st.builds("({} {} {})".format, inner, st.sampled_from(["&", "|", "->"]), inner),
+        ),
+        max_leaves=4,
+    )
+
+
+FORMULAS = st.one_of(
+    formulas([c.value for c in Copula if c.analytic]),
+    formulas([c.value for c in Copula if c.synthetic]),
+    formulas([c.value for c in Copula]),
+    st.text(alphabet="SPM aeiso~&|()->", max_size=12),
+)
+NAMES = st.sampled_from(["1", "2", "u", "v", "S", "P", "PM"])
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 2) | NAMES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["domain", "ext", "universe", "is", "isPrim", "denote", "S", "P", "u"]),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=8,
+)
+MODELS = st.one_of(
+    JSON,
+    st.builds(
+        lambda domain, s, p: {"domain": domain, "ext": {"S": s, "P": p}},
+        st.just(["1", "2"]), st.lists(st.sampled_from(["1", "2"]), unique=True),
+        st.lists(st.sampled_from(["1", "2"]), unique=True),
+    ),
+    st.builds(
+        lambda facts: {"universe": ["u", "v"], "is": facts},
+        st.dictionaries(st.sampled_from(["u", "v"]), st.lists(st.sampled_from(["S", "P", "M"]))),
+    ),
+    st.builds(
+        lambda prim, s, p: {"universe": ["u", "v"], "isPrim": prim, "denote": {"S": s, "P": p}},
+        st.lists(st.lists(st.sampled_from(["u", "v"]), min_size=2, max_size=2), max_size=4),
+        st.sampled_from(["u", "v"]), st.sampled_from(["u", "v"]),
+    ),
+)
+SEMANTICS_FLAGS = st.builds(
+    lambda semantics, imp, reading, empty, json_flag: [
+        "--semantics", semantics, "--import", imp, "--reading", reading,
+        *(["--allow-empty"] if empty else []), *(["--json"] if json_flag else []),
+    ],
+    st.sampled_from(["analytic", "synthetic"]), st.sampled_from(["on", "off"]),
+    st.sampled_from([r.value for r in Reading]), st.booleans(), st.booleans(),
+)
+BOUNDS = st.integers(-1, 5).map(str)
+SCRIPTS = st.one_of(
+    st.sampled_from(sorted(bundled_theorem_scripts().values())),
+    st.lists(st.builds("{}. {} ; {}".format, st.integers(0, 3), FORMULAS,
+                       st.sampled_from(["taut", "mp 1 2", "def-o S P", "axiom5 S:=S P:=P"])),
+             max_size=3).map("\n".join),
+)
+
+
+@st.composite
+def command_lines(draw, folder):
+    command = draw(st.sampled_from(
+        ["eval", "classify", "square", "diagram", "prove", "verify-paper"]
+    ))
+    if command == "eval":
+        model = folder / "model.json"
+        model.write_text(json.dumps(draw(MODELS)))
+        return ["eval", draw(FORMULAS), "--model", str(model), *draw(SEMANTICS_FLAGS)]
+    if command == "classify":
+        return ["classify", draw(FORMULAS), draw(FORMULAS), "--bound", draw(BOUNDS),
+                *draw(SEMANTICS_FLAGS)]
+    if command in ("square", "diagram"):
+        return [command, "--bound", draw(BOUNDS), *draw(SEMANTICS_FLAGS)]
+    if command == "prove":
+        script = folder / "script.proof"
+        script.write_text(draw(SCRIPTS))
+        axioms = draw(st.sampled_from(["a5,a6,a7,a8,def", "a5,def", "a6", "a9", ""]))
+        return ["prove", str(script), "--axioms", axioms]
+    return ["verify-paper", "--bound", draw(BOUNDS), "--atoms", draw(st.integers(0, 4).map(str))]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_exit_codes_under_fuzzing(tmp_path_factory, data):
+    argv = data.draw(command_lines(tmp_path_factory.mktemp("fuzz")))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    assert code != 1 or argv[0] in ("square", "diagram", "prove", "verify-paper"), argv

@@ -2,7 +2,7 @@ import pytest
 
 from twosquares.analytic import IMPORT_ON
 from twosquares.errors import BoundError, SemanticsError
-from twosquares.formula import instantiate, parse, render, schema_of, term_names
+from twosquares.formula import Schema, instantiate, parse, render, schema_of, term_names
 from twosquares.opposition import (
     AnalyticSemantics,
     RelationKind,
@@ -26,7 +26,9 @@ from twosquares.synthetic import (
     eval_synthetic,
     induced_model,
 )
-from twosquares.verdicts import Counterexample, Valid, first_counterexample
+from twosquares.verdicts import Counterexample, Valid
+
+from oracles import first_counterexample, scan_classify, verdict_bytes
 
 ANALYTIC = AnalyticSemantics(IMPORT_ON)
 SYNTHETIC = SyntheticSemantics(DIRECT_NONEMPTY)
@@ -52,6 +54,14 @@ def test_synthetic_a_o_contradictory():
 def test_classify_rejects_copula_family_mismatch():
     with pytest.raises(SemanticsError):
         classify_pair(schema_of("S a P"), schema_of("S e P"), SYNTHETIC, 2)
+
+
+def test_classify_rejects_terms_outside_the_metavariables():
+    # Q is in the formula but is no metavariable, so no model gives it a meaning.
+    for semantics, text in ((SYNTHETIC, "S sa P & S sa Q"), (ANALYTIC, "S a P & S a Q")):
+        phi = Schema(parse(text), ("S", "P"))
+        with pytest.raises(SemanticsError):
+            classify_pair(phi, schema_of(text.split(" & ")[0]), semantics, 2)
 
 
 def test_classify_rejects_metavariable_mismatch():
@@ -193,21 +203,13 @@ def full_scan_decide(f, bound, opts):
 
 def full_scan_witnesses(phi, psi, opts, bound):
     """Oracle: classify_pair's truth-pair loop over every structure."""
-    left = instantiate(phi, {m: m for m in phi.metavars})
-    right = instantiate(psi, {m: m for m in psi.metavars})
-    found = {}
-    for model in enumerate_copula_structures(tuple(sorted(phi.metavars)), bound, opts):
-        p, q = eval_synthetic(model, left, opts), eval_synthetic(model, right, opts)
-        category = {(True, True): "both_true", (True, False): "first_only",
-                    (False, True): "second_only", (False, False): "both_false"}[p, q]
-        found.setdefault(category, model)
-    return found
-
-
-def verdict_bytes(verdict):
-    if isinstance(verdict, Valid):
-        return ("valid", verdict.bound)
-    return ("counterexample", verdict.model.to_dict(), verdict.atom_trace)
+    return scan_classify(
+        instantiate(phi, {m: m for m in phi.metavars}),
+        instantiate(psi, {m: m for m in psi.metavars}),
+        enumerate_copula_structures(tuple(sorted(phi.metavars)), bound, opts),
+        lambda model, g: eval_synthetic(model, g, opts),
+        bound,
+    ).witnesses()
 
 
 @pytest.mark.parametrize("opts", DERIVED_OPTIONS, ids=lambda o: o.label())

@@ -224,6 +224,13 @@ def test_axiom8_instance_has_size_two_countermodel():
     assert not oracle_se(expected, "S", "P")
 
 
+def test_decision_rejects_an_analytic_copula():
+    # The left disjunct is valid, but the search reads every atom.
+    for opts in (DIRECT_NONEMPTY, DERIVED):
+        with pytest.raises(SemanticsError):
+            decide_synthetic_validity(parse("(S sa P | ~(S sa P)) | S a P"), 2, opts)
+
+
 def test_counterexample_reevaluates_false():
     f = parse("S so P -> P so S")
     verdict = decide_synthetic_validity(f, 3)

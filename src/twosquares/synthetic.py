@@ -26,8 +26,9 @@ preferred; they exist to probe the composite definition.
 
 A form's truth depends only on which sets of terms the individuals of
 a model realize, so derived decisions range over the derived image:
-one witness structure per realized type-set, found by one scan of the
-structures per term count, bound and reading.
+the first structure of each realized type-set.  It is computed once per
+term count, bound and reading from per-relation bitmask columns; only
+the witnesses themselves are built as structures.
 """
 
 from __future__ import annotations
@@ -206,7 +207,9 @@ def enumerate_copula_structures(
 ) -> Iterator[CopulaStructure]:
     """All copula structures with |U| <= max_u: every primitive relation,
     every denotation assignment.  A nonempty term list admits no empty
-    structure (denotations need a target), so size 0 is skipped."""
+    structure (denotations need a target), so size 0 is skipped.  This is
+    the definition of the order `derived_image` keeps and the tests'
+    oracle; no decision walks it."""
     _check_universe_bound(max_u, opts)
     start = 0 if opts.allow_empty_universe else 1
     for size in range(start, max_u + 1):
@@ -223,21 +226,47 @@ def enumerate_copula_structures(
                 yield CopulaStructure(universe, prim, denote)
 
 
-def _type_set(model: SyntheticModel) -> frozenset[frozenset]:
-    """The set of term-types the individuals of `model` realize."""
-    types = {x: set() for x in model.universe}
-    for x, t in model.facts:
-        types[x].add(t)
-    return frozenset(frozenset(ts) for ts in types.values())
+def _columns(size: int, prim_mask: int, charitable: bool) -> tuple[int, ...]:
+    """col[b] is the bitmask of the individuals that are b under a derived
+    reading, for the relation with bit size*y+x of `prim_mask` set iff y
+    prim x: the test of `induced_model` over predecessor bitmasks."""
+    cells, everyone = range(size), (1 << size) - 1
+    pred = [sum((prim_mask >> (size * y + x) & 1) << y for y in cells) for x in cells]
+    within = lambda x, b: (pred[x] | pred[b]) == pred[b]
+    subjects = [x for x in cells if pred[x] and all(within(x, z) for z in cells if pred[x] >> z & 1)]
+    is_b = within if charitable else lambda x, b: pred[x] == pred[b] == everyone
+    return tuple(sum(1 << x for x in subjects if is_b(x, b)) for b in cells)
 
 
 @functools.cache
 def _derived_scan(k: int, bound: int, opts: SyntheticOptions) -> tuple[CopulaStructure, ...]:
-    """`derived_image` over the term positions 0..k-1 as term names."""
+    """`derived_image` over the term positions 0..k-1 as term names.
+
+    Walks the structures in `enumerate_copula_structures` order without
+    building them.  A denotation choice d gives individual x the type
+    {t : x in col[d[t]]}, so the type-set is a 2^k-bit key.  A relation
+    with the columns of an earlier one of the same size yields only keys
+    already seen, so it is skipped."""
+    _check_universe_bound(bound, opts)
     charitable = opts.reading is Reading.DERIVED_CHARITABLE
-    witnesses: dict[frozenset, CopulaStructure] = {}
-    for c in enumerate_copula_structures(tuple(range(k)), bound, opts):
-        witnesses.setdefault(_type_set(induced_model(c, charitable)), c)
+    witnesses: dict[int, CopulaStructure] = {}
+    for size in range(0 if opts.allow_empty_universe else 1, bound + 1):
+        universe = _INDIVIDUALS[:size]
+        seen = set()
+        for prim_mask in range(1 << size * size):
+            col = _columns(size, prim_mask, charitable)
+            if col in seen:
+                continue
+            seen.add(col)
+            for choice in itertools.product(range(size), repeat=k):
+                key = 0
+                for x in range(size):
+                    key |= 1 << sum((col[b] >> x & 1) << t for t, b in enumerate(choice))
+                if key not in witnesses:
+                    pairs = itertools.product(universe, universe)
+                    prim = frozenset(p for i, p in enumerate(pairs) if prim_mask >> i & 1)
+                    denote = {t: universe[b] for t, b in enumerate(choice)}
+                    witnesses[key] = CopulaStructure(universe, prim, denote)
     return tuple(witnesses.values())
 
 
@@ -256,8 +285,8 @@ def derived_image(
     formula over `terms`; the first structure that falsifies a formula,
     or that shows a truth-pair category, is the first of its type-set.
     Searching the image therefore gives the verdicts and witnesses of a
-    full scan.  Structures are enumerated by term position, so one scan
-    per term count serves every choice of term names."""
+    full scan.  The image is computed by term position, so one pass per
+    term count serves every choice of term names."""
     return tuple(_named(c, terms) for c in _derived_scan(len(terms), bound, opts))
 
 

@@ -3,12 +3,20 @@
 Each function visits the models one at a time, in the order the
 enumerators yield them, and stops where the first model of interest
 shows up, as the checkers did before they evaluated every model at once.
+`derived_scan` builds the derived image the same way, one structure and
+induced model at a time.
 """
 
 from twosquares.analytic import enumerate_analytic_models
 from twosquares.formula import atoms, render, term_names
 from twosquares.opposition import AnalyticSemantics, OppositionRelation, RelationKind
-from twosquares.synthetic import Reading, derived_image, enumerate_synthetic_models
+from twosquares.synthetic import (
+    Reading,
+    derived_image,
+    enumerate_copula_structures,
+    enumerate_synthetic_models,
+    induced_model,
+)
 from twosquares.verdicts import Counterexample, Valid
 
 
@@ -20,6 +28,24 @@ def models(semantics, terms, bound):
     if opts.reading is Reading.DIRECT:
         return enumerate_synthetic_models(terms, bound, opts)
     return derived_image(terms, bound, opts)
+
+
+def type_set(model):
+    """The set of term-types the individuals of `model` realize."""
+    types = {x: set() for x in model.universe}
+    for x, t in model.facts:
+        types[x].add(t)
+    return frozenset(frozenset(ts) for ts in types.values())
+
+
+def derived_scan(terms, bound, opts):
+    """The derived image by a scan of every structure: the first
+    structure of each type-set its induced model realizes."""
+    charitable = opts.reading is Reading.DERIVED_CHARITABLE
+    witnesses = {}
+    for c in enumerate_copula_structures(terms, bound, opts):
+        witnesses.setdefault(type_set(induced_model(c, charitable)), c)
+    return tuple(witnesses.values())
 
 
 def first_counterexample(models, f, evaluate, bound):

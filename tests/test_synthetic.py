@@ -1,7 +1,9 @@
 import pytest
 
+from twosquares import synthetic
 from twosquares.errors import BoundError, SemanticsError
 from twosquares.formula import parse
+from twosquares.opposition import SyntheticSemantics, synthetic_square, verify_square
 from twosquares.synthetic import (
     DIRECT_EMPTY_OK,
     DIRECT_NONEMPTY,
@@ -11,12 +13,15 @@ from twosquares.synthetic import (
     SyntheticOptions,
     decide_synthetic_validity,
     derived_copula,
+    derived_image,
     enumerate_copula_structures,
     enumerate_synthetic_models,
     eval_synthetic,
     induced_model,
 )
 from twosquares.verdicts import Counterexample, Valid
+
+from oracles import derived_scan
 
 DERIVED = SyntheticOptions(Reading.DERIVED_LITERAL)
 CHARITABLE = SyntheticOptions(Reading.DERIVED_CHARITABLE)
@@ -171,6 +176,33 @@ def test_induced_model_matches_derived_copula(terms):
                 if derived_copula(c, x, c.denote[t], charitable)
             }
             assert induced_model(c, charitable).facts == expected, c
+
+
+# --- the derived image -------------------------------------------------------
+
+@pytest.mark.parametrize("empty", [False, True], ids=["nonempty", "empty-allowed"])
+@pytest.mark.parametrize("reading", [Reading.DERIVED_LITERAL, Reading.DERIVED_CHARITABLE], ids=str)
+@pytest.mark.parametrize("terms", [(), ("S",), ("P", "S"), ("M", "P", "S")], ids=len)
+def test_derived_image_matches_the_structure_scan(terms, reading, empty):
+    opts = SyntheticOptions(reading, empty)
+    for bound in range(0 if empty else 1, 4):
+        image = [c.to_dict() for c in derived_image(terms, bound, opts)]
+        assert image == [c.to_dict() for c in derived_scan(terms, bound, opts)], bound
+
+
+def test_derived_decisions_do_not_enumerate_structures(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a derived decision enumerated every structure")
+
+    monkeypatch.setattr(synthetic, "enumerate_copula_structures", refuse)
+    synthetic._derived_scan.cache_clear()
+    try:
+        for opts in (DERIVED, CHARITABLE):
+            assert derived_image(("M", "P", "S"), 3, opts)
+            decide_synthetic_validity(parse("(M sa P & S se M) -> S se P"), 3, opts)
+            assert verify_square(synthetic_square(), SyntheticSemantics(opts), 3).pairs
+    finally:
+        synthetic._derived_scan.cache_clear()
 
 
 # --- enumeration --------------------------------------------------------------

@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-paper", help="run the full verification suite")
     p_verify.add_argument("--bound", type=int, default=3, help="synthetic model bound (1..4)")
-    p_verify.add_argument("--atoms", type=int, default=2, help="algebra atom count (1..3)")
+    p_verify.add_argument("--atoms", type=int, default=2, help="algebra atom count (1..4)")
 
     for p in (p_eval, p_classify, p_square, p_diagram, p_prove, p_verify):
         p.add_argument("--json", action="store_true")

@@ -36,11 +36,11 @@ from .proofs import (
     check_proves,
 )
 from .starb import (
+    MAX_ATOMS,
     BridgeModel,
     Column,
     FiniteBooleanAlgebra,
     Filter,
-    OrderMode,
     Strict,
     UltraElement,
     all_elements,
@@ -60,7 +60,6 @@ from .verdicts import Counterexample, Valid, Verdict
 
 ANALYTIC_SQUARE_BOUND = 4  # the conventional-square claim is about |D| <= 4
 MAX_MODEL_BOUND = 4
-MAX_ATOM_COUNT = 3
 
 _NOTES = (
     "universal-affirmative: the bare-existence disjunct is implemented literally, "
@@ -284,14 +283,10 @@ def _matrix_section(expect: _Expectations, atom_count: int) -> dict:
     top = mk_standard(alg, alg.top)
     double_negation = all(matrix_neg(matrix_neg(x)) == x for x in elems)
     imp_top_identity = all(matrix_imp(top, x) == x for x in elems)
-    modus_ponens = all(
-        y == top
-        for x in elems
-        for y in elems
-        if x == top and matrix_imp(x, y) == top
-    )
+    # *1 is the only designated value, so x = *1 is the only premise.
+    modus_ponens = all(y == top for y in elems if matrix_imp(top, y) == top)
     designation_order = all(
-        (matrix_imp(x, y) == top) == leq(x, y, OrderMode.POINTWISE)
+        (matrix_imp(x, y) == top) == leq(x, y)
         for x in elems
         for y in elems
     )
@@ -404,8 +399,8 @@ def run_verify_paper(model_bound: int = 3, atom_count: int = 2) -> dict:
     """
     if not 1 <= model_bound <= MAX_MODEL_BOUND:
         raise BoundError(f"model bound {model_bound} outside 1..{MAX_MODEL_BOUND}")
-    if not 1 <= atom_count <= MAX_ATOM_COUNT:
-        raise BoundError(f"atom count {atom_count} outside 1..{MAX_ATOM_COUNT}")
+    if not 1 <= atom_count <= MAX_ATOMS:
+        raise BoundError(f"atom count {atom_count} outside 1..{MAX_ATOMS}")
     expect = _Expectations()
     sections: dict = {}
     builders = (

@@ -1,15 +1,29 @@
-"""Model-by-model search: the oracle for the bit-parallel search.
+"""Oracles kept out of the package.
 
-Each function visits the models one at a time, in the order the
-enumerators yield them, and stops where the first model of interest
-shows up, as the checkers did before they evaluated every model at once.
+Model-by-model search, the oracle for the bit-parallel search: each
+function visits the models one at a time, in the order the enumerators
+yield them, and stops where the first model of interest shows up, as
+the checkers did before they evaluated every model at once.
 `derived_scan` builds the derived image the same way, one structure and
 induced model at a time.
+
+The pair carrier, the oracle for the packed one in `twosquares.starb`:
+an element is the coefficient pair (f0, f1) and every operation acts on
+the two coefficients through the base algebra's own operations.
 """
+
+from dataclasses import dataclass
 
 from twosquares.analytic import enumerate_analytic_models
 from twosquares.formula import atoms, render, term_names
 from twosquares.opposition import AnalyticSemantics, OppositionRelation, RelationKind
+from twosquares.starb import (
+    CaseOutcome,
+    FiniteBooleanAlgebra,
+    OrderMode,
+    Proposition1Report,
+    SquareSweepResult,
+)
 from twosquares.synthetic import (
     Reading,
     derived_image,
@@ -97,3 +111,214 @@ def scan_classify(left, right, models, evaluate, bound):
     else:
         kind = RelationKind.INDEPENDENT
     return OppositionRelation(kind, bound, both_true, both_false, first_only, second_only)
+
+
+# --- the pair carrier -----------------------------------------------------------
+
+@dataclass(frozen=True)
+class PairElement:
+    algebra: FiniteBooleanAlgebra
+    f0: int
+    f1: int
+
+    def __post_init__(self):
+        self.algebra.check(self.f0)
+        self.algebra.check(self.f1)
+
+    @property
+    def standard(self):
+        return self.f0 == self.f1
+
+    def __str__(self):
+        render = self.algebra.render_element
+        if self.standard:
+            return "*" + render(self.f0)
+        return f"⟨{render(self.f0)}, {render(self.f1)}⟩"
+
+
+def pair_elements(alg):
+    return tuple(PairElement(alg, f0, f1) for f0 in alg.elements() for f1 in alg.elements())
+
+
+def pair_meet(x, y):
+    alg = x.algebra
+    return PairElement(alg, alg.meet(x.f0, y.f0), alg.meet(x.f1, y.f1))
+
+
+def pair_join(x, y):
+    alg = x.algebra
+    return PairElement(alg, alg.join(x.f0, y.f0), alg.join(x.f1, y.f1))
+
+
+def pair_complement(x):
+    return PairElement(x.algebra, x.algebra.comp(x.f0), x.algebra.comp(x.f1))
+
+
+def pair_fneg(x):
+    return PairElement(x.algebra, x.f1, x.f0)
+
+
+def pair_leq(x, y, mode=OrderMode.POINTWISE):
+    alg = x.algebra
+    if mode is OrderMode.POINTWISE:
+        return alg.leq(x.f0, y.f0) and alg.leq(x.f1, y.f1)
+    if x.standard and y.standard:
+        return alg.leq(x.f0, y.f0)
+    if x.standard:
+        return x.f0 == alg.bottom
+    if y.standard:
+        return y.f0 != alg.bottom
+    return alg.leq(x.f0, y.f0) and alg.leq(x.f1, y.f1)
+
+
+def pair_incomparable(x, y):
+    return not pair_leq(x, y) and not pair_leq(y, x)
+
+
+def pair_matrix_imp(x, y):
+    return pair_join(pair_complement(pair_join(x, y)), y)
+
+
+def pair_quadruple(x):
+    return x, pair_fneg(x), pair_complement(x), pair_complement(pair_fneg(x))
+
+
+def _pair_cases():
+    leq, incomparable = pair_leq, pair_incomparable
+    return (
+        (1, "¬[f], [f¬] incomparable → bounds on ([f],[f¬])",
+         lambda f, fn, nf, nfn: incomparable(nf, fn),
+         lambda f, fn, nf, nfn: (f, fn), "bounds-only"),
+        (2, "[f¬] ≤ ¬[f] → inf([f],[f¬]) = *0",
+         lambda f, fn, nf, nfn: leq(fn, nf),
+         lambda f, fn, nf, nfn: (f, fn), "inf-bottom"),
+        (3, "¬[f] ≤ [f¬] → sup([f],[f¬]) = *1",
+         lambda f, fn, nf, nfn: leq(nf, fn),
+         lambda f, fn, nf, nfn: (f, fn), "sup-top"),
+        (4, "[f], ¬[f¬] incomparable → bounds on (¬[f],¬[f¬])",
+         lambda f, fn, nf, nfn: incomparable(f, nfn),
+         lambda f, fn, nf, nfn: (nf, nfn), "bounds-only"),
+        (5, "[f] ≤ ¬[f¬] → sup(¬[f],¬[f¬]) = *1",
+         lambda f, fn, nf, nfn: leq(f, nfn),
+         lambda f, fn, nf, nfn: (nf, nfn), "sup-top"),
+        (6, "¬[f¬] ≤ [f] → inf(¬[f],¬[f¬]) = *0",
+         lambda f, fn, nf, nfn: leq(nfn, f),
+         lambda f, fn, nf, nfn: (nf, nfn), "inf-bottom"),
+        (7, "¬[f¬], ¬[f] incomparable → bounds on ([f],¬[f¬])",
+         lambda f, fn, nf, nfn: incomparable(nfn, nf),
+         lambda f, fn, nf, nfn: (f, nfn), "bounds-only"),
+        (8, "¬[f¬] ≤ ¬[f] → inf([f],¬[f¬]) = *0",
+         lambda f, fn, nf, nfn: leq(nfn, nf),
+         lambda f, fn, nf, nfn: (f, nfn), "inf-bottom"),
+        (9, "¬[f] ≤ ¬[f¬] → sup([f],¬[f¬]) = *1",
+         lambda f, fn, nf, nfn: leq(nf, nfn),
+         lambda f, fn, nf, nfn: (f, nfn), "sup-top"),
+        (10, "[f], [f¬] incomparable → bounds on (¬[f],[f¬])",
+         lambda f, fn, nf, nfn: incomparable(f, fn),
+         lambda f, fn, nf, nfn: (nf, fn), "bounds-only"),
+        (11, "[f] ≤ [f¬] → sup(¬[f],[f¬]) = *1",
+         lambda f, fn, nf, nfn: leq(f, fn),
+         lambda f, fn, nf, nfn: (nf, fn), "sup-top"),
+        (12, "[f¬] ≤ [f] → inf(¬[f],[f¬]) = *0",
+         lambda f, fn, nf, nfn: leq(fn, f),
+         lambda f, fn, nf, nfn: (nf, fn), "inf-bottom"),
+    )
+
+
+def pair_classify_cases(x):
+    quad = pair_quadruple(x)
+    alg = x.algebra
+    bottom, top = PairElement(alg, alg.bottom, alg.bottom), PairElement(alg, alg.top, alg.top)
+    outcomes = []
+    for case_id, description, hypothesis, pair, exact in _pair_cases():
+        holds = hypothesis(*quad)
+        conclusion = None
+        if holds:
+            u, v = pair(*quad)
+            inf, sup = pair_meet(u, v), pair_join(u, v)
+            conclusion = pair_leq(bottom, inf) and pair_leq(sup, top)
+            if exact == "inf-bottom":
+                conclusion = conclusion and inf == bottom
+            elif exact == "sup-top":
+                conclusion = conclusion and sup == top
+        outcomes.append(CaseOutcome(case_id, description, holds, conclusion))
+    return tuple(outcomes)
+
+
+def _pair_opposition(x, y):
+    """(contrary, subcontrary, contradictory) read off the lattice."""
+    alg = x.algebra
+    bottom, top = PairElement(alg, alg.bottom, alg.bottom), PairElement(alg, alg.top, alg.top)
+    return pair_meet(x, y) == bottom, pair_join(x, y) == top, y == pair_complement(x)
+
+
+def _pair_conventional(f, fn, nf, nfn):
+    return (
+        ("[f],[f¬] contrary", _pair_opposition(f, fn)[0]),
+        ("¬[f¬],¬[f] subcontrary", _pair_opposition(nfn, nf)[1]),
+        ("[f],¬[f] contradictory", _pair_opposition(f, nf)[2]),
+        ("[f¬],¬[f¬] contradictory", _pair_opposition(fn, nfn)[2]),
+        ("[f] ≤ ¬[f¬] subalternation", pair_leq(f, nfn)),
+        ("[f¬] ≤ ¬[f] subalternation", pair_leq(fn, nf)),
+    )
+
+
+def _pair_synthetic(f, fn, nf, nfn):
+    return (
+        ("[f],¬[f¬] contrary", _pair_opposition(f, nfn)[0]),
+        ("¬[f],[f¬] subcontrary", _pair_opposition(nf, fn)[1]),
+        ("[f],¬[f] contradictory", _pair_opposition(f, nf)[2]),
+        ("[f¬],¬[f¬] contradictory", _pair_opposition(fn, nfn)[2]),
+        ("[f] ≤ [f¬] subalternation", pair_leq(f, fn)),
+        ("¬[f¬] ≤ ¬[f] subalternation", pair_leq(nfn, nf)),
+    )
+
+
+def pair_verify_two_squares(alg):
+    bottom = PairElement(alg, alg.bottom, alg.bottom)
+    conv_satisfied = conv_nonstandard = 0
+    conv_violations = []
+    syn_satisfied = syn_nonstandard = 0
+    syn_violations = []
+    equivalences_ok = True
+    bullet_ok = True
+    bullet_witness = None
+    for x in pair_elements(alg):
+        f, fn, nf, nfn = pair_quadruple(x)
+        conv_condition = pair_meet(f, fn) == bottom
+        if conv_condition != pair_leq(fn, nf):
+            equivalences_ok = False
+        if conv_condition:
+            conv_satisfied += 1
+            if not x.standard:
+                conv_nonstandard += 1
+            for label, holds in _pair_conventional(f, fn, nf, nfn):
+                if not holds:
+                    conv_violations.append(f"{x}: {label}")
+        syn_condition = pair_leq(f, fn)
+        if syn_condition != pair_leq(nfn, nf):
+            equivalences_ok = False
+        if syn_condition:
+            syn_satisfied += 1
+            if not x.standard:
+                syn_nonstandard += 1
+            for label, holds in _pair_synthetic(f, fn, nf, nfn):
+                if not holds:
+                    syn_violations.append(f"{x}: {label}")
+        if pair_leq(fn, f) and not all(h for _, h in _pair_conventional(f, fn, nf, nfn)):
+            if bullet_ok:
+                bullet_witness = str(x)
+            bullet_ok = False
+    return Proposition1Report(
+        atom_count=alg.atom_count,
+        total_elements=alg.size * alg.size,
+        conventional=SquareSweepResult(
+            "inf([f],[f¬]) = *0", conv_satisfied, conv_nonstandard, tuple(conv_violations)
+        ),
+        synthetic=SquareSweepResult(
+            "[f] ≤ [f¬]", syn_satisfied, syn_nonstandard, tuple(syn_violations)
+        ),
+        hypothesis_equivalences_ok=equivalences_ok,
+        proof_bullet_generates_conventional=bullet_ok,
+        proof_bullet_witness=bullet_witness,
+    )

@@ -255,6 +255,7 @@ GOLDEN = Path(__file__).parent / "data"
         ("square_derived_b3.json", ("square", "--reading", "derived", "--bound", "3", "--json"), 1),
         ("square_derived_charitable_b3.json",
          ("square", "--reading", "derived-charitable", "--bound", "3", "--json"), 1),
+        ("verify_paper_b4_a4.json", ("verify-paper", "--json", "--bound", "4", "--atoms", "4"), 0),
     ],
 )
 def test_output_matches_golden_bytes(capsys, golden, argv, code):

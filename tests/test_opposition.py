@@ -1,8 +1,10 @@
+import functools
+
 import pytest
 
 from twosquares.analytic import IMPORT_ON
 from twosquares.errors import BoundError, SemanticsError
-from twosquares.formula import Schema, instantiate, parse, render, schema_of, term_names
+from twosquares.formula import Schema, holds, instantiate, parse, render, schema_of, term_names
 from twosquares.opposition import (
     AnalyticSemantics,
     RelationKind,
@@ -191,23 +193,66 @@ DERIVED_OPTIONS = [
 ]
 
 
+class FullScan:
+    """Every structure over `terms` up to `bound`, in enumeration order:
+    one structure walk, shared by every catalog entry and square pair
+    over those terms.  A structure's induced model, and each atom's
+    truth on it, are computed once per reading and structure value."""
+
+    def __init__(self, terms, bound, opts):
+        charitable = opts.reading is Reading.DERIVED_CHARITABLE
+        induced = _induced(terms, charitable)
+        self.structures = tuple(enumerate_copula_structures(terms, bound, opts))
+        self._atom = {}
+        for c in self.structures:
+            key = (c.universe, c.is_prim, tuple(sorted(c.denote.items())))
+            if key not in induced:
+                induced[key] = _memo_atom(induced_model(c, charitable))
+            self._atom[id(c)] = induced[key]
+
+    def evaluate(self, c, f):
+        return holds(f, self._atom[id(c)])
+
+
+def _memo_atom(model):
+    truths = {}
+
+    def atom(a):
+        key = (a.subject, a.copula, a.predicate)
+        truth = truths.get(key)
+        if truth is None:
+            truth = truths[key] = eval_synthetic(model, a, DIRECT_EMPTY_OK)
+        return truth
+
+    return atom
+
+
+# Both universe options of one reading share its induced models.
+@functools.lru_cache(maxsize=2)
+def _induced(terms, charitable):
+    return {}
+
+
+# One option's scans: its two term sets at bounds 1-3.
+@functools.lru_cache(maxsize=6)
+def full_scan(terms, bound, opts):
+    return FullScan(terms, bound, opts)
+
+
 def full_scan_decide(f, bound, opts):
     """Oracle: the first falsifying structure over every structure."""
-    return first_counterexample(
-        enumerate_copula_structures(term_names(f), bound, opts),
-        f,
-        lambda model, g: eval_synthetic(model, g, opts),
-        bound,
-    )
+    scan = full_scan(term_names(f), bound, opts)
+    return first_counterexample(scan.structures, f, scan.evaluate, bound)
 
 
 def full_scan_witnesses(phi, psi, opts, bound):
     """Oracle: classify_pair's truth-pair loop over every structure."""
+    scan = full_scan(tuple(sorted(phi.metavars)), bound, opts)
     return scan_classify(
         instantiate(phi, {m: m for m in phi.metavars}),
         instantiate(psi, {m: m for m in psi.metavars}),
-        enumerate_copula_structures(tuple(sorted(phi.metavars)), bound, opts),
-        lambda model, g: eval_synthetic(model, g, opts),
+        scan.structures,
+        scan.evaluate,
         bound,
     ).witnesses()
 

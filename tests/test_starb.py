@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from dataclasses import dataclass
 
 import pytest
@@ -21,6 +23,7 @@ from twosquares.starb import (
     classify_cases,
     complement,
     fneg,
+    incomparable,
     join,
     leq,
     matrix_eval,
@@ -30,6 +33,19 @@ from twosquares.starb import (
     mk_standard,
     quadruple,
     verify_two_squares,
+)
+
+from oracles import (
+    pair_classify_cases,
+    pair_complement,
+    pair_elements,
+    pair_fneg,
+    pair_incomparable,
+    pair_join,
+    pair_leq,
+    pair_matrix_imp,
+    pair_meet,
+    pair_verify_two_squares,
 )
 
 ALG2 = FiniteBooleanAlgebra(2)
@@ -105,8 +121,66 @@ def test_ops_commute_with_standard_embedding():
 
 
 def test_algebra_mismatch_rejected():
+    x, y = mk_standard(ALG2, 0), mk_standard(FiniteBooleanAlgebra(1), 0)
+    for op in (meet, join, leq, incomparable, matrix_imp, algebraic_opposition):
+        with pytest.raises(SemanticsError):
+            op(x, y)
+    assert x != y
+
+
+def test_equal_algebras_combine():
+    other = FiniteBooleanAlgebra(2)
+    assert other is not ALG2
+    x, y = UltraElement(ALG2, P, Q), UltraElement(other, P, Q)
+    assert x == y and hash(x) == hash(y)
+    assert meet(x, y) == x and join(x, fneg(y)) == mk_standard(other, ALG2.top)
+    assert leq(x, y) and matrix_imp(x, y) == mk_standard(ALG2, ALG2.top)
+
+
+def test_public_constructor_validates_and_elements_are_immutable():
     with pytest.raises(SemanticsError):
-        meet(mk_standard(ALG2, 0), mk_standard(FiniteBooleanAlgebra(1), 0))
+        UltraElement(ALG2, ALG2.size, 0)
+    with pytest.raises(SemanticsError):
+        UltraElement(ALG2, 0, -1)
+    x = UltraElement(ALG2, P, Q)
+    assert (x.f0, x.f1, x.bits) == (P, Q, P | Q << 2)
+    with pytest.raises(AttributeError):
+        x.bits = 0
+    assert x == UltraElement(ALG2, P, Q)
+    meet(x, x)  # fills the algebra's element table
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert y == x and str(y) == str(x)
+        assert meet(y, x) == x
+
+
+# --- the packed carrier against the pair oracle ------------------------------------
+
+def _as_pair(x):
+    return x.f0, x.f1, x.standard, str(x)
+
+
+@pytest.mark.parametrize("atom_count", [1, 2, 3, 4])
+def test_packed_carrier_matches_the_pair_oracle(atom_count):
+    # Every element at 1-4 atoms; every pair of elements at 1-3 atoms.
+    alg = FiniteBooleanAlgebra(atom_count)
+    elems, oracle = all_elements(alg), pair_elements(alg)
+    assert [_as_pair(x) for x in elems] == [_as_pair(o) for o in oracle]
+    for x, o in zip(elems, oracle):
+        assert _as_pair(complement(x)) == _as_pair(pair_complement(o))
+        assert _as_pair(matrix_neg(x)) == _as_pair(pair_complement(o))
+        assert _as_pair(fneg(x)) == _as_pair(pair_fneg(o))
+        assert classify_cases(x) == pair_classify_cases(o), str(x)
+    assert verify_two_squares(alg) == pair_verify_two_squares(alg)
+    if atom_count == 4:
+        return
+    for (x, o), (y, p) in itertools.product(zip(elems, oracle), repeat=2):
+        assert _as_pair(meet(x, y)) == _as_pair(pair_meet(o, p))
+        assert _as_pair(join(x, y)) == _as_pair(pair_join(o, p))
+        assert _as_pair(matrix_imp(x, y)) == _as_pair(pair_matrix_imp(o, p))
+        for mode in OrderMode:
+            assert leq(x, y, mode) == pair_leq(o, p, mode), (str(x), str(y), mode)
+        assert incomparable(x, y) == pair_incomparable(o, p)
+        assert (x == y) == (o == p)
 
 
 # --- the argument flip ---------------------------------------------------------
@@ -328,7 +402,7 @@ def test_conventional_square_for_disjoint_generator():
 
 
 def test_two_square_sweeps_pass_all_atom_counts():
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         report = verify_two_squares(FiniteBooleanAlgebra(k))
         assert report.passed
         assert report.conventional_nonstandard_realizable

@@ -9,14 +9,13 @@ six relations of the conventional square hold at once.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import BoundError, SemanticsError, json_object, string_list
-from .formula import Atom, Copula, Formula, holds, term_names
-from .search import ModelSpace, any_of, atom_vectors, monadic_layout
+from .formula import Atom, Formula, holds, term_names
+from .search import ModelSpace, Regions, check_family, copula_truth, monadic_space, occupied
 from .verdicts import Verdict
 
 _INDIVIDUALS = ("1", "2", "3", "4", "5", "6")
@@ -48,6 +47,11 @@ class AnalyticModel:
         except KeyError:
             raise SemanticsError(f"term {term!r} has no extent in this model") from None
 
+    def regions(self, s: str, p: str) -> Regions:
+        """Which regions of the terms s and p hold an individual."""
+        x, y = self.extension(s), self.extension(p)
+        return occupied((d in x, d in y) for d in self.domain)
+
     def summary(self) -> str:
         parts = ["D={%s}" % ",".join(self.domain)]
         for term in sorted(self.ext):
@@ -78,17 +82,9 @@ def eval_analytic(model: AnalyticModel, f: Formula, policy: ImportPolicy = IMPOR
     """Evaluate an analytic-only formula in `model` under `policy`."""
 
     def atom(a: Atom) -> bool:
-        copula = a.copula
-        if copula.synthetic:
-            raise SemanticsError(f"synthetic copula {copula.value!r} under analytic semantics")
-        s = model.extension(a.subject)
-        p = model.extension(a.predicate)
-        if copula is Copula.E:
-            return not (s & p)
-        if copula is Copula.I:
-            return bool(s & p)
-        universal = (bool(s) or not policy.existential_import) and s <= p
-        return universal if copula is Copula.A else not universal
+        check_family(a.copula, False)
+        regions = model.regions(a.subject, a.predicate)
+        return bool(copula_truth(a.copula, regions, policy.existential_import) & 1)
 
     return holds(f, atom)
 
@@ -117,27 +113,10 @@ def enumerate_analytic_models(terms: tuple[str, ...], max_domain: int) -> Iterat
             yield _model(terms, size, masks)
 
 
-@functools.cache
-def _atom_vector(policy: ImportPolicy, k: int, bound: int, s: int, p: int, copula: Copula) -> int:
-    """Truth of `s copula p` (term positions) over every model up to `bound`."""
-    layout = monadic_layout(k, 0, bound)
-    subject, predicate = layout.member[s], layout.member[p]
-    if copula in (Copula.E, Copula.I):
-        overlap = any_of(x & y for x, y in zip(subject, predicate))
-        return layout.full & (overlap if copula is Copula.I else ~overlap)
-    universal = ~any_of(x & ~y for x, y in zip(subject, predicate))
-    if policy.existential_import:
-        universal &= any_of(subject)
-    return layout.full & (universal if copula is Copula.A else ~universal)
-
-
 def analytic_space(terms: tuple[str, ...], bound: int, policy: ImportPolicy) -> ModelSpace:
     """Every model of `enumerate_analytic_models(terms, bound)`, in order."""
     _check_domain_bound(bound)
-    k = len(terms)
-    atom = atom_vectors(terms, False, lambda s, p, c: _atom_vector(policy, k, bound, s, p, c))
-    layout = monadic_layout(k, 0, bound)
-    return ModelSpace(layout.full, bound, atom, lambda index: _model(terms, *layout.masks(index)))
+    return monadic_space(terms, 0, bound, False, policy.existential_import, _model)
 
 
 def decide_analytic_validity(f: Formula, bound: int, policy: ImportPolicy = IMPORT_ON) -> Verdict:

@@ -1,4 +1,10 @@
-"""Bounded search over every model at once.
+"""One truth table for the copulas, and bounded search over every model at once.
+
+Every form quantifies over one monadic relation with one variable, so
+an atom `S c P` is decided by which of its regions hold an individual:
+S and P, S only, P only, neither.  Only `copula_truth` gives the copulas
+a meaning; evaluators and searches differ only in how they produce the
+regions, as bits of one model or as vectors over a space.
 
 A search ranges over a fixed sequence of models.  Each atom becomes an
 int whose bit m is its truth in the m-th model, a formula's vector is a
@@ -17,35 +23,45 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .errors import BoundError, SemanticsError
 from .formula import Atom, Copula, Formula, atoms, fold, render
 from .verdicts import Counterexample, Valid, Verdict
 
+# The regions S and P, S only, P only and neither, by (is S, is P).
+REGIONS = ((1, 1), (1, 0), (0, 1), (0, 0))
+Regions = tuple[int, int, int, int]
 
-def atom_vectors(
-    terms: tuple[str, ...], synthetic: bool, vector: Callable[[int, int, Copula], int]
-) -> Callable[[Atom], int]:
-    """An atom's truth vector from `vector(s, p, copula)`, where s and p
-    are the positions of its terms in `terms`.  An atom with a copula of
-    the other family, or with a term outside `terms`, is an error."""
-    position = {t: n for n, t in enumerate(terms)}
-    family = ("analytic", "synthetic")
 
-    def atom(a: Atom) -> int:
-        if a.copula.synthetic is not synthetic:
-            raise SemanticsError(
-                f"{family[a.copula.synthetic]} copula {a.copula.value!r} "
-                f"under {family[synthetic]} semantics"
-            )
-        try:
-            s, p = position[a.subject], position[a.predicate]
-        except KeyError as exc:
-            raise SemanticsError(f"term {exc.args[0]!r} is not among the searched terms") from None
-        return vector(s, p, a.copula)
+def copula_truth(copula: Copula, regions: Regions, existential_import: bool) -> int:
+    """The truth of `S copula P` from its four region occupancies, as 0/1
+    bits of one model or vectors over a space; bits beyond are unspecified."""
+    both, s_only, p_only, neither = regions
+    if copula in (Copula.I, Copula.E):
+        v = both
+    elif copula in (Copula.A, Copula.O):  # no S outside P, and with import some S at all
+        v = ~s_only & both if existential_import else ~s_only
+    elif copula in (Copula.SA, Copula.SO):  # some individual is S, or every one is S and P
+        v = both | s_only | ~(p_only | neither)
+    else:  # every individual is P and not S
+        v = ~(both | s_only | neither)
+    return ~v if copula in (Copula.E, Copula.O, Copula.SE, Copula.SO) else v
 
-    return atom
+
+def occupied(memberships: Iterable[tuple[int, int]]) -> Regions:
+    """The region bits of one model from each individual's (is S, is P)."""
+    seen = set(memberships)
+    return tuple(int(r in seen) for r in REGIONS)
+
+
+def check_family(copula: Copula, synthetic: bool) -> None:
+    """An error unless `copula` belongs to the family of the semantics."""
+    if copula.synthetic is not synthetic:
+        name = ("analytic", "synthetic")
+        raise SemanticsError(
+            f"{name[copula.synthetic]} copula {copula.value!r} under {name[synthetic]} semantics"
+        )
 
 
 def lowest_bit(v: int) -> int:
@@ -55,14 +71,26 @@ def lowest_bit(v: int) -> int:
 
 @dataclass(frozen=True)
 class ModelSpace:
-    """The models of a search, in order: `full` has one set bit per
-    model, `atom` gives an atom's truth vector and `model` rebuilds the
-    model at an index."""
+    """The models of a search over `terms`, in order: `full` has one set
+    bit per model, `atom_vector(s, p, copula)` is an atom's truth vector
+    by term positions, and `model` rebuilds the model at an index."""
 
     full: int
     bound: int
-    atom: Callable[[Atom], int]
+    terms: tuple[str, ...]
+    synthetic: bool
+    atom_vector: Callable[[int, int, Copula], int]
     model: Callable[[int], Any]
+
+    def atom(self, a: Atom) -> int:
+        """The truth vector of `a`, an atom of the space's family over `terms`."""
+        check_family(a.copula, self.synthetic)
+        try:
+            s, p = self.terms.index(a.subject), self.terms.index(a.predicate)
+        except ValueError:
+            t = a.predicate if a.subject in self.terms else a.subject
+            raise SemanticsError(f"term {t!r} is not among the searched terms") from None
+        return self.atom_vector(s, p, a.copula)
 
     def vector(self, f: Formula) -> int:
         """The truth vector of `f`."""
@@ -147,3 +175,32 @@ def monadic_layout(k: int, start: int, bound: int) -> MonadicLayout:
 def any_of(vectors) -> int:
     """The bits set in any of `vectors`."""
     return functools.reduce(operator.or_, vectors, 0)
+
+
+@functools.cache
+def _monadic_atom(
+    k: int, start: int, bound: int, existential_import: bool, s: int, p: int, copula: Copula
+) -> int:
+    """Truth of `s copula p` (term positions) over `monadic_layout(k, start, bound)`."""
+    layout = monadic_layout(k, start, bound)
+    rows = tuple(zip(layout.present, layout.member[s], layout.member[p]))
+    regions = tuple(
+        any_of(e & (x if a else ~x) & (y if b else ~y) for e, x, y in rows) for a, b in REGIONS
+    )
+    return layout.full & copula_truth(copula, regions, existential_import)
+
+
+def monadic_space(
+    terms: tuple[str, ...],
+    start: int,
+    bound: int,
+    synthetic: bool,
+    existential_import: bool,
+    model: Callable[[tuple[str, ...], int, tuple[int, ...]], Any],
+) -> ModelSpace:
+    """Every model over `terms` with start..bound individuals, in the
+    enumerators' order; `model(terms, size, masks)` builds one."""
+    layout = monadic_layout(len(terms), start, bound)
+    atom_vector = functools.partial(_monadic_atom, len(terms), start, bound, existential_import)
+    model_at = lambda index: model(terms, *layout.masks(index))  # noqa: E731
+    return ModelSpace(layout.full, bound, terms, synthetic, atom_vector, model_at)

@@ -37,12 +37,13 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .copula import CopulaStructure, derived_copula  # noqa: F401  (derived_copula is re-exported)
 from .errors import BoundError, SemanticsError, json_object, string_list
 from .formula import Atom, Copula, Formula, holds, term_names
-from .search import ModelSpace, any_of, atom_vectors, monadic_layout
+from .search import ModelSpace, Regions, check_family, copula_truth, monadic_space, occupied
 from .verdicts import Verdict
 
 _INDIVIDUALS = ("u", "v", "w", "x")
@@ -79,6 +80,10 @@ class SyntheticModel:
     def holds(self, individual: str, term: str) -> bool:
         return (individual, term) in self.facts
 
+    def regions(self, s: str, p: str) -> Regions:
+        """Which regions of the terms s and p hold an individual."""
+        return occupied((self.holds(x, s), self.holds(x, p)) for x in self.universe)
+
     def summary(self) -> str:
         parts = ["U={%s}" % ",".join(self.universe)]
         for term in sorted({t for _, t in self.facts}):
@@ -107,42 +112,14 @@ class SyntheticModel:
 
 def induced_model(c: CopulaStructure, charitable: bool) -> SyntheticModel:
     """The direct model a structure induces under a derived reading: x is
-    t iff derived_copula(c, x, c.denote[t], charitable).
-
-    With pred(x) = {y : y prim x}, x can be a subject iff pred(x) is a
-    nonempty clique; the literal reading then holds iff pred(x) = pred(b)
-    = U, the charitable one iff pred(x) is a subset of pred(b).
-    """
-    pred = {x: set() for x in c.universe}
-    for y, x in c.is_prim:
-        pred[x].add(y)
-    everyone = set(c.universe)
-    subjects = [
-        x for x, p in pred.items() if p and c.is_prim.issuperset(itertools.product(p, p))
-    ]
+    t iff derived_copula(c, x, c.denote[t], charitable), read off the
+    columns of its primitive relation."""
+    size, at = len(c.universe), {x: i for i, x in enumerate(c.universe)}
+    col = _columns(size, sum(1 << (size * at[y] + at[x]) for y, x in c.is_prim), charitable)
     facts = frozenset(
-        (x, t)
-        for t, b in c.denote.items()
-        for x in subjects
-        if (pred[x] <= pred[b] if charitable else pred[x] == pred[b] == everyone)
+        (x, t) for t, b in c.denote.items() for i, x in enumerate(c.universe) if col[at[b]] >> i & 1
     )
     return SyntheticModel(c.universe, facts)
-
-
-def _atom_truth(copula: Copula, model: SyntheticModel, s: str, p: str) -> bool:
-    universe = model.universe
-    is_s = lambda a: model.holds(a, s)
-    is_p = lambda a: model.holds(a, p)
-    if copula is Copula.SA:
-        return any(is_s(a) for a in universe) or all(is_p(a) and is_s(a) for a in universe)
-    if copula is Copula.SI:
-        return all(is_p(a) and not is_s(a) for a in universe)
-    if copula is Copula.SO:
-        return all(not is_s(a) for a in universe) and any(
-            not is_p(a) or not is_s(a) for a in universe
-        )
-    # SE
-    return any(not is_p(a) or is_s(a) for a in universe)
 
 
 def eval_synthetic(
@@ -164,13 +141,12 @@ def eval_synthetic(
         model = induced_model(model, opts.reading is Reading.DERIVED_CHARITABLE)
 
     def atom(g: Atom) -> bool:
-        if not g.copula.synthetic:
-            raise SemanticsError(f"analytic copula {g.copula.value!r} under synthetic semantics")
+        check_family(g.copula, True)
         if not direct:
             # a term without a denotation is an error, not an empty term
             denotation(g.subject)
             denotation(g.predicate)
-        return _atom_truth(g.copula, model, g.subject, g.predicate)
+        return bool(copula_truth(g.copula, model.regions(g.subject, g.predicate), False) & 1)
 
     return holds(f, atom)
 
@@ -207,17 +183,13 @@ def enumerate_copula_structures(
 ) -> Iterator[CopulaStructure]:
     """All copula structures with |U| <= max_u: every primitive relation,
     every denotation assignment.  A nonempty term list admits no empty
-    structure (denotations need a target), so size 0 is skipped.  This is
+    structure (denotations need a target), so size 0 yields none.  This is
     the definition of the order `derived_image` keeps and the tests'
     oracle; no decision walks it."""
     _check_universe_bound(max_u, opts)
     start = 0 if opts.allow_empty_universe else 1
     for size in range(start, max_u + 1):
         universe = _INDIVIDUALS[:size]
-        if size == 0:
-            if not terms:
-                yield CopulaStructure((), frozenset(), {})
-            continue
         pairs = [(a, b) for a in universe for b in universe]
         for prim_mask in range(1 << len(pairs)):
             prim = frozenset(p for i, p in enumerate(pairs) if prim_mask >> i & 1)
@@ -229,7 +201,9 @@ def enumerate_copula_structures(
 def _columns(size: int, prim_mask: int, charitable: bool) -> tuple[int, ...]:
     """col[b] is the bitmask of the individuals that are b under a derived
     reading, for the relation with bit size*y+x of `prim_mask` set iff y
-    prim x: the test of `induced_model` over predecessor bitmasks."""
+    prim x.  With pred(x) = {y : y prim x}, x can be a subject iff pred(x)
+    is a nonempty clique; the literal reading then holds iff pred(x) =
+    pred(b) = U, the charitable one iff pred(x) is a subset of pred(b)."""
     cells, everyone = range(size), (1 << size) - 1
     pred = [sum((prim_mask >> (size * y + x) & 1) << y for y in cells) for x in cells]
     within = lambda x, b: (pred[x] | pred[b]) == pred[b]
@@ -239,8 +213,8 @@ def _columns(size: int, prim_mask: int, charitable: bool) -> tuple[int, ...]:
 
 
 @functools.cache
-def _derived_scan(k: int, bound: int, opts: SyntheticOptions) -> tuple[CopulaStructure, ...]:
-    """`derived_image` over the term positions 0..k-1 as term names.
+def _derived_scan(k: int, bound: int, opts: SyntheticOptions) -> Mapping[int, CopulaStructure]:
+    """`derived_image` over the term positions 0..k-1 as term names, by type-set key.
 
     Walks the structures in `enumerate_copula_structures` order without
     building them.  A denotation choice d gives individual x the type
@@ -267,7 +241,7 @@ def _derived_scan(k: int, bound: int, opts: SyntheticOptions) -> tuple[CopulaStr
                     prim = frozenset(p for i, p in enumerate(pairs) if prim_mask >> i & 1)
                     denote = {t: universe[b] for t, b in enumerate(choice)}
                     witnesses[key] = CopulaStructure(universe, prim, denote)
-    return tuple(witnesses.values())
+    return MappingProxyType(witnesses)
 
 
 def _named(c: CopulaStructure, terms: tuple[str, ...]) -> CopulaStructure:
@@ -287,42 +261,31 @@ def derived_image(
     Searching the image therefore gives the verdicts and witnesses of a
     full scan.  The image is computed by term position, so one pass per
     term count serves every choice of term names."""
-    return tuple(_named(c, terms) for c in _derived_scan(len(terms), bound, opts))
+    return tuple(_named(c, terms) for c in _derived_scan(len(terms), bound, opts).values())
 
 
 @functools.cache
-def _atom_vector(opts: SyntheticOptions, k: int, bound: int, s: int, p: int, copula: Copula) -> int:
-    """Truth of `s copula p` (term positions) over the search space."""
-    if opts.reading is not Reading.DIRECT:
-        charitable = opts.reading is Reading.DERIVED_CHARITABLE
-        image = _derived_scan(k, bound, opts)
-        return sum(
-            _atom_truth(copula, induced_model(c, charitable), s, p) << m
-            for m, c in enumerate(image)
-        )
-    layout = monadic_layout(k, 0 if opts.allow_empty_universe else 1, bound)
-    rows = tuple(zip(layout.present, layout.member[s], layout.member[p]))
-    if copula in (Copula.SA, Copula.SO):
-        # some individual is S, or no individual fails to be both P and S
-        v = any_of(layout.member[s]) | ~any_of(e & ~(x & y) for e, x, y in rows)
-        return layout.full & (v if copula is Copula.SA else ~v)
-    # no individual fails to be P and not S
-    v = ~any_of(e & ~(y & ~x) for e, x, y in rows)
-    return layout.full & (v if copula is Copula.SI else ~v)
+def _derived_atom(k: int, bound: int, opts: SyntheticOptions, s: int, p: int, c: Copula) -> int:
+    """Truth of `s c p` (term positions) over the derived image, whose
+    structure with type-set key K has an individual of type t iff K has bit t."""
+    keys = _derived_scan(k, bound, opts)
+    rows = [occupied((t >> s & 1, t >> p & 1) for t in range(1 << k) if ts >> t & 1) for ts in keys]
+    regions = tuple(sum(row[r] << m for m, row in enumerate(rows)) for r in range(4))
+    return ((1 << len(keys)) - 1) & copula_truth(c, regions, False)
 
 
 def synthetic_space(terms: tuple[str, ...], bound: int, opts: SyntheticOptions) -> ModelSpace:
     """Every direct model up to `bound` in enumeration order, or a
     derived reading's image."""
     _check_universe_bound(bound, opts)
+    if opts.reading is Reading.DIRECT:
+        start = 0 if opts.allow_empty_universe else 1
+        return monadic_space(terms, start, bound, True, False, _model)
     k = len(terms)
-    atom = atom_vectors(terms, True, lambda s, p, c: _atom_vector(opts, k, bound, s, p, c))
-    if opts.reading is not Reading.DIRECT:
-        image = _derived_scan(k, bound, opts)
-        full = (1 << len(image)) - 1
-        return ModelSpace(full, bound, atom, lambda index: _named(image[index], terms))
-    layout = monadic_layout(k, 0 if opts.allow_empty_universe else 1, bound)
-    return ModelSpace(layout.full, bound, atom, lambda index: _model(terms, *layout.masks(index)))
+    image = tuple(_derived_scan(k, bound, opts).values())
+    atom_vector = functools.partial(_derived_atom, k, bound, opts)
+    full = (1 << len(image)) - 1
+    return ModelSpace(full, bound, terms, True, atom_vector, lambda i: _named(image[i], terms))
 
 
 def decide_synthetic_validity(

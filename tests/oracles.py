@@ -5,13 +5,16 @@ function visits the models one at a time, in the order the enumerators
 yield them, and stops where the first model of interest shows up, as
 the checkers did before they evaluated every model at once.
 `derived_scan` builds the derived image the same way, one structure and
-induced model at a time.
+induced model at a time.  `structure_walk` and `induced_models` are one
+cached walk over every copula structure, shared by the tests that
+compare against all of them.
 
 The pair carrier, the oracle for the packed one in `twosquares.starb`:
 an element is the coefficient pair (f0, f1) and every operation acts on
 the two coefficients through the base algebra's own operations.
 """
 
+import functools
 from dataclasses import dataclass
 
 from twosquares.analytic import enumerate_analytic_models
@@ -25,7 +28,9 @@ from twosquares.starb import (
     SquareSweepResult,
 )
 from twosquares.synthetic import (
+    MAX_UNIVERSE_DERIVED,
     Reading,
+    SyntheticOptions,
     derived_image,
     enumerate_copula_structures,
     enumerate_synthetic_models,
@@ -60,6 +65,22 @@ def derived_scan(terms, bound, opts):
     for c in enumerate_copula_structures(terms, bound, opts):
         witnesses.setdefault(type_set(induced_model(c, charitable)), c)
     return tuple(witnesses.values())
+
+
+@functools.cache
+def structure_walk(terms):
+    """Every copula structure over the nonempty `terms` up to the derived
+    bound, in enumeration order.  Neither the reading nor the empty
+    universe, which adds no structure over a nonempty term list, changes
+    the walk, and the structures up to a smaller bound are a prefix."""
+    opts = SyntheticOptions(Reading.DERIVED_LITERAL)
+    return tuple(enumerate_copula_structures(terms, MAX_UNIVERSE_DERIVED, opts))
+
+
+@functools.cache
+def induced_models(terms, charitable):
+    """The induced model of each structure of `structure_walk(terms)`."""
+    return tuple(induced_model(c, charitable) for c in structure_walk(terms))
 
 
 def first_counterexample(models, f, evaluate, bound):

@@ -17,12 +17,37 @@ def model(domain, **ext):
     return AnalyticModel(tuple(domain), {t: frozenset(m) for t, m in ext.items()})
 
 
-# Independent oracle: the atom truth table evaluated by direct set
-# comprehension, used to freeze expected values for the empty-extent edge.
+# Independent oracle: each form by direct set comprehension over the
+# extents, apart from the region table the package evaluates with.  With
+# existential import, `a` also needs a nonempty subject and `o` holds of
+# an empty one; `e` and `i` are import-free.
 def oracle_a(s, p, existential_import):
     if existential_import:
         return len(s) > 0 and s <= p
     return s <= p
+
+
+def oracle_e(s, p, existential_import):
+    return {x for x in s if x in p} == set()
+
+
+def oracle_i(s, p, existential_import):
+    return {x for x in s if x in p} != set()
+
+
+def oracle_o(s, p, existential_import):
+    return {x for x in s if x not in p} != set() or (existential_import and not s)
+
+
+def test_eval_matches_the_set_oracle_on_every_small_model():
+    oracles = {"a": oracle_a, "e": oracle_e, "i": oracle_i, "o": oracle_o}
+    for policy in (IMPORT_ON, IMPORT_OFF):
+        for m in enumerate_analytic_models(("P", "S"), 3):
+            for s in ("P", "S"):
+                for p in ("P", "S"):
+                    for copula, oracle in oracles.items():
+                        expected = oracle(m.ext[s], m.ext[p], policy.existential_import)
+                        assert eval_analytic(m, parse(f"{s} {copula} {p}"), policy) == expected
 
 
 def test_atom_truth_subset():

@@ -20,17 +20,23 @@ from twosquares.opposition import (
 from twosquares.synthetic import (
     DIRECT_EMPTY_OK,
     DIRECT_NONEMPTY,
+    MAX_UNIVERSE_DERIVED,
     Reading,
     SyntheticOptions,
     decide_synthetic_validity,
     derived_image,
     enumerate_copula_structures,
     eval_synthetic,
-    induced_model,
 )
 from twosquares.verdicts import Counterexample, Valid
 
-from oracles import first_counterexample, scan_classify, verdict_bytes
+from oracles import (
+    first_counterexample,
+    induced_models,
+    scan_classify,
+    structure_walk,
+    verdict_bytes,
+)
 
 ANALYTIC = AnalyticSemantics(IMPORT_ON)
 SYNTHETIC = SyntheticSemantics(DIRECT_NONEMPTY)
@@ -195,20 +201,15 @@ DERIVED_OPTIONS = [
 
 class FullScan:
     """Every structure over `terms` up to `bound`, in enumeration order:
-    one structure walk, shared by every catalog entry and square pair
-    over those terms.  A structure's induced model, and each atom's
-    truth on it, are computed once per reading and structure value."""
+    a prefix of the one shared structure walk.  Each atom's truth is
+    evaluated once per reading and induced model."""
 
     def __init__(self, terms, bound, opts):
-        charitable = opts.reading is Reading.DERIVED_CHARITABLE
-        induced = _induced(terms, charitable)
-        self.structures = tuple(enumerate_copula_structures(terms, bound, opts))
-        self._atom = {}
-        for c in self.structures:
-            key = (c.universe, c.is_prim, tuple(sorted(c.denote.items())))
-            if key not in induced:
-                induced[key] = _memo_atom(induced_model(c, charitable))
-            self._atom[id(c)] = induced[key]
+        walk = structure_walk(terms)
+        self.structures = walk[: sum(len(c.universe) <= bound for c in walk)]
+        if bound < MAX_UNIVERSE_DERIVED:
+            assert self.structures == tuple(enumerate_copula_structures(terms, bound, opts))
+        self._atom = _atoms(terms, opts.reading is Reading.DERIVED_CHARITABLE)
 
     def evaluate(self, c, f):
         return holds(f, self._atom[id(c)])
@@ -227,14 +228,16 @@ def _memo_atom(model):
     return atom
 
 
-# Both universe options of one reading share its induced models.
-@functools.lru_cache(maxsize=2)
-def _induced(terms, charitable):
-    return {}
+# Both universe options of one reading share its induced models, and
+# structures with equal induced models share their atoms' truths.
+@functools.cache
+def _atoms(terms, charitable):
+    models = induced_models(terms, charitable)
+    memo = {m: _memo_atom(m) for m in set(models)}
+    return {id(c): memo[m] for c, m in zip(structure_walk(terms), models)}
 
 
-# One option's scans: its two term sets at bounds 1-3.
-@functools.lru_cache(maxsize=6)
+@functools.cache
 def full_scan(terms, bound, opts):
     return FullScan(terms, bound, opts)
 
@@ -283,17 +286,19 @@ def test_derived_image_holds_the_first_structure_of_every_atom_profile(reading, 
     # it keeps, in enumeration order, the first structure of each profile.
     opts = SyntheticOptions(reading)
     atoms = [parse(f"{s} {c} {p}") for s in terms for p in terms for c in ("sa", "si")]
+    scan = full_scan(terms, 3, opts)
     first = {}
-    order = []
-    for c in enumerate_copula_structures(terms, 3, opts):
-        model = induced_model(c, reading is Reading.DERIVED_CHARITABLE)
-        profile = tuple(eval_synthetic(model, a, DIRECT_EMPTY_OK) for a in atoms)
-        first.setdefault(profile, c.to_dict())
-        order.append(c.to_dict())
-    image = [c.to_dict() for c in derived_image(terms, 3, opts)]
+    for c in scan.structures:
+        first.setdefault(tuple(scan.evaluate(c, a) for a in atoms), _key(c))
+    position = {_key(c): n for n, c in enumerate(scan.structures)}
+    image = [_key(c) for c in derived_image(terms, 3, opts)]
     assert all(witness in image for witness in first.values())
-    positions = [order.index(witness) for witness in image]
+    positions = [position[witness] for witness in image]
     assert positions == sorted(positions)
+
+
+def _key(c):
+    return c.universe, c.is_prim, tuple(sorted(c.denote.items()))
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from twosquares.synthetic import (
 )
 from twosquares.verdicts import Counterexample, Valid
 
-from oracles import derived_scan
+from oracles import derived_scan, induced_models, structure_walk
 
 DERIVED = SyntheticOptions(Reading.DERIVED_LITERAL)
 CHARITABLE = SyntheticOptions(Reading.DERIVED_CHARITABLE)
@@ -87,12 +87,26 @@ def test_rejects_analytic_copula_and_model_mismatch():
 
 
 def test_expanded_forms_match_unexpanded_oracle_everywhere():
-    sa, si, so, se = (parse(f"S {c} P") for c in ("sa", "si", "so", "se"))
-    for m in enumerate_synthetic_models(("P", "S"), 2, DIRECT_EMPTY_OK):
-        assert eval_synthetic(m, sa, DIRECT_EMPTY_OK) == oracle_sa(m, "S", "P")
-        assert eval_synthetic(m, si, DIRECT_EMPTY_OK) == oracle_si(m, "S", "P")
-        assert eval_synthetic(m, so, DIRECT_EMPTY_OK) == oracle_so(m, "S", "P")
-        assert eval_synthetic(m, se, DIRECT_EMPTY_OK) == oracle_se(m, "S", "P")
+    # The direct models up to size 2, and the models that the derived
+    # images induce: bit m of a derived space's atom vector, which is read
+    # off the type-set keys, is the atom's truth on the m-th of them.
+    oracles = {"sa": oracle_sa, "si": oracle_si, "so": oracle_so, "se": oracle_se}
+    direct = list(enumerate_synthetic_models(("P", "S"), 2, DIRECT_EMPTY_OK))
+    inputs = [(("P", "S"), direct, None)]
+    for opts in (DERIVED, CHARITABLE):
+        for terms in (("P", "S"), ("M", "P", "S")):
+            image = derived_image(terms, 3, opts)
+            induced = [induced_model(c, opts is CHARITABLE) for c in image]
+            inputs.append((terms, induced, synthetic.synthetic_space(terms, 3, opts)))
+    for terms, models, space in inputs:
+        for s in terms:
+            for p in terms:
+                for copula, oracle in oracles.items():
+                    atom = parse(f"{s} {copula} {p}")
+                    for m, model in enumerate(models):
+                        truth = oracle(model, s, p)
+                        assert eval_synthetic(model, atom, DIRECT_EMPTY_OK) == truth
+                        assert space is None or bool(space.atom(atom) >> m & 1) == truth
 
 
 def test_definitional_negations_hold_bit_for_bit_direct():
@@ -166,16 +180,21 @@ def test_derived_copula_unknown_individual():
 
 @pytest.mark.parametrize("terms", [("P", "S"), ("M", "P", "S")])
 def test_induced_model_matches_derived_copula(terms):
-    for opts in (DERIVED, CHARITABLE):
-        charitable = opts is CHARITABLE
-        for c in enumerate_copula_structures(terms, 3, opts):
+    for charitable in (False, True):
+        # "x is b" depends on the relation, not the denotations, so each
+        # relation's composite copula is computed once for all of them.
+        is_b = {}
+        for c, m in zip(structure_walk(terms), induced_models(terms, charitable)):
+            relation = c.universe, c.is_prim
+            if relation not in is_b:
+                is_b[relation] = {
+                    (x, b) for x in c.universe for b in c.universe
+                    if derived_copula(c, x, b, charitable)
+                }
             expected = {
-                (x, t)
-                for t in terms
-                for x in c.universe
-                if derived_copula(c, x, c.denote[t], charitable)
+                (x, t) for t in terms for x in c.universe if (x, c.denote[t]) in is_b[relation]
             }
-            assert induced_model(c, charitable).facts == expected, c
+            assert m.facts == expected, c
 
 
 # --- the derived image -------------------------------------------------------

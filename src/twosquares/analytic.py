@@ -10,11 +10,11 @@ six relations of the conventional square hold at once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 from .errors import BoundError, SemanticsError, json_object, string_list
 from .formula import Atom, Formula, holds, term_names
+from .record import Record
 from .search import ModelSpace, Regions, check_family, copula_truth, monadic_space, occupied
 from .verdicts import Verdict
 
@@ -22,8 +22,7 @@ _INDIVIDUALS = ("1", "2", "3", "4", "5", "6")
 MAX_DOMAIN = 6
 
 
-@dataclass(frozen=True)
-class ImportPolicy:
+class ImportPolicy(Record):
     existential_import: bool = True
 
     def label(self) -> str:
@@ -34,8 +33,7 @@ IMPORT_ON = ImportPolicy(True)
 IMPORT_OFF = ImportPolicy(False)
 
 
-@dataclass(frozen=True)
-class AnalyticModel:
+class AnalyticModel(Record):
     """Finite domain plus one extent per term."""
 
     domain: tuple[str, ...]

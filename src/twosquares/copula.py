@@ -5,14 +5,13 @@ structure induces through this copula."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import SemanticsError, json_object, string_list
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CopulaStructure:
+class CopulaStructure(Record):
     """Carrier for the composite copula: a primitive relation between
     individuals and a denoting individual per term."""
 

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the shape checks on
 JSON input that raise them."""
 
-from typing import Any, Mapping
+from collections.abc import Mapping
 
 
 class TwoSquaresError(Exception):
@@ -33,7 +33,7 @@ class BoundError(TwoSquaresError):
     """A search or enumeration bound was exceeded."""
 
 
-def json_object(data: Any, what: str, required: tuple[str, ...] = ()) -> Mapping:
+def json_object(data: object, what: str, required: tuple[str, ...] = ()) -> Mapping:
     """`data` if it is a JSON object holding every `required` key."""
     if not isinstance(data, Mapping):
         raise SemanticsError(f"{what} must be a JSON object")
@@ -43,7 +43,7 @@ def json_object(data: Any, what: str, required: tuple[str, ...] = ()) -> Mapping
     return data
 
 
-def string_list(data: Any, what: str, distinct: bool = False) -> tuple[str, ...]:
+def string_list(data: object, what: str, distinct: bool = False) -> tuple[str, ...]:
     """`data` as a tuple if it is a JSON list of strings, without repeats
     when `distinct`."""
     if not isinstance(data, list) or not all(isinstance(item, str) for item in data):

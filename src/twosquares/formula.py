@@ -18,11 +18,11 @@ keywords are reserved and cannot be used as term names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
 from enum import Enum
-from typing import Callable, Mapping, TypeVar
 
 from .errors import InstantiationError, ParseError
+from .record import Record
 
 
 class Copula(Enum):
@@ -35,13 +35,9 @@ class Copula(Enum):
     SI = "si"
     SO = "so"
 
-    @property
-    def synthetic(self) -> bool:
-        return len(self.value) == 2
-
-    @property
-    def analytic(self) -> bool:
-        return not self.synthetic
+    def __init__(self, token: str) -> None:
+        self.synthetic = len(token) == 2
+        self.analytic = not self.synthetic
 
 
 COPULA_TOKENS: Mapping[str, Copula] = {c.value: c for c in Copula}
@@ -55,39 +51,32 @@ def is_term_name(name: str) -> bool:
     return bool(_IDENT_RE.fullmatch(name)) and name not in RESERVED_TOKENS
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     subject: str
     copula: Copula
     predicate: str
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     operand: Formula
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(Record):
     left: Formula
     right: Formula
 
 
 Formula = Atom | Not | And | Or | Implies
-
-T = TypeVar("T")
 
 
 def atoms(f: Formula) -> tuple[Atom, ...]:
@@ -127,16 +116,16 @@ def holds(f: Formula, atom: Callable[[Atom], bool]) -> bool:
 
 def fold(
     f: Formula,
-    atom: Callable[[Atom], T],
-    neg: Callable[[T], T],
-    conj: Callable[[T, T], T],
-    disj: Callable[[T, T], T],
-    imp: Callable[[T, T], T],
-) -> T:
+    atom: Callable[[Atom], object],
+    neg: Callable[[object], object],
+    conj: Callable[[object, object], object],
+    disj: Callable[[object, object], object],
+    imp: Callable[[object, object], object],
+) -> object:
     """The value of `f`, with `atom` giving each atom's value and the
     other four combining operand values; every operand is evaluated."""
 
-    def walk(g: Formula) -> T:
+    def walk(g: Formula) -> object:
         if isinstance(g, Atom):
             return atom(g)
         if isinstance(g, Not):
@@ -156,8 +145,7 @@ def term_names(f: Formula) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(Record):
     """A formula whose listed term identifiers are metavariables."""
 
     formula: Formula

@@ -18,9 +18,8 @@ claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from enum import Enum
-from typing import Any, Mapping
 
 from .analytic import (
     IMPORT_ON,
@@ -30,6 +29,7 @@ from .analytic import (
     eval_analytic,
 )
 from .formula import Formula, Schema, instantiate, render, schema_of
+from .record import Record
 from .search import ModelSpace
 from .synthetic import (
     DIRECT_NONEMPTY,
@@ -41,8 +41,7 @@ from .synthetic import (
 from .verdicts import Counterexample, Valid, Verdict
 
 
-@dataclass(frozen=True)
-class AnalyticSemantics:
+class AnalyticSemantics(Record):
     policy: ImportPolicy = IMPORT_ON
 
     def label(self) -> str:
@@ -54,15 +53,14 @@ class AnalyticSemantics:
     def space(self, terms: tuple[str, ...], bound: int) -> ModelSpace:
         return analytic_space(terms, bound, self.policy)
 
-    def evaluate(self, model: Any, f: Formula) -> bool:
+    def evaluate(self, model: object, f: Formula) -> bool:
         return eval_analytic(model, f, self.policy)
 
     def decide(self, f: Formula, bound: int) -> Verdict:
         return decide_analytic_validity(f, bound, self.policy)
 
 
-@dataclass(frozen=True)
-class SyntheticSemantics:
+class SyntheticSemantics(Record):
     options: SyntheticOptions = DIRECT_NONEMPTY
 
     def label(self) -> str:
@@ -78,7 +76,7 @@ class SyntheticSemantics:
     def space(self, terms: tuple[str, ...], bound: int) -> ModelSpace:
         return synthetic_space(terms, bound, self.options)
 
-    def evaluate(self, model: Any, f: Formula) -> bool:
+    def evaluate(self, model: object, f: Formula) -> bool:
         return eval_synthetic(model, f, self.options)
 
     def decide(self, f: Formula, bound: int) -> Verdict:
@@ -97,19 +95,18 @@ class RelationKind(Enum):
     INDEPENDENT = "independent"
 
 
-@dataclass(frozen=True)
-class OppositionRelation:
+class OppositionRelation(Record):
     """Classification of a schema pair with the first witness model found
     for each truth-pair category that is possible at the bound."""
 
     kind: RelationKind
     bound: int
-    both_true: Any | None = None
-    both_false: Any | None = None
-    first_only: Any | None = None
-    second_only: Any | None = None
+    both_true: object | None = None
+    both_false: object | None = None
+    first_only: object | None = None
+    second_only: object | None = None
 
-    def witnesses(self) -> dict[str, Any]:
+    def witnesses(self) -> dict[str, object]:
         out = {}
         for name in ("both_true", "both_false", "first_only", "second_only"):
             model = getattr(self, name)
@@ -153,8 +150,7 @@ def classify_pair(
 
 # --- squares ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SquareSpec:
+class SquareSpec(Record):
     """Four corner schemas plus the expected relation for each of the six
     corner pairs.  Pair order matters for subalternation: the expected
     forward arrow runs first -> second."""
@@ -169,8 +165,7 @@ class SquareSpec:
             raise ValueError("a square needs exactly the six corner pairs")
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(Record):
     first: str
     second: str
     expected: RelationKind
@@ -181,8 +176,7 @@ class PairVerdict:
         return self.relation.kind is self.expected
 
 
-@dataclass(frozen=True)
-class SquareReport:
+class SquareReport(Record):
     name: str
     semantics_label: str
     bound: int
@@ -250,8 +244,7 @@ def synthetic_square() -> SquareSpec:
 
 # --- claim catalog ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExpectedStatus:
+class ExpectedStatus(Record):
     valid: bool
     countermodel_size: int | None = None
 
@@ -261,16 +254,14 @@ class ExpectedStatus:
         return f"counterexample at size {self.countermodel_size}"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     id: str
     schema: Schema
     source: str  # "axiom" | "theorem-list"
     expected: ExpectedStatus
 
 
-@dataclass(frozen=True)
-class CatalogResult:
+class CatalogResult(Record):
     entry: CatalogEntry
     verdict: Verdict
     status: str  # "met" | "failed" | "inconclusive"

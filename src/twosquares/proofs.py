@@ -24,12 +24,12 @@ and lines starting with `#` are ignored.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import BoundError, ParseError
 from .formula import Formula, Implies, Schema, atoms, holds, instantiate, parse, render
 from .opposition import catalog_entries, catalog_formula
+from .record import Record
 
 MAX_TAUTOLOGY_ATOMS = 12
 
@@ -63,8 +63,7 @@ def is_tautology(f: Formula) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class AxiomSet:
+class AxiomSet(Record):
     use_axiom5: bool = True
     use_axiom6: bool = True
     use_axiom7: bool = True
@@ -94,19 +93,16 @@ AXIOM5_WITH_DEFINITIONS = AxiomSet(
 )
 
 
-@dataclass(frozen=True)
-class AxiomInstance:
+class AxiomInstance(Record):
     schema_id: str
     binding: tuple[tuple[str, str], ...]  # in schema metavariable order
 
 
-@dataclass(frozen=True)
-class Tautology:
+class Tautology(Record):
     pass
 
 
-@dataclass(frozen=True)
-class ModusPonens:
+class ModusPonens(Record):
     antecedent: int  # line holding phi
     implication: int  # line holding phi -> psi
 
@@ -114,15 +110,13 @@ class ModusPonens:
 Justification = AxiomInstance | Tautology | ModusPonens
 
 
-@dataclass(frozen=True)
-class DerivationLine:
+class DerivationLine(Record):
     index: int
     formula: Formula
     justification: Justification
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Record):
     lines: tuple[DerivationLine, ...]
 
     @property
@@ -130,8 +124,7 @@ class Derivation:
         return self.lines[-1].formula if self.lines else None
 
 
-@dataclass(frozen=True)
-class ProofCheckResult:
+class ProofCheckResult(Record):
     ok: bool
     line: int | None = None
     reason: str | None = None

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from .errors import BoundError, SemanticsError
 from .formula import Atom, Copula, Formula, atoms, fold, render
+from .record import Record
 from .verdicts import Counterexample, Valid, Verdict
 
 # The regions S and P, S only, P only and neither, by (is S, is P).
@@ -69,8 +69,7 @@ def lowest_bit(v: int) -> int:
     return (v & -v).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class ModelSpace:
+class ModelSpace(Record):
     """The models of a search over `terms`, in order: `full` has one set
     bit per model, `atom_vector(s, p, copula)` is an atom's truth vector
     by term positions, and `model` rebuilds the model at an index."""
@@ -80,7 +79,7 @@ class ModelSpace:
     terms: tuple[str, ...]
     synthetic: bool
     atom_vector: Callable[[int, int, Copula], int]
-    model: Callable[[int], Any]
+    model: Callable[[int], object]
 
     def atom(self, a: Atom) -> int:
         """The truth vector of `a`, an atom of the space's family over `terms`."""
@@ -97,7 +96,7 @@ class ModelSpace:
         implies = lambda x, y: ~x | y  # noqa: E731
         return fold(f, self.atom, operator.invert, operator.and_, operator.or_, implies) & self.full
 
-    def first(self, v: int) -> Any | None:
+    def first(self, v: int) -> object | None:
         """The first model whose bit is set in `v`, or None."""
         return self.model(lowest_bit(v)) if v else None
 
@@ -123,8 +122,7 @@ def _bit_pattern(b: int, length: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class MonadicLayout:
+class MonadicLayout(Record):
     """The blocks of sizes start..bound over k terms.  `member[t][i]` is
     the vector of "individual i is in term t" and `present[i]` that of
     "the model has an individual i"; `full` has every model's bit set."""
@@ -196,7 +194,7 @@ def monadic_space(
     bound: int,
     synthetic: bool,
     existential_import: bool,
-    model: Callable[[tuple[str, ...], int, tuple[int, ...]], Any],
+    model: Callable[[tuple[str, ...], int, tuple[int, ...]], object],
 ) -> ModelSpace:
     """Every model over `terms` with start..bound individuals, in the
     enumerators' order; `model(terms, size, masks)` builds one."""

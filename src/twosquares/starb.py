@@ -32,20 +32,19 @@ then an int comparison) and return members of the algebra's `carrier`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from enum import Enum
 from functools import cached_property
-from typing import Mapping
 
 from .errors import BoundError, SemanticsError
 from .formula import Atom, Formula, fold, holds
+from .record import Record
 
 MAX_ATOMS = 4
 _ATOM_NAMES = "pqrs"
 
 
-@dataclass(frozen=True)
-class FiniteBooleanAlgebra:
+class FiniteBooleanAlgebra(Record):
     """Powerset algebra on `atom_count` atoms; elements are bitmasks."""
 
     atom_count: int
@@ -228,8 +227,7 @@ def incomparable(x: UltraElement, y: UltraElement) -> bool:
 
 # --- the twelve-case analysis ------------------------------------------------
 
-@dataclass(frozen=True)
-class CaseOutcome:
+class CaseOutcome(Record):
     case_id: int
     description: str
     hypothesis_holds: bool
@@ -284,8 +282,7 @@ def classify_cases(x: UltraElement) -> tuple[CaseOutcome, ...]:
 
 # --- opposition relations on the carrier -------------------------------------
 
-@dataclass(frozen=True)
-class OppositionFlags:
+class OppositionFlags(Record):
     contrary: bool
     subcontrary: bool
     contradictory: bool
@@ -310,16 +307,14 @@ def algebraic_opposition(x: UltraElement, y: UltraElement) -> OppositionFlags:
 
 # --- the two squares ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class SquareSweepResult:
+class SquareSweepResult(Record):
     condition: str
     satisfied_by: int
     nonstandard_satisfiers: int
     violations: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Proposition1Report:
+class Proposition1Report(Record):
     """Exhaustive two-square sweep over one carrier.
 
     For every element whose quadruple satisfies a square's hypothesis,
@@ -455,16 +450,14 @@ class Column(Enum):
     ALTERNATE = "alternate"
 
 
-@dataclass(frozen=True)
-class Strict:
+class Strict(Record):
     """Designated set {*1} exactly."""
 
     def label(self) -> str:
         return "strict"
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(Record):
     """Designate everything pointwise above the threshold.  Exists because
     strict designation never satisfies a nonstandard atom value, which
     trivializes models generated from nonstandard elements."""
@@ -483,8 +476,7 @@ _PRIMARY_SLOTS = {"a": 0, "e": 1, "i": 3, "o": 2}
 _ALTERNATE_SLOTS = {"a": 3, "e": 2, "i": 0, "o": 1}
 
 
-@dataclass(frozen=True)
-class BridgeModel:
+class BridgeModel(Record):
     """Interpretation of atomic syllogistic formulas inside one quadruple.
 
     Every atom's value depends only on its copula: the chosen assignment

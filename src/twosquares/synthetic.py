@@ -35,14 +35,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterator, Mapping
 
 from .copula import CopulaStructure, derived_copula  # noqa: F401  (derived_copula is re-exported)
 from .errors import BoundError, SemanticsError, json_object, string_list
 from .formula import Atom, Copula, Formula, holds, term_names
+from .record import Record
 from .search import ModelSpace, Regions, check_family, copula_truth, monadic_space, occupied
 from .verdicts import Verdict
 
@@ -57,8 +57,7 @@ class Reading(Enum):
     DERIVED_CHARITABLE = "derived-charitable"
 
 
-@dataclass(frozen=True)
-class SyntheticOptions:
+class SyntheticOptions(Record):
     reading: Reading = Reading.DIRECT
     allow_empty_universe: bool = False
 
@@ -70,8 +69,7 @@ DIRECT_NONEMPTY = SyntheticOptions()
 DIRECT_EMPTY_OK = SyntheticOptions(allow_empty_universe=True)
 
 
-@dataclass(frozen=True)
-class SyntheticModel:
+class SyntheticModel(Record):
     """Finite universe plus the set of true (individual, term) facts."""
 
     universe: tuple[str, ...]

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Valid:
+class Valid(Record):
     """True in every model enumerated up to `bound`; no unbounded claim."""
 
     bound: int
@@ -16,11 +14,10 @@ class Valid:
         return f"valid up to bound {self.bound}"
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """First falsifying model in enumeration order, with per-atom truth values."""
 
-    model: Any
+    model: object
     atom_trace: tuple[tuple[str, bool], ...]
 
     def describe(self) -> str:

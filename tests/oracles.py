@@ -61,19 +61,22 @@ def derived_scan(terms, bound, opts):
     """The derived image by a scan of every structure: the first
     structure of each type-set its induced model realizes."""
     charitable = opts.reading is Reading.DERIVED_CHARITABLE
+    start = 0 if opts.allow_empty_universe else 1
     witnesses = {}
-    for c in enumerate_copula_structures(terms, bound, opts):
-        witnesses.setdefault(type_set(induced_model(c, charitable)), c)
+    for c, types in zip(structure_walk(terms), _type_sets(terms, charitable)):
+        if start <= len(c.universe) <= bound:
+            witnesses.setdefault(types, c)
     return tuple(witnesses.values())
 
 
 @functools.cache
 def structure_walk(terms):
-    """Every copula structure over the nonempty `terms` up to the derived
-    bound, in enumeration order.  Neither the reading nor the empty
-    universe, which adds no structure over a nonempty term list, changes
-    the walk, and the structures up to a smaller bound are a prefix."""
-    opts = SyntheticOptions(Reading.DERIVED_LITERAL)
+    """Every copula structure over `terms` up to the derived bound, in
+    enumeration order, with the empty universe allowed: it adds the one
+    empty structure when `terms` is empty and none otherwise.  The
+    reading does not change the walk, and the structures of a smaller
+    universe come first."""
+    opts = SyntheticOptions(Reading.DERIVED_LITERAL, allow_empty_universe=True)
     return tuple(enumerate_copula_structures(terms, MAX_UNIVERSE_DERIVED, opts))
 
 
@@ -81,6 +84,11 @@ def structure_walk(terms):
 def induced_models(terms, charitable):
     """The induced model of each structure of `structure_walk(terms)`."""
     return tuple(induced_model(c, charitable) for c in structure_walk(terms))
+
+
+@functools.cache
+def _type_sets(terms, charitable):
+    return tuple(type_set(m) for m in induced_models(terms, charitable))
 
 
 def first_counterexample(models, f, evaluate, bound):

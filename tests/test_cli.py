@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +49,22 @@ def copula_structure(tmp_path):
         )
     )
     return str(path)
+
+
+def test_a_cold_verify_paper_loads_no_class_building_modules():
+    """The import layer: neither importing the CLI nor running it pulls
+    in `dataclasses`, `typing` or what `dataclasses` imports."""
+    script = (
+        "import contextlib, io, sys\n"
+        "import twosquares.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify-paper', '--json']) == 0\n"
+        "print(sorted(set(sys.modules) & {'dataclasses', 'inspect', 'typing', 'ast', 'dis'}))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_eval_analytic(capsys, analytic_model):

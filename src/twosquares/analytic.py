@@ -112,7 +112,7 @@ def enumerate_analytic_models(terms: tuple[str, ...], max_domain: int) -> Iterat
 
 
 def analytic_space(terms: tuple[str, ...], bound: int, policy: ImportPolicy) -> ModelSpace:
-    """Every model of `enumerate_analytic_models(terms, bound)`, in order."""
+    """The type-sets of `enumerate_analytic_models(terms, bound)`, each at its first model."""
     _check_domain_bound(bound)
     return monadic_space(terms, 0, bound, False, policy.existential_import, _model)
 

@@ -1,4 +1,4 @@
-"""One truth table for the copulas, and bounded search over every model at once.
+"""One truth table for the copulas, and bounded search over every type-set at once.
 
 Every form quantifies over one monadic relation with one variable, so
 an atom `S c P` is decided by which of its regions hold an individual:
@@ -6,21 +6,26 @@ S and P, S only, P only, neither.  Only `copula_truth` gives the copulas
 a meaning; evaluators and searches differ only in how they produce the
 regions, as bits of one model or as vectors over a space.
 
-A search ranges over a fixed sequence of models.  Each atom becomes an
-int whose bit m is its truth in the m-th model, a formula's vector is a
-fold of `~ & |` over its atoms' vectors, and the first model with a
-property is the lowest set bit of a vector.  A verdict is the same as
-that of a model-by-model scan in the same order, and just as bounded.
+So a formula's truth in a model depends only on its type-set, the types
+(sets of terms) of its individuals.  A search ranges over type-sets, each
+a 2^k-bit key with bit ty set iff type ty is realized; bit t of ty is
+term position t.  An atom's vector has bit m set iff it holds at the m-th
+type-set, a formula's is a fold of `~ & |` over its atoms' vectors, and
+only the witness at the lowest set bit of a vector is built as a model.
 
 The monadic families (the analytic semantics and the direct synthetic
-reading) enumerate models in blocks, smallest size first; in a block of
-size n over k terms, individual i belongs to term t (sorted position,
-the first term slowest) iff bit n*(k-1-t)+i of the block index is set.
+reading) enumerate models by size n, then by a block index whose bit
+n*(k-1-t)+i says that individual i is in term t.  A model that repeats a
+type follows a smaller one with the same type-set, so ordering the
+type-sets by their first models gives the verdicts and witnesses of a
+model-by-model scan, just as bounded.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import operator
 from collections.abc import Callable, Iterable
 
@@ -70,9 +75,10 @@ def lowest_bit(v: int) -> int:
 
 
 class ModelSpace(Record):
-    """The models of a search over `terms`, in order: `full` has one set
-    bit per model, `atom_vector(s, p, copula)` is an atom's truth vector
-    by term positions, and `model` rebuilds the model at an index."""
+    """The type-sets of a search over `terms`, in order: `full` has one set
+    bit per type-set, `atom_vector(s, p, copula)` is an atom's truth
+    vector by term positions, and `model` builds the witness of the
+    type-set at an index."""
 
     full: int
     bound: int
@@ -111,81 +117,70 @@ class ModelSpace(Record):
         return Counterexample(self.model(m), trace)
 
 
-def _bit_pattern(b: int, length: int) -> int:
-    """The `length`-bit int whose bit m is bit b of m, built by doubling
-    shifts in time linear in `length`."""
-    period = 2 << b
-    x = ((1 << (1 << b)) - 1) << (1 << b)
-    while period < length:
-        x |= x << period
-        period <<= 1
-    return x
+MAX_TYPE_SETS = 1 << 16  # one bit per type-set: all those of four terms, 8 KiB a vector
 
 
-class MonadicLayout(Record):
-    """The blocks of sizes start..bound over k terms.  `member[t][i]` is
-    the vector of "individual i is in term t" and `present[i]` that of
-    "the model has an individual i"; `full` has every model's bit set."""
-
-    k: int
-    start: int
-    full: int
-    member: tuple[tuple[int, ...], ...]
-    present: tuple[int, ...]
-
-    def masks(self, index: int) -> tuple[int, tuple[int, ...]]:
-        """The block size of model `index` and each term's member mask."""
-        n = self.start
-        while index >= 1 << (n * self.k):
-            index -= 1 << (n * self.k)
-            n += 1
-        return n, tuple(index >> (n * (self.k - 1 - t)) & ((1 << n) - 1) for t in range(self.k))
-
-
-# One bit per model: a larger space needs megabytes per vector.  The
-# model-by-model scan it replaces took hours at this size.
-MAX_MODELS = 1 << 25
+def _descending(k: int, types: Iterable[int]) -> list[int]:
+    """`types` in descending order, with term position 0 the most significant bit."""
+    return sorted(types, key=lambda ty: [ty >> t & 1 for t in range(k)], reverse=True)
 
 
 @functools.cache
-def monadic_layout(k: int, start: int, bound: int) -> MonadicLayout:
-    """The vectors over every model with start..bound individuals and k
-    terms, in the order the monadic enumerators yield them."""
-    size = sum(1 << (n * k) for n in range(start, bound + 1))
-    if size > MAX_MODELS:
+def monadic_keys(k: int, start: int, bound: int) -> tuple[int, ...]:
+    """The type-sets with start..bound types over k terms, by size and then by
+    the block index of their first models: each gives its types, in `_descending`
+    order, to individuals 0, 1, ...; any other model with them comes later."""
+    sizes = range(start, min(bound, 1 << k) + 1)
+    count = sum(math.comb(1 << k, n) for n in sizes)
+    if count > MAX_TYPE_SETS:
         raise BoundError(
-            f"{k} terms up to size {bound} give {size} models, more than the {MAX_MODELS} searched"
+            f"{k} terms up to size {bound} give {count} type-sets, over the cap of {MAX_TYPE_SETS}"
         )
-    member = [[0] * bound for _ in range(k)]
-    present = [0] * bound
-    offset = 0
-    for n in range(start, bound + 1):
-        length = 1 << (n * k)
-        for i in range(n):
-            present[i] |= ((1 << length) - 1) << offset
-            for t in range(k):
-                member[t][i] |= _bit_pattern(n * (k - 1 - t) + i, length) << offset
-        offset += length
-    full = (1 << offset) - 1
-    return MonadicLayout(k, start, full, tuple(map(tuple, member)), tuple(present))
-
-
-def any_of(vectors) -> int:
-    """The bits set in any of `vectors`."""
-    return functools.reduce(operator.or_, vectors, 0)
+    keys = []
+    for n in sizes:
+        # spread[ty] << i is what individual i adds to the block index when of type ty
+        spread = {ty: sum((ty >> t & 1) << n * (k - 1 - t) for t in range(k)) for ty in range(1 << k)}
+        index = lambda c: sum(map(operator.lshift, map(spread.__getitem__, c), range(n)))  # noqa: E731
+        block = sorted(itertools.combinations(_descending(k, spread), n), key=index)
+        keys += [sum(1 << ty for ty in c) for c in block]
+    return tuple(keys)
 
 
 @functools.cache
-def _monadic_atom(
-    k: int, start: int, bound: int, existential_import: bool, s: int, p: int, copula: Copula
+def _first_model(k: int, key: int) -> tuple[int, tuple[int, ...]]:
+    """The size and term masks of the first model that realizes `key`."""
+    types = _descending(k, (ty for ty, bit in enumerate(reversed(bin(key))) if bit == "1"))
+    return len(types), tuple(sum((ty >> t & 1) << i for i, ty in enumerate(types)) for t in range(k))
+
+
+@functools.cache
+def _type_vectors(keys_of: Callable, shape: tuple) -> dict[int, int]:
+    """Each type's vector over the type-sets `keys_of(*shape)`: bit m is set iff the m-th has it."""
+    members: dict[int, list[int]] = {}
+    for m, key in enumerate(keys_of(*shape)):
+        while key:
+            members.setdefault(lowest_bit(key), []).append(m)
+            key &= key - 1
+    vectors = {}
+    for ty, ms in members.items():
+        bits = bytearray(ms[-1] // 8 + 1)
+        for m in ms:
+            bits[m >> 3] |= 1 << (m & 7)
+        vectors[ty] = int.from_bytes(bits, "little")
+    return vectors
+
+
+@functools.cache
+def type_set_atom(
+    keys_of: Callable, shape: tuple, existential_import: bool, s: int, p: int, copula: Copula
 ) -> int:
-    """Truth of `s copula p` (term positions) over `monadic_layout(k, start, bound)`."""
-    layout = monadic_layout(k, start, bound)
-    rows = tuple(zip(layout.present, layout.member[s], layout.member[p]))
-    regions = tuple(
-        any_of(e & (x if a else ~x) & (y if b else ~y) for e, x, y in rows) for a, b in REGIONS
-    )
-    return layout.full & copula_truth(copula, regions, existential_import)
+    """Truth of `s copula p` (term positions) over the type-sets `keys_of(*shape)`:
+    a region is occupied in those with a type of its membership of s and p."""
+    regions = [0, 0, 0, 0]
+    for ty, v in _type_vectors(keys_of, shape).items():
+        regions[REGIONS.index((ty >> s & 1, ty >> p & 1))] |= v
+    full = (1 << len(keys_of(*shape))) - 1
+    return full & copula_truth(copula, tuple(regions), existential_import)
 
 
 def monadic_space(
@@ -196,9 +191,10 @@ def monadic_space(
     existential_import: bool,
     model: Callable[[tuple[str, ...], int, tuple[int, ...]], object],
 ) -> ModelSpace:
-    """Every model over `terms` with start..bound individuals, in the
-    enumerators' order; `model(terms, size, masks)` builds one."""
-    layout = monadic_layout(len(terms), start, bound)
-    atom_vector = functools.partial(_monadic_atom, len(terms), start, bound, existential_import)
-    model_at = lambda index: model(terms, *layout.masks(index))  # noqa: E731
-    return ModelSpace(layout.full, bound, terms, synthetic, atom_vector, model_at)
+    """The type-sets over `terms` with start..bound types, in the order of
+    their first models; `model(terms, size, masks)` builds one."""
+    k = len(terms)
+    keys = monadic_keys(k, start, bound)
+    atom_vector = functools.partial(type_set_atom, monadic_keys, (k, start, bound), existential_import)
+    model_at = lambda m: model(terms, *_first_model(k, keys[m]))  # noqa: E731
+    return ModelSpace((1 << len(keys)) - 1, bound, terms, synthetic, atom_vector, model_at)

@@ -41,9 +41,11 @@ from types import MappingProxyType
 
 from .copula import CopulaStructure, derived_copula  # noqa: F401  (derived_copula is re-exported)
 from .errors import BoundError, SemanticsError, json_object, string_list
-from .formula import Atom, Copula, Formula, holds, term_names
+from .formula import Atom, Formula, holds, term_names
 from .record import Record
-from .search import ModelSpace, Regions, check_family, copula_truth, monadic_space, occupied
+from .search import (
+    ModelSpace, Regions, check_family, copula_truth, monadic_space, occupied, type_set_atom
+)
 from .verdicts import Verdict
 
 _INDIVIDUALS = ("u", "v", "w", "x")
@@ -149,10 +151,13 @@ def eval_synthetic(
     return holds(f, atom)
 
 
-def _check_universe_bound(max_u: int, opts: SyntheticOptions) -> None:
+def _universe_sizes(max_u: int, opts: SyntheticOptions) -> range:
+    """The universe sizes up to `max_u`, or an error if none or past the reading's cap."""
+    low = 0 if opts.allow_empty_universe else 1
     cap = MAX_UNIVERSE_DIRECT if opts.reading is Reading.DIRECT else MAX_UNIVERSE_DERIVED
-    if not 0 <= max_u <= cap:
-        raise BoundError(f"universe bound {max_u} outside 0..{cap} for {opts.reading.value}")
+    if not low <= max_u <= cap:
+        raise BoundError(f"universe bound {max_u} outside {low}..{cap} for {opts.reading.value}")
+    return range(low, max_u + 1)
 
 
 def _model(terms: tuple[str, ...], size: int, masks: tuple[int, ...]) -> SyntheticModel:
@@ -169,9 +174,7 @@ def enumerate_synthetic_models(
     """All models with |U| <= max_u, smallest universe first, then
     lexicographic fact assignments; the empty universe comes first when
     allowed."""
-    _check_universe_bound(max_u, opts)
-    start = 0 if opts.allow_empty_universe else 1
-    for size in range(start, max_u + 1):
+    for size in _universe_sizes(max_u, opts):
         for masks in itertools.product(range(1 << size), repeat=len(terms)):
             yield _model(terms, size, masks)
 
@@ -184,9 +187,7 @@ def enumerate_copula_structures(
     structure (denotations need a target), so size 0 yields none.  This is
     the definition of the order `derived_image` keeps and the tests'
     oracle; no decision walks it."""
-    _check_universe_bound(max_u, opts)
-    start = 0 if opts.allow_empty_universe else 1
-    for size in range(start, max_u + 1):
+    for size in _universe_sizes(max_u, opts):
         universe = _INDIVIDUALS[:size]
         pairs = [(a, b) for a in universe for b in universe]
         for prim_mask in range(1 << len(pairs)):
@@ -219,10 +220,9 @@ def _derived_scan(k: int, bound: int, opts: SyntheticOptions) -> Mapping[int, Co
     {t : x in col[d[t]]}, so the type-set is a 2^k-bit key.  A relation
     with the columns of an earlier one of the same size yields only keys
     already seen, so it is skipped."""
-    _check_universe_bound(bound, opts)
     charitable = opts.reading is Reading.DERIVED_CHARITABLE
     witnesses: dict[int, CopulaStructure] = {}
-    for size in range(0 if opts.allow_empty_universe else 1, bound + 1):
+    for size in _universe_sizes(bound, opts):
         universe = _INDIVIDUALS[:size]
         seen = set()
         for prim_mask in range(1 << size * size):
@@ -250,40 +250,23 @@ def derived_image(
     terms: tuple[str, ...], bound: int, opts: SyntheticOptions
 ) -> tuple[CopulaStructure, ...]:
     """The first structure, in enumeration order, of each type-set the
-    induced models realize, in order of first appearance.
-
-    Every form quantifies over individuals only through their types, so
-    each structure agrees with the witness of its type-set on every
-    formula over `terms`; the first structure that falsifies a formula,
-    or that shows a truth-pair category, is the first of its type-set.
-    Searching the image therefore gives the verdicts and witnesses of a
-    full scan.  The image is computed by term position, so one pass per
-    term count serves every choice of term names."""
+    induced models realize, in order of first appearance.  As a form's
+    truth depends only on the type-set, searching the image gives the
+    verdicts and witnesses of a full scan.  It is computed by term
+    position, once per term count, bound and reading."""
     return tuple(_named(c, terms) for c in _derived_scan(len(terms), bound, opts).values())
 
 
-@functools.cache
-def _derived_atom(k: int, bound: int, opts: SyntheticOptions, s: int, p: int, c: Copula) -> int:
-    """Truth of `s c p` (term positions) over the derived image, whose
-    structure with type-set key K has an individual of type t iff K has bit t."""
-    keys = _derived_scan(k, bound, opts)
-    rows = [occupied((t >> s & 1, t >> p & 1) for t in range(1 << k) if ts >> t & 1) for ts in keys]
-    regions = tuple(sum(row[r] << m for m, row in enumerate(rows)) for r in range(4))
-    return ((1 << len(keys)) - 1) & copula_truth(c, regions, False)
-
-
 def synthetic_space(terms: tuple[str, ...], bound: int, opts: SyntheticOptions) -> ModelSpace:
-    """Every direct model up to `bound` in enumeration order, or a
-    derived reading's image."""
-    _check_universe_bound(bound, opts)
+    """The type-sets of the direct models up to `bound`, each at its first
+    model in enumeration order, or a derived reading's image."""
     if opts.reading is Reading.DIRECT:
-        start = 0 if opts.allow_empty_universe else 1
-        return monadic_space(terms, start, bound, True, False, _model)
+        return monadic_space(terms, _universe_sizes(bound, opts).start, bound, True, False, _model)
     k = len(terms)
     image = tuple(_derived_scan(k, bound, opts).values())
-    atom_vector = functools.partial(_derived_atom, k, bound, opts)
-    full = (1 << len(image)) - 1
-    return ModelSpace(full, bound, terms, True, atom_vector, lambda i: _named(image[i], terms))
+    atom_vector = functools.partial(type_set_atom, _derived_scan, (k, bound, opts), False)
+    model_at = lambda m: _named(image[m], terms)  # noqa: E731
+    return ModelSpace((1 << len(image)) - 1, bound, terms, True, atom_vector, model_at)
 
 
 def decide_synthetic_validity(

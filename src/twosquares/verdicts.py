@@ -6,7 +6,7 @@ from .record import Record
 
 
 class Valid(Record):
-    """True in every model enumerated up to `bound`; no unbounded claim."""
+    """True in every model up to `bound`, checked on one model per type-set; no unbounded claim."""
 
     bound: int
 

@@ -109,7 +109,7 @@ def test_subalternation_fails_without_import():
 
 
 def test_propositional_tautology_valid_any_bound():
-    # The last case has four terms at bound 5: 1 118 481 models.
+    # The last case has four terms at bound 5: 6 885 type-sets.
     for text, bound in (
         ("S a P | ~(S a P)", 0),
         ("S a P | ~(S a P)", 1),

@@ -130,6 +130,14 @@ def test_square_fails_with_empty_universe(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("reading", ["direct", "derived"])
+def test_square_refuses_bound_0_with_a_nonempty_universe(capsys, reading):
+    # bound 0 with the empty universe disallowed would search no model at all
+    code, out, err = run(capsys, "square", "--bound", "0", "--reading", reading)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_diagram_contains_nodes_and_styled_edges(capsys):
     code, out, _ = run(capsys, "diagram", "--semantics", "synthetic", "--bound", "2")
     assert code == 0

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from twosquares.analytic import IMPORT_OFF, IMPORT_ON, decide_analytic_validity
+from twosquares.analytic import (
+    IMPORT_OFF,
+    IMPORT_ON,
+    AnalyticModel,
+    analytic_space,
+    decide_analytic_validity,
+    enumerate_analytic_models,
+)
 from twosquares.errors import BoundError
 from twosquares.formula import (
     And,
@@ -27,21 +34,25 @@ from twosquares.opposition import (
     classify_pair,
     synthetic_square,
 )
-from twosquares.search import _bit_pattern, monadic_layout
+from twosquares.search import monadic_keys, type_set_atom
 from twosquares.synthetic import (
     DIRECT_EMPTY_OK,
     DIRECT_NONEMPTY,
     Reading,
     SyntheticOptions,
     decide_synthetic_validity,
+    enumerate_copula_structures,
     enumerate_synthetic_models,
+    synthetic_space,
 )
+from twosquares.verdicts import Valid
 from oracles import models, scan_classify, scan_decide, verdict_bytes
 
 # (semantics, bounds) for every family, policy and reading
 CASES = [
     *[(AnalyticSemantics(policy), (0, 1, 2, 3, 4)) for policy in (IMPORT_ON, IMPORT_OFF)],
-    *[(SyntheticSemantics(opts), (0, 1, 2, 3, 4)) for opts in (DIRECT_NONEMPTY, DIRECT_EMPTY_OK)],
+    (SyntheticSemantics(DIRECT_NONEMPTY), (1, 2, 3, 4)),
+    (SyntheticSemantics(DIRECT_EMPTY_OK), (0, 1, 2, 3, 4)),
     *[
         (SyntheticSemantics(SyntheticOptions(reading, empty)), (1, 2, 3))
         for reading in (Reading.DERIVED_LITERAL, Reading.DERIVED_CHARITABLE)
@@ -117,35 +128,92 @@ def test_decisions_and_classifications_match_the_oracle(semantics, bounds):
             ), (left, right, bound)
 
 
-def test_layout_matches_the_enumeration():
-    terms = ("M", "P", "S")
-    enumerated = list(enumerate_synthetic_models(terms, 2, DIRECT_EMPTY_OK))
-    layout = monadic_layout(len(terms), 0, 2)
-    assert layout.full == (1 << len(enumerated)) - 1
-    for m, model in enumerate(enumerated):
-        size, masks = layout.masks(m)
-        assert len(model.universe) == size
-        for t, term in enumerate(terms):
-            for i, individual in enumerate(model.universe):
-                fact = model.holds(individual, term)
-                assert bool(masks[t] >> i & 1) == fact
-                assert bool(layout.member[t][i] >> m & 1) == fact
-            assert not any(layout.member[t][i] >> m & 1 for i in range(size, 2))
+@pytest.mark.parametrize(
+    "reading, enumerate_models",
+    [
+        (Reading.DIRECT, enumerate_synthetic_models),
+        (Reading.DERIVED_LITERAL, enumerate_copula_structures),
+    ],
+    ids=["direct", "derived"],
+)
+def test_bound_0_without_the_empty_universe_is_refused(reading, enumerate_models):
+    # no universe of size 1..0 exists, so there would be no model to search
+    opts = SyntheticOptions(reading)
+    square = synthetic_square()
+    with pytest.raises(BoundError):
+        decide_synthetic_validity(parse("S sa P"), 0, opts)
+    with pytest.raises(BoundError):
+        classify_pair(square.corners["a"], square.corners["o"], SyntheticSemantics(opts), 0)
+    with pytest.raises(BoundError):
+        next(enumerate_models(("P", "S"), 0, opts))
 
 
-def test_bit_pattern_by_doubling():
-    for b, length in ((0, 2), (0, 16), (2, 16), (3, 16), (4, 64)):
-        assert _bit_pattern(b, length) == sum(1 << m for m in range(length) if m >> b & 1)
+def type_set_of(model, terms):
+    """The set of term-types the individuals of a monadic model realize."""
+    if isinstance(model, AnalyticModel):
+        return frozenset(frozenset(t for t in terms if x in model.ext[t]) for x in model.domain)
+    return frozenset(frozenset(t for t in terms if model.holds(x, t)) for x in model.universe)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_type_sets_come_in_the_order_of_their_first_models(k):
+    terms = ("M", "P", "S", "T")[:k]
+    for bound in range(3 if k == 4 else 5):
+        spaces = [
+            (analytic_space(terms, bound, IMPORT_ON), enumerate_analytic_models(terms, bound)),
+            (
+                synthetic_space(terms, bound, DIRECT_EMPTY_OK),
+                enumerate_synthetic_models(terms, bound, DIRECT_EMPTY_OK),
+            ),
+        ]
+        if bound:  # the nonempty direct family starts at size 1
+            spaces.append((
+                synthetic_space(terms, bound, DIRECT_NONEMPTY),
+                enumerate_synthetic_models(terms, bound, DIRECT_NONEMPTY),
+            ))
+        for space, enumerated in spaces:
+            first = {}
+            for model in enumerated:
+                first.setdefault(type_set_of(model, terms), model)
+            assert space.full == (1 << len(first)) - 1, (k, bound)
+            witnesses = [space.model(m).to_dict() for m in range(len(first))]
+            assert witnesses == [model.to_dict() for model in first.values()], (k, bound)
+
+
+def test_type_set_counts():
+    for k, bound, count in ((1, 4, 4), (2, 4, 16), (3, 4, 163), (4, 3, 697), (5, 4, 41449)):
+        assert len(monadic_keys(k, 0, bound)) == count
+        assert len(monadic_keys(k, 1, bound)) == count - 1
+    assert analytic_space(("P", "S"), 4, IMPORT_ON).full.bit_length() == 16
+    assert synthetic_space(("M", "P", "S"), 4, DIRECT_NONEMPTY).full.bit_length() == 162
+
+
+def chain(k, copula="a"):
+    """`T00 c T01 & ... & Tk-2 c Tk-1 -> T00 c Tk-1`, valid for `a` with import on."""
+    links = " & ".join(f"T{i:02} {copula} T{i + 1:02}" for i in range(k - 1))
+    return parse(f"{links} -> T00 {copula} T{k - 1:02}")
 
 
 def test_bound_guard_comes_before_any_table():
-    before = monadic_layout.cache_info().currsize
+    before = monadic_keys.cache_info().currsize, type_set_atom.cache_info().currsize
     with pytest.raises(BoundError):
         decide_analytic_validity(parse("S a P"), 7)
     with pytest.raises(BoundError):
         decide_synthetic_validity(parse("S sa P"), 5)
     with pytest.raises(BoundError):
         decide_synthetic_validity(parse("S sa P"), -1, DIRECT_EMPTY_OK)
-    with pytest.raises(BoundError):  # 34 636 833 models over five terms
+    with pytest.raises(BoundError):  # 242 825 type-sets over five terms
         decide_analytic_validity(parse("S a P | M a Q | Q a R"), 5)
-    assert monadic_layout.cache_info().currsize == before
+    # the smallest refused term count at each bound: past 2^16 type-sets
+    for k, bound, count in ((6, 4, 679121), (7, 3, 349633), (9, 2, 131329), (16, 1, 65537)):
+        with pytest.raises(BoundError, match=f"give {count} type-sets"):
+            decide_analytic_validity(chain(k), bound)
+    with pytest.raises(BoundError, match="give 131072 type-sets"):
+        decide_synthetic_validity(chain(17, "sa"), 1)
+    assert (monadic_keys.cache_info().currsize, type_set_atom.cache_info().currsize) == before
+
+
+def test_largest_admitted_shapes_decide():
+    # 41 449 type-sets over five terms at bound 4, 32 897 over eight at bound 2
+    assert decide_analytic_validity(chain(5), 4) == Valid(4)
+    assert decide_analytic_validity(chain(8), 2) == Valid(2)

@@ -2,6 +2,8 @@
 
 Subcommands: eval, classify, square, prove, verify-paper, diagram.
 Exit codes: 0 pass, 1 expectation failure, 2 usage or input error.
+Each handler imports the report, the prover or the renderer it uses, so
+that the other subcommands neither compile nor run them.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import json
 import sys
 
 from .analytic import IMPORT_OFF, IMPORT_ON, AnalyticModel
-from .diagram import emit_diagram
 from .errors import TwoSquaresError
 from .formula import Schema, parse, render, term_names
 from .opposition import (
@@ -22,8 +23,6 @@ from .opposition import (
     synthetic_square,
     verify_square,
 )
-from .proofs import AxiomSet, check_derivation, parse_script
-from .report import report_json, report_text, run_verify_paper
 from .synthetic import CopulaStructure, Reading, SyntheticModel, SyntheticOptions
 
 
@@ -113,7 +112,7 @@ def _square_report(args):
 def _cmd_square(args) -> int:
     report = _square_report(args)
     if args.json:
-        from .report import square_dict
+        from .diagram import square_dict
 
         _write(json.dumps(square_dict(report), indent=2) + "\n", args.out)
     else:
@@ -130,12 +129,16 @@ def _cmd_square(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
+    from .diagram import emit_diagram
+
     report = _square_report(args)
     _write(emit_diagram(report), args.out)
     return 0 if report.passed else 1
 
 
-def _axiom_set(spec: str) -> AxiomSet:
+def _axiom_set(spec: str):
+    from .proofs import AxiomSet
+
     wanted = {w.strip() for w in spec.split(",") if w.strip()}
     known = {"a5", "a6", "a7", "a8", "def"}
     unknown = wanted - known
@@ -151,6 +154,8 @@ def _axiom_set(spec: str) -> AxiomSet:
 
 
 def _cmd_prove(args) -> int:
+    from .proofs import check_derivation, parse_script
+
     with open(args.script, encoding="utf-8") as handle:
         derivation = parse_script(handle.read())
     result = check_derivation(derivation, _axiom_set(args.axioms))
@@ -171,6 +176,8 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
+    from .report import report_json, report_text, run_verify_paper
+
     report = run_verify_paper(args.bound, args.atoms)
     _write(report_json(report) if args.json else report_text(report), args.out)
     return 0 if report["pass"] else 1

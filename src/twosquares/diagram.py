@@ -1,4 +1,4 @@
-"""DOT rendering of verified (or failed) squares of opposition."""
+"""DOT and JSON renderings of verified (or failed) squares of opposition."""
 
 from __future__ import annotations
 
@@ -41,3 +41,27 @@ def emit_diagram(square: SquareReport) -> str:
         lines.append(_edge(pair))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def square_dict(report: SquareReport) -> dict:
+    """The square as JSON data, as `square --json` and the report give it."""
+    pairs = []
+    for pv in report.pairs:
+        row = {
+            "corners": f"{pv.first}-{pv.second}",
+            "expected": pv.expected.value,
+            "actual": pv.relation.kind.value,
+            "ok": pv.ok,
+            "witnesses": {
+                name: model.to_dict() for name, model in pv.relation.witnesses().items()
+            },
+        }
+        pairs.append(row)
+    return {
+        "name": report.name,
+        "semantics": report.semantics_label,
+        "bound": report.bound,
+        "corners": dict(report.corner_text),
+        "pairs": pairs,
+        "pass": report.passed,
+    }

@@ -18,6 +18,7 @@ claimed.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 from enum import Enum
 
@@ -298,8 +299,10 @@ _AXIOM_TEXTS = (
 )
 
 
+@functools.cache
 def catalog_entries() -> tuple[CatalogEntry, ...]:
-    """The fixed catalog: theorems T01-T20 and axioms A5-A8, in id order."""
+    """The fixed catalog: theorems T01-T20 and axioms A5-A8, in id order,
+    parsed once and shared (the records are frozen)."""
     entries = [
         CatalogEntry(tid, schema_of(text), "theorem-list", ExpectedStatus(True))
         for tid, text in _THEOREM_TEXTS

@@ -16,12 +16,12 @@ import json
 
 from . import __version__
 from .analytic import IMPORT_OFF, IMPORT_ON
+from .diagram import square_dict
 from .errors import BoundError, TwoSquaresError
 from .formula import Atom, Copula, parse, render
 from .opposition import (
     AnalyticSemantics,
     CatalogResult,
-    SquareReport,
     SyntheticSemantics,
     analytic_square,
     catalog_entries,
@@ -80,29 +80,6 @@ def _verdict_dict(verdict: Verdict) -> dict:
         "witness": verdict.model.to_dict(),
         "witness_summary": verdict.model.summary(),
         "atom_values": {atom: value for atom, value in verdict.atom_trace},
-    }
-
-
-def square_dict(report: SquareReport) -> dict:
-    pairs = []
-    for pv in report.pairs:
-        row = {
-            "corners": f"{pv.first}-{pv.second}",
-            "expected": pv.expected.value,
-            "actual": pv.relation.kind.value,
-            "ok": pv.ok,
-            "witnesses": {
-                name: model.to_dict() for name, model in pv.relation.witnesses().items()
-            },
-        }
-        pairs.append(row)
-    return {
-        "name": report.name,
-        "semantics": report.semantics_label,
-        "bound": report.bound,
-        "corners": dict(report.corner_text),
-        "pairs": pairs,
-        "pass": report.passed,
     }
 
 

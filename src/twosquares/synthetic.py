@@ -152,9 +152,12 @@ def eval_synthetic(
 
 
 def _universe_sizes(max_u: int, opts: SyntheticOptions) -> range:
-    """The universe sizes up to `max_u`, or an error if none or past the reading's cap."""
-    low = 0 if opts.allow_empty_universe else 1
-    cap = MAX_UNIVERSE_DIRECT if opts.reading is Reading.DIRECT else MAX_UNIVERSE_DERIVED
+    """The universe sizes up to `max_u`, or an error if none or past the
+    reading's cap.  Only the direct reading has an empty model: a copula
+    structure needs an individual to denote its terms."""
+    direct = opts.reading is Reading.DIRECT
+    low = 0 if opts.allow_empty_universe and direct else 1
+    cap = MAX_UNIVERSE_DIRECT if direct else MAX_UNIVERSE_DERIVED
     if not low <= max_u <= cap:
         raise BoundError(f"universe bound {max_u} outside {low}..{cap} for {opts.reading.value}")
     return range(low, max_u + 1)
@@ -183,10 +186,10 @@ def enumerate_copula_structures(
     terms: tuple[str, ...], max_u: int, opts: SyntheticOptions
 ) -> Iterator[CopulaStructure]:
     """All copula structures with |U| <= max_u: every primitive relation,
-    every denotation assignment.  A nonempty term list admits no empty
-    structure (denotations need a target), so size 0 yields none.  This is
-    the definition of the order `derived_image` keeps and the tests'
-    oracle; no decision walks it."""
+    every denotation assignment.  Sizes start at 1 even when the empty
+    universe is allowed, as denotations need a target.  This is the
+    definition of the order `derived_image` keeps and the tests' oracle;
+    no decision walks it."""
     for size in _universe_sizes(max_u, opts):
         universe = _INDIVIDUALS[:size]
         pairs = [(a, b) for a in universe for b in universe]

@@ -61,10 +61,9 @@ def derived_scan(terms, bound, opts):
     """The derived image by a scan of every structure: the first
     structure of each type-set its induced model realizes."""
     charitable = opts.reading is Reading.DERIVED_CHARITABLE
-    start = 0 if opts.allow_empty_universe else 1
     witnesses = {}
     for c, types in zip(structure_walk(terms), _type_sets(terms, charitable)):
-        if start <= len(c.universe) <= bound:
+        if len(c.universe) <= bound:
             witnesses.setdefault(types, c)
     return tuple(witnesses.values())
 
@@ -72,11 +71,10 @@ def derived_scan(terms, bound, opts):
 @functools.cache
 def structure_walk(terms):
     """Every copula structure over `terms` up to the derived bound, in
-    enumeration order, with the empty universe allowed: it adds the one
-    empty structure when `terms` is empty and none otherwise.  The
-    reading does not change the walk, and the structures of a smaller
-    universe come first."""
-    opts = SyntheticOptions(Reading.DERIVED_LITERAL, allow_empty_universe=True)
+    enumeration order.  Neither the reading nor allowing the empty
+    universe changes the walk; the structures of a smaller universe come
+    first."""
+    opts = SyntheticOptions(Reading.DERIVED_LITERAL)
     return tuple(enumerate_copula_structures(terms, MAX_UNIVERSE_DERIVED, opts))
 
 

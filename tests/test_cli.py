@@ -67,6 +67,40 @@ def test_a_cold_verify_paper_loads_no_class_building_modules():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+HEAVY_MODULES = ("twosquares.proofs", "twosquares.report", "twosquares.starb")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (None, ()),
+        (["eval", "S si P", "--model", "MODEL"], ()),
+        (["classify", "S sa P", "S so P"], ()),
+        (["square"], ()),
+        (["square", "--json"], ()),
+        (["diagram"], ()),
+        (["verify-paper", "--json"], HEAVY_MODULES),
+    ],
+    ids=["import", "eval", "classify", "square", "square-json", "diagram", "verify-paper"],
+)
+def test_each_command_loads_only_the_modules_it_runs(synthetic_model, argv, loaded):
+    """The report, the prover and the carrier are loaded by the commands
+    that run them and by no other."""
+    run_argv = [synthetic_model if a == "MODEL" else a for a in argv or ()]
+    script = (
+        "import contextlib, io, sys\n"
+        "import twosquares.cli as cli\n"
+        f"if {run_argv!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert cli.main({run_argv!r}) == 0\n"
+        f"print(sorted(set(sys.modules) & set({HEAVY_MODULES!r})))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{sorted(loaded)}\n", "")
+
+
 def test_eval_analytic(capsys, analytic_model):
     code, out, _ = run(
         capsys, "eval", "S a P", "--model", analytic_model, "--semantics", "analytic"
@@ -136,6 +170,16 @@ def test_square_refuses_bound_0_with_a_nonempty_universe(capsys, reading):
     code, out, err = run(capsys, "square", "--bound", "0", "--reading", reading)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["square"], ["classify", "S sa P", "S si P"]], ids=str)
+@pytest.mark.parametrize("reading", ["derived", "derived-charitable"])
+def test_derived_bound_0_is_refused_even_with_the_empty_universe(capsys, command, reading):
+    # a copula structure needs an individual to denote its terms
+    argv = [*command, "--bound", "0", "--allow-empty", "--reading", reading]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: universe bound 0 outside 1..3 for {reading}\n"
 
 
 def test_diagram_contains_nodes_and_styled_edges(capsys):

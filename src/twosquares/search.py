@@ -118,6 +118,7 @@ class ModelSpace(Record):
 
 
 MAX_TYPE_SETS = 1 << 16  # one bit per type-set: all those of four terms, 8 KiB a vector
+MAX_TYPE_BITS = 1 << 24  # type-sets x 2^k bits: the keys, and the per-type vectors at most; 2 MiB
 
 
 def _descending(k: int, types: Iterable[int]) -> list[int]:
@@ -135,6 +136,11 @@ def monadic_keys(k: int, start: int, bound: int) -> tuple[int, ...]:
     if count > MAX_TYPE_SETS:
         raise BoundError(
             f"{k} terms up to size {bound} give {count} type-sets, over the cap of {MAX_TYPE_SETS}"
+        )
+    if count << k > MAX_TYPE_BITS:
+        raise BoundError(
+            f"{k} terms up to size {bound} give {count} type-sets of {1 << k} bits each,"
+            f" {count << k} bits over the cap of {MAX_TYPE_BITS}"
         )
     keys = []
     for n in sizes:

@@ -26,8 +26,10 @@ preferred; they exist to probe the composite definition.
 
 A form's truth depends only on which sets of terms the individuals of
 a model realize, so derived decisions range over the derived image:
-the first structure of each realized type-set.  It is computed once per
-term count, bound and reading from per-relation bitmask columns; only
+the first structure of each realized type-set.  It is computed from
+bitmask columns: one pass over the relations of each universe size and
+reading, shared by every term count, keeps the relations with new
+columns, and only the distinct columns are chosen as denotations.  Only
 the witnesses themselves are built as structures.
 """
 
@@ -206,34 +208,57 @@ def _columns(size: int, prim_mask: int, charitable: bool) -> tuple[int, ...]:
     prim x.  With pred(x) = {y : y prim x}, x can be a subject iff pred(x)
     is a nonempty clique; the literal reading then holds iff pred(x) =
     pred(b) = U, the charitable one iff pred(x) is a subset of pred(b)."""
-    cells, everyone = range(size), (1 << size) - 1
-    pred = [sum((prim_mask >> (size * y + x) & 1) << y for y in cells) for x in cells]
-    within = lambda x, b: (pred[x] | pred[b]) == pred[b]
-    subjects = [x for x in cells if pred[x] and all(within(x, z) for z in cells if pred[x] >> z & 1)]
-    is_b = within if charitable else lambda x, b: pred[x] == pred[b] == everyone
-    return tuple(sum(1 << x for x in subjects if is_b(x, b)) for b in cells)
+    everyone, pred = (1 << size) - 1, [0] * size
+    for i in range(size * size):
+        if prim_mask >> i & 1:
+            pred[i % size] |= 1 << i // size
+    col = [0] * size
+    for x, p in enumerate(pred):
+        subject = p != 0
+        for z in range(size):
+            if p >> z & 1 and p & ~pred[z]:
+                subject = False
+        if subject:
+            for b, q in enumerate(pred):
+                if (p & ~q == 0) if charitable else p == q == everyone:
+                    col[b] |= 1 << x
+    return tuple(col)
 
 
 @functools.cache
-def _derived_scan(k: int, bound: int, opts: SyntheticOptions) -> Mapping[int, CopulaStructure]:
+def _relations(size: int, charitable: bool) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(prim_mask, columns) of the first relation, in `prim_mask` order, of
+    each distinct column tuple over `size` individuals.  A later relation
+    with the same columns realizes only type-sets an earlier one did."""
+    first: dict[tuple[int, ...], int] = {}
+    for prim_mask in range(1 << size * size):
+        first.setdefault(_columns(size, prim_mask, charitable), prim_mask)
+    return tuple((prim_mask, col) for col, prim_mask in first.items())
+
+
+def _derived_shape(k: int, bound: int, opts: SyntheticOptions) -> tuple[int, int, bool]:
+    """The key of a derived reading's image over k terms, or a bound error.
+    Allowing the empty universe changes nothing, as no structure is empty."""
+    _universe_sizes(bound, opts)
+    return k, bound, opts.reading is Reading.DERIVED_CHARITABLE
+
+
+@functools.cache
+def _derived_scan(k: int, bound: int, charitable: bool) -> Mapping[int, CopulaStructure]:
     """`derived_image` over the term positions 0..k-1 as term names, by type-set key.
 
     Walks the structures in `enumerate_copula_structures` order without
-    building them.  A denotation choice d gives individual x the type
-    {t : x in col[d[t]]}, so the type-set is a 2^k-bit key.  A relation
-    with the columns of an earlier one of the same size yields only keys
-    already seen, so it is skipped."""
-    charitable = opts.reading is Reading.DERIVED_CHARITABLE
+    building them, over `_relations` only.  A denotation choice d gives
+    individual x the type {t : x in col[d[t]]}, so the type-set is a
+    2^k-bit key.  Only the first individual of each distinct column is
+    chosen: a later one repeats the key of a choice that comes earlier in
+    product order."""
     witnesses: dict[int, CopulaStructure] = {}
-    for size in _universe_sizes(bound, opts):
+    for size in range(1, bound + 1):
         universe = _INDIVIDUALS[:size]
-        seen = set()
-        for prim_mask in range(1 << size * size):
-            col = _columns(size, prim_mask, charitable)
-            if col in seen:
-                continue
-            seen.add(col)
-            for choice in itertools.product(range(size), repeat=k):
+        for prim_mask, col in _relations(size, charitable):
+            firsts = [b for b in range(size) if col.index(col[b]) == b]
+            for choice in itertools.product(firsts, repeat=k):
                 key = 0
                 for x in range(size):
                     key |= 1 << sum((col[b] >> x & 1) << t for t, b in enumerate(choice))
@@ -256,8 +281,10 @@ def derived_image(
     induced models realize, in order of first appearance.  As a form's
     truth depends only on the type-set, searching the image gives the
     verdicts and witnesses of a full scan.  It is computed by term
-    position, once per term count, bound and reading."""
-    return tuple(_named(c, terms) for c in _derived_scan(len(terms), bound, opts).values())
+    position, from one relation pass per universe size and reading that
+    every term count shares."""
+    scan = _derived_scan(*_derived_shape(len(terms), bound, opts))
+    return tuple(_named(c, terms) for c in scan.values())
 
 
 def synthetic_space(terms: tuple[str, ...], bound: int, opts: SyntheticOptions) -> ModelSpace:
@@ -265,9 +292,9 @@ def synthetic_space(terms: tuple[str, ...], bound: int, opts: SyntheticOptions) 
     model in enumeration order, or a derived reading's image."""
     if opts.reading is Reading.DIRECT:
         return monadic_space(terms, _universe_sizes(bound, opts).start, bound, True, False, _model)
-    k = len(terms)
-    image = tuple(_derived_scan(k, bound, opts).values())
-    atom_vector = functools.partial(type_set_atom, _derived_scan, (k, bound, opts), False)
+    shape = _derived_shape(len(terms), bound, opts)
+    image = tuple(_derived_scan(*shape).values())
+    atom_vector = functools.partial(type_set_atom, _derived_scan, shape, False)
     model_at = lambda m: _named(image[m], terms)  # noqa: E731
     return ModelSpace((1 << len(image)) - 1, bound, terms, True, atom_vector, model_at)
 

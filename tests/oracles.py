@@ -61,8 +61,10 @@ def derived_scan(terms, bound, opts):
     """The derived image by a scan of every structure: the first
     structure of each type-set its induced model realizes."""
     charitable = opts.reading is Reading.DERIVED_CHARITABLE
+    walk = structure_walk(terms)
+    assert bound <= len(walk[-1].universe), "the walk stops below this bound"
     witnesses = {}
-    for c, types in zip(structure_walk(terms), _type_sets(terms, charitable)):
+    for c, types in zip(walk, _type_sets(terms, charitable)):
         if len(c.universe) <= bound:
             witnesses.setdefault(types, c)
     return tuple(witnesses.values())
@@ -70,12 +72,14 @@ def derived_scan(terms, bound, opts):
 
 @functools.cache
 def structure_walk(terms):
-    """Every copula structure over `terms` up to the derived bound, in
-    enumeration order.  Neither the reading nor allowing the empty
+    """Every copula structure over `terms` up to the derived bound, or up
+    to bound 2 past three terms (four give 41 730 structures at bound 3),
+    in enumeration order.  Neither the reading nor allowing the empty
     universe changes the walk; the structures of a smaller universe come
     first."""
     opts = SyntheticOptions(Reading.DERIVED_LITERAL)
-    return tuple(enumerate_copula_structures(terms, MAX_UNIVERSE_DERIVED, opts))
+    bound = MAX_UNIVERSE_DERIVED if len(terms) <= 3 else 2
+    return tuple(enumerate_copula_structures(terms, bound, opts))
 
 
 @functools.cache

@@ -204,16 +204,20 @@ def test_bound_guard_comes_before_any_table():
         decide_synthetic_validity(parse("S sa P"), -1, DIRECT_EMPTY_OK)
     with pytest.raises(BoundError):  # 242 825 type-sets over five terms
         decide_analytic_validity(parse("S a P | M a Q | Q a R"), 5)
-    # the smallest refused term count at each bound: past 2^16 type-sets
-    for k, bound, count in ((6, 4, 679121), (7, 3, 349633), (9, 2, 131329), (16, 1, 65537)):
+    # the smallest refused term count at each bound: past 2^16 type-sets,
+    # or at bound 1 past 2^24 bits of type-set keys
+    for k, bound, count in ((6, 4, 679121), (7, 3, 349633), (9, 2, 131329), (12, 1, 4097)):
         with pytest.raises(BoundError, match=f"give {count} type-sets"):
             decide_analytic_validity(chain(k), bound)
-    with pytest.raises(BoundError, match="give 131072 type-sets"):
-        decide_synthetic_validity(chain(17, "sa"), 1)
+    with pytest.raises(BoundError, match="give 8192 type-sets of 8192 bits each, 67108864 bits"):
+        decide_synthetic_validity(chain(13, "sa"), 1)
     assert (monadic_keys.cache_info().currsize, type_set_atom.cache_info().currsize) == before
 
 
 def test_largest_admitted_shapes_decide():
-    # 41 449 type-sets over five terms at bound 4, 32 897 over eight at bound 2
+    # 41 449 type-sets over five terms at bound 4, 32 897 over eight at bound 2,
+    # and at bound 1 2 049 keys of 2^11 bits, or 4 096 of 2^12 without the empty model
     assert decide_analytic_validity(chain(5), 4) == Valid(4)
     assert decide_analytic_validity(chain(8), 2) == Valid(2)
+    assert decide_analytic_validity(chain(11), 1) == Valid(1)
+    assert decide_synthetic_validity(chain(12, "sa"), 1) == Valid(1)

@@ -201,12 +201,15 @@ def test_induced_model_matches_derived_copula(terms):
 
 @pytest.mark.parametrize("empty", [False, True], ids=["nonempty", "empty-allowed"])
 @pytest.mark.parametrize("reading", [Reading.DERIVED_LITERAL, Reading.DERIVED_CHARITABLE], ids=str)
-@pytest.mark.parametrize("terms", [(), ("S",), ("P", "S"), ("M", "P", "S")], ids=len)
+@pytest.mark.parametrize(
+    "terms", [(), ("S",), ("P", "S"), ("M", "P", "S"), ("M", "P", "Q", "S")], ids=len
+)
 def test_derived_image_matches_the_structure_scan(terms, reading, empty):
     opts = SyntheticOptions(reading, empty)
     with pytest.raises(BoundError):  # no structure has an empty universe
         derived_image(terms, 0, opts)
-    for bound in range(1, 4):
+    # the oracle walks four terms up to bound 2 only
+    for bound in range(1, 3 if len(terms) > 3 else 4):
         image = [c.to_dict() for c in derived_image(terms, bound, opts)]
         assert image == [c.to_dict() for c in derived_scan(terms, bound, opts)], bound
 
@@ -216,14 +219,51 @@ def test_derived_decisions_do_not_enumerate_structures(monkeypatch):
         raise AssertionError("a derived decision enumerated every structure")
 
     monkeypatch.setattr(synthetic, "enumerate_copula_structures", refuse)
-    synthetic._derived_scan.cache_clear()
+    clear_derived_caches()
     try:
         for opts in (DERIVED, CHARITABLE):
             assert derived_image(("M", "P", "S"), 3, opts)
             decide_synthetic_validity(parse("(M sa P & S se M) -> S se P"), 3, opts)
             assert verify_square(synthetic_square(), SyntheticSemantics(opts), 3).pairs
     finally:
-        synthetic._derived_scan.cache_clear()
+        clear_derived_caches()
+
+
+def clear_derived_caches():
+    synthetic._derived_scan.cache_clear()
+    synthetic._relations.cache_clear()
+
+
+@pytest.mark.parametrize("opts", [DERIVED, CHARITABLE], ids=lambda o: o.reading.value)
+def test_one_relation_pass_per_universe_size(opts):
+    clear_derived_caches()
+    try:
+        verify_square(synthetic_square(), SyntheticSemantics(opts), 3)
+        decide_synthetic_validity(parse("(M sa P & S se M) -> S se P"), 3, opts)
+        decide_synthetic_validity(parse("S sa P"), 2, opts)
+        # two term counts at bound 3 and one at bound 2 share the passes of sizes 1-3
+        assert synthetic._relations.cache_info().misses == 3
+        assert synthetic._derived_scan.cache_info().misses == 3
+    finally:
+        clear_derived_caches()
+
+
+@pytest.mark.parametrize("reading", [Reading.DERIVED_LITERAL, Reading.DERIVED_CHARITABLE], ids=str)
+def test_allowing_the_empty_universe_shares_the_derived_scan(reading):
+    f = parse("S sa P -> S si P")
+    clear_derived_caches()
+    try:
+        verdicts = [
+            decide_synthetic_validity(f, 3, SyntheticOptions(reading, empty)) for empty in (False, True)
+        ]
+        assert verdicts[0] == verdicts[1]
+        assert synthetic._derived_scan.cache_info().misses == 1
+        assert synthetic._derived_scan.cache_info().hits == 1
+    finally:
+        clear_derived_caches()
+    # the flag still shows in the label
+    label = SyntheticSemantics(SyntheticOptions(reading, True)).label()
+    assert label == f"synthetic({reading.value}, empty-allowed)"
 
 
 # --- enumeration --------------------------------------------------------------

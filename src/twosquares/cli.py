@@ -139,18 +139,7 @@ def _cmd_diagram(args) -> int:
 def _axiom_set(spec: str):
     from .proofs import AxiomSet
 
-    wanted = {w.strip() for w in spec.split(",") if w.strip()}
-    known = {"a5", "a6", "a7", "a8", "def"}
-    unknown = wanted - known
-    if unknown:
-        raise TwoSquaresError(f"unknown axiom source(s): {', '.join(sorted(unknown))}")
-    return AxiomSet(
-        use_axiom5="a5" in wanted,
-        use_axiom6="a6" in wanted,
-        use_axiom7="a7" in wanted,
-        use_axiom8="a8" in wanted,
-        use_definitional_schemas="def" in wanted,
-    )
+    return AxiomSet(frozenset(w.strip() for w in spec.split(",") if w.strip()))
 
 
 def _cmd_prove(args) -> int:

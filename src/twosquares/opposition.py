@@ -48,9 +48,6 @@ class AnalyticSemantics(Record):
     def label(self) -> str:
         return f"analytic(import={self.policy.label()})"
 
-    def to_dict(self) -> dict:
-        return {"family": "analytic", "existential_import": self.policy.existential_import}
-
     def space(self, terms: tuple[str, ...], bound: int) -> ModelSpace:
         return analytic_space(terms, bound, self.policy)
 
@@ -66,13 +63,6 @@ class SyntheticSemantics(Record):
 
     def label(self) -> str:
         return f"synthetic({self.options.label()})"
-
-    def to_dict(self) -> dict:
-        return {
-            "family": "synthetic",
-            "reading": self.options.reading.value,
-            "allow_empty_universe": self.options.allow_empty_universe,
-        }
 
     def space(self, terms: tuple[str, ...], bound: int) -> ModelSpace:
         return synthetic_space(terms, bound, self.options)

@@ -33,23 +33,30 @@ from .record import Record
 
 MAX_TAUTOLOGY_ATOMS = 12
 
+# The axiom schemas are the catalog's A5-A8; a derivation citing one whose
+# catalog entry records a countermodel is flagged, not rejected.
+_AXIOMS = {f"axiom{e.id[1:]}": e for e in catalog_entries() if e.source == "axiom"}
+
+
+def _axiom_schema(f: Formula) -> Schema:
+    """`f` with its terms as metavariables, in first-occurrence order."""
+    return Schema(f, tuple(dict.fromkeys(t for a in atoms(f) for t in (a.subject, a.predicate))))
+
+
 SCHEMAS: Mapping[str, Schema] = {
-    "axiom5": Schema(parse("S sa P -> S se P"), ("S", "P")),
-    "axiom6": Schema(parse("S so P -> P so S"), ("S", "P")),
-    "axiom7": Schema(parse("(M sa P & S sa M) -> S sa P"), ("M", "P", "S")),
-    "axiom8": Schema(parse("(M sa P & S se M) -> S se P"), ("M", "P", "S")),
+    **{sid: _axiom_schema(e.schema.formula) for sid, e in _AXIOMS.items()},
     "def-o": Schema(parse("(X so Y -> ~(X sa Y)) & (~(X sa Y) -> X so Y)"), ("X", "Y")),
     "def-e": Schema(parse("(X se Y -> ~(X si Y)) & (~(X si Y) -> X se Y)"), ("X", "Y")),
 }
 
-# Axiom schemas whose catalog entry records a countermodel under the
-# direct nonempty reading; derivations using them are flagged, not rejected.
-_REFUTED_FORMULAS = {
-    e.schema.formula for e in catalog_entries() if e.source == "axiom" and not e.expected.valid
+SEMANTICALLY_REFUTED = tuple(sid for sid, e in _AXIOMS.items() if not e.expected.valid)
+
+# `--axioms` names -> the schemas each one admits
+SOURCES: Mapping[str, tuple[str, ...]] = {
+    **{e.id.lower(): (sid,) for sid, e in _AXIOMS.items()},
+    "def": ("def-o", "def-e"),
 }
-SEMANTICALLY_REFUTED = tuple(
-    sid for sid, schema in SCHEMAS.items() if schema.formula in _REFUTED_FORMULAS
-)
+_SOURCE_OF = {sid: name for name, ids in SOURCES.items() for sid in ids}
 
 
 def is_tautology(f: Formula) -> bool:
@@ -64,33 +71,22 @@ def is_tautology(f: Formula) -> bool:
 
 
 class AxiomSet(Record):
-    use_axiom5: bool = True
-    use_axiom6: bool = True
-    use_axiom7: bool = True
-    use_axiom8: bool = True
-    use_definitional_schemas: bool = True
+    """The rule sources a derivation may cite, by their `SOURCES` names."""
+
+    sources: frozenset[str] = frozenset(SOURCES)
 
     def __post_init__(self) -> None:
-        if not any(
-            (self.use_axiom5, self.use_axiom6, self.use_axiom7, self.use_axiom8,
-             self.use_definitional_schemas)
-        ):
+        unknown = self.sources - SOURCES.keys()
+        if unknown:
+            raise ValueError(f"unknown axiom source(s): {', '.join(sorted(unknown))}")
+        if not self.sources:
             raise ValueError("at least one rule source must be enabled")
 
     def allows(self, schema_id: str) -> bool:
-        if schema_id in ("def-o", "def-e"):
-            return self.use_definitional_schemas
-        return {
-            "axiom5": self.use_axiom5,
-            "axiom6": self.use_axiom6,
-            "axiom7": self.use_axiom7,
-            "axiom8": self.use_axiom8,
-        }.get(schema_id, False)
+        return _SOURCE_OF.get(schema_id) in self.sources
 
 
-AXIOM5_WITH_DEFINITIONS = AxiomSet(
-    use_axiom6=False, use_axiom7=False, use_axiom8=False
-)
+AXIOM5_WITH_DEFINITIONS = AxiomSet(frozenset({"a5", "def"}))
 
 
 class AxiomInstance(Record):

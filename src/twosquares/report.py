@@ -55,17 +55,14 @@ from .starb import (
     mk_standard,
     verify_two_squares,
 )
-from .synthetic import DIRECT_EMPTY_OK, DIRECT_NONEMPTY
+from .synthetic import DIRECT_EMPTY_OK, DIRECT_NONEMPTY, MAX_UNIVERSE_DIRECT, SyntheticOptions
 from .verdicts import Counterexample, Valid, Verdict
 
 ANALYTIC_SQUARE_BOUND = 4  # the conventional-square claim is about |D| <= 4
-MAX_MODEL_BOUND = 4
 
 _NOTES = (
     "universal-affirmative: the bare-existence disjunct is implemented literally, "
     "so `S sa P` is true whenever anything is S",
-    "carrier order: nonstandard-vs-nonstandard comparisons in the fiat mode "
-    "fall back to the pointwise order",
     "strict designation is never met by a nonstandard atom value; the filter "
     "policy is reported alongside",
     "all validity verdicts are bounded; no unbounded claim is made",
@@ -132,12 +129,12 @@ def _synthetic_square_section(expect: _Expectations, model_bound: int) -> dict:
     return square_dict(report)
 
 
-def _catalog_row(result: CatalogResult) -> dict:
+def _catalog_row(result: CatalogResult, options: SyntheticOptions) -> dict:
     row = {
         "id": result.entry.id,
         "schema": render(result.entry.schema.formula),
         "source": result.entry.source,
-        "semantics": "synthetic(direct, nonempty)",
+        "semantics": SyntheticSemantics(options).label(),
         "expected": result.entry.expected.label(),
         **_verdict_dict(result.verdict),
         "met": result.status,
@@ -148,7 +145,7 @@ def _catalog_row(result: CatalogResult) -> dict:
 
 
 def _catalog_section(expect: _Expectations, model_bound: int) -> dict:
-    results = run_catalog(model_bound)
+    results = run_catalog(model_bound, DIRECT_NONEMPTY)
     for result in results:
         expect.add(
             result.entry.id,
@@ -168,8 +165,8 @@ def _catalog_section(expect: _Expectations, model_bound: int) -> dict:
     )
     return {
         "bound": model_bound,
-        "entries": [_catalog_row(r) for r in results],
-        "empty_universe_boundary": _catalog_row(boundary),
+        "entries": [_catalog_row(r, DIRECT_NONEMPTY) for r in results],
+        "empty_universe_boundary": _catalog_row(boundary, DIRECT_EMPTY_OK),
     }
 
 
@@ -287,11 +284,10 @@ def _bridge_table(bm: BridgeModel) -> dict:
         atom_values[copula] = str(value)
         satisfied[copula] = bridge_satisfies(bm, atom)
     axiom5_shape = bridge_satisfies(bm, parse("S sa P -> S se P"))
-    policy = bm.policy.label() if isinstance(bm.policy, (Strict, Filter)) else str(bm.policy)
     return {
         "generator": str(bm.generator),
         "column": bm.column.value,
-        "policy": policy,
+        "policy": bm.policy.label(),
         "atom_values": atom_values,
         "satisfied": satisfied,
         "axiom5_shape_satisfied": axiom5_shape,
@@ -374,8 +370,8 @@ def run_verify_paper(model_bound: int = 3, atom_count: int = 2) -> dict:
     carrier sweeps.  Section failures are recorded in the expectation
     table; the report's "pass" is true iff every expectation is met.
     """
-    if not 1 <= model_bound <= MAX_MODEL_BOUND:
-        raise BoundError(f"model bound {model_bound} outside 1..{MAX_MODEL_BOUND}")
+    if not 1 <= model_bound <= MAX_UNIVERSE_DIRECT:
+        raise BoundError(f"model bound {model_bound} outside 1..{MAX_UNIVERSE_DIRECT}")
     if not 1 <= atom_count <= MAX_ATOMS:
         raise BoundError(f"atom count {atom_count} outside 1..{MAX_ATOMS}")
     expect = _Expectations()

@@ -196,28 +196,12 @@ def fneg(x: UltraElement) -> UltraElement:
     return alg.carrier[x.bits >> n | (x.bits & alg.top) << n]
 
 
-class OrderMode(Enum):
-    POINTWISE = "pointwise"
-    PAPER_FIAT = "paper-fiat"
-
-
-_FIAT = OrderMode.PAPER_FIAT  # a global is cheaper to load than an Enum member
-
-
-def leq(x: UltraElement, y: UltraElement, mode: OrderMode = OrderMode.POINTWISE) -> bool:
-    """Order the carrier.
-
-    Pointwise: componentwise inclusion of the pairs (the order induced
-    by the pointwise meet/join).  PaperFiat: standard elements compare
-    as in the base algebra, every nonstandard element sits below every
-    nonzero standard element, *0 is the global bottom; nonstandard
-    against nonstandard is not specified by that rule set and falls
-    back to pointwise (flagged wherever reports rely on it).  Between
-    two standard elements the base order and the pointwise one agree.
-    """
+def leq(x: UltraElement, y: UltraElement) -> bool:
+    """The pointwise order: componentwise inclusion of the pairs, the
+    order induced by meet and join.  It acts on each atom's bit pair
+    alone, as every other carrier operation does.  Between two standard
+    elements it is the base algebra's order."""
     _same_algebra(x, y)
-    if mode is _FIAT and x.standard != y.standard:
-        return x.bits == 0 if x.standard else y.bits != 0
     return x.bits & ~y.bits == 0
 
 
@@ -499,7 +483,7 @@ class BridgeModel(Record):
     def designated(self, value: UltraElement) -> bool:
         if isinstance(self.policy, Strict):
             return value.bits == value.algebra.carrier_top
-        return leq(self.policy.threshold, value, OrderMode.POINTWISE)
+        return leq(self.policy.threshold, value)
 
 
 def bridge_satisfies(bm: BridgeModel, f: Formula) -> bool:

@@ -23,7 +23,6 @@ from twosquares.opposition import AnalyticSemantics, OppositionRelation, Relatio
 from twosquares.starb import (
     CaseOutcome,
     FiniteBooleanAlgebra,
-    OrderMode,
     Proposition1Report,
     SquareSweepResult,
 )
@@ -189,16 +188,8 @@ def pair_fneg(x):
     return PairElement(x.algebra, x.f1, x.f0)
 
 
-def pair_leq(x, y, mode=OrderMode.POINTWISE):
+def pair_leq(x, y):
     alg = x.algebra
-    if mode is OrderMode.POINTWISE:
-        return alg.leq(x.f0, y.f0) and alg.leq(x.f1, y.f1)
-    if x.standard and y.standard:
-        return alg.leq(x.f0, y.f0)
-    if x.standard:
-        return x.f0 == alg.bottom
-    if y.standard:
-        return y.f0 != alg.bottom
     return alg.leq(x.f0, y.f0) and alg.leq(x.f1, y.f1)
 
 

@@ -30,7 +30,6 @@ from twosquares.proofs import (
 from twosquares.report import run_verify_paper
 from twosquares.starb import (
     FiniteBooleanAlgebra,
-    OrderMode,
     all_elements,
     classify_cases,
     fneg,
@@ -160,7 +159,7 @@ def test_criterion_7_matrix_logic():
             for y in elements:
                 if x == top and matrix_imp(x, y) == top:
                     assert y == top
-                assert (matrix_imp(x, y) == top) == leq(x, y, OrderMode.POINTWISE)
+                assert (matrix_imp(x, y) == top) == leq(x, y)
 
 
 def _mutations(d: Derivation):

@@ -251,6 +251,16 @@ def test_verify_paper_small_bound_marks_a8_inconclusive(capsys):
     assert "[ ?? ] A8" in out
 
 
+def test_catalog_rows_name_the_semantics_they_ran_under(capsys):
+    # the catalog runs on nonempty universes; the T19 boundary row admits the empty one
+    code, out, _ = run(capsys, "verify-paper", "--json", "--bound", "2", "--atoms", "1")
+    catalog = json.loads(out)["sections"]["theorem_catalog"]
+    assert {row["semantics"] for row in catalog["entries"]} == {"synthetic(direct, nonempty)"}
+    boundary = catalog["empty_universe_boundary"]
+    assert boundary["semantics"] == "synthetic(direct, empty-allowed)"
+    assert boundary["witness"]["universe"] == []
+
+
 def test_verify_paper_json_to_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify-paper", "--json", "--out", str(out_path))

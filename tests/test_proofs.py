@@ -43,13 +43,7 @@ def test_tautology_atom_budget():
 
 def test_axiom_set_requires_a_source():
     with pytest.raises(ValueError):
-        AxiomSet(
-            use_axiom5=False,
-            use_axiom6=False,
-            use_axiom7=False,
-            use_axiom8=False,
-            use_definitional_schemas=False,
-        )
+        AxiomSet(frozenset())
 
 
 def _t09_derivation():
@@ -97,7 +91,7 @@ def test_rejects_wrong_schema_shape():
 
 def test_rejects_disabled_source():
     d = _t09_derivation()
-    no_defs = AxiomSet(use_definitional_schemas=False)
+    no_defs = AxiomSet(frozenset({"a5", "a6", "a7", "a8"}))
     result = check_derivation(d, no_defs)
     assert not result.ok and result.line == 2
     assert "disabled" in result.reason

@@ -14,7 +14,6 @@ from twosquares.starb import (
     Column,
     FiniteBooleanAlgebra,
     Filter,
-    OrderMode,
     Strict,
     UltraElement,
     algebraic_opposition,
@@ -177,10 +176,85 @@ def test_packed_carrier_matches_the_pair_oracle(atom_count):
         assert _as_pair(meet(x, y)) == _as_pair(pair_meet(o, p))
         assert _as_pair(join(x, y)) == _as_pair(pair_join(o, p))
         assert _as_pair(matrix_imp(x, y)) == _as_pair(pair_matrix_imp(o, p))
-        for mode in OrderMode:
-            assert leq(x, y, mode) == pair_leq(o, p, mode), (str(x), str(y), mode)
+        assert leq(x, y) == pair_leq(o, p), (str(x), str(y))
         assert incomparable(x, y) == pair_incomparable(o, p)
         assert (x == y) == (o == p)
+
+
+# --- the carrier acts atom by atom ------------------------------------------------
+
+ALG1 = FiniteBooleanAlgebra(1)
+
+
+def project(x, i):
+    """The 1-atom element on bits (i, i + n) of x: x's coefficients at atom i."""
+    n = x.algebra.atom_count
+    return ALG1.carrier[(x.bits >> i & 1) | (x.bits >> (i + n) & 1) << 1]
+
+
+def projections(x):
+    return [project(x, i) for i in range(x.algebra.atom_count)]
+
+
+def order_breaks(order, alg):
+    """The pairs on which `order` differs from its atom-by-atom reading."""
+    return [
+        (x, y)
+        for x, y in itertools.product(all_elements(alg), repeat=2)
+        if order(x, y) != all(map(order, projections(x), projections(y)))
+    ]
+
+
+def fiat_leq(x, y):
+    # a standard-first order: nonstandard elements below every nonzero
+    # standard one, *0 the bottom, pointwise otherwise
+    if x.standard != y.standard:
+        return x.bits == 0 if x.standard else y.bits != 0
+    return leq(x, y)
+
+
+@pytest.mark.parametrize("atom_count", [1, 2, 3, 4])
+def test_carrier_operations_act_atom_by_atom(atom_count):
+    # every element at 1-4 atoms; every pair at 1-3 atoms
+    alg = FiniteBooleanAlgebra(atom_count)
+    elems = all_elements(alg)
+    for x in elems:
+        assert projections(complement(x)) == [complement(p) for p in projections(x)]
+        assert projections(fneg(x)) == [fneg(p) for p in projections(x)]
+        assert x.standard == all(p.standard for p in projections(x))
+    if atom_count == 4:
+        return
+    for x, y in itertools.product(elems, repeat=2):
+        px, py = projections(x), projections(y)
+        assert projections(meet(x, y)) == list(map(meet, px, py))
+        assert projections(join(x, y)) == list(map(join, px, py))
+        assert projections(matrix_imp(x, y)) == list(map(matrix_imp, px, py))
+    assert order_breaks(leq, alg) == []
+
+
+def test_an_order_that_mixes_atoms_fails_the_atom_check():
+    # the standard-first order agrees with the pointwise one on one atom only
+    assert order_breaks(fiat_leq, ALG1) == []
+    assert len(order_breaks(fiat_leq, ALG2)) == 24
+    assert order_breaks(fiat_leq, FiniteBooleanAlgebra(3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sweep_counts_have_closed_forms(n):
+    alg = FiniteBooleanAlgebra(n)
+    report = verify_two_squares(alg)
+    assert (report.conventional.satisfied_by, report.conventional.nonstandard_satisfiers) == (
+        3**n, 3**n - 1
+    )
+    assert (report.synthetic.satisfied_by, report.synthetic.nonstandard_satisfiers) == (2**n, 0)
+    counts = [0] * 12
+    for x in all_elements(alg):
+        for outcome in classify_cases(x):
+            counts[outcome.case_id - 1] += outcome.hypothesis_holds
+    incomparable, unequal = 4**n - 2 * 3**n + 2**n, 4**n - 2**n
+    closed = {1: incomparable, 4: incomparable, 7: unequal, 10: unequal}
+    closed.update({case: 3**n for case in (2, 3, 5, 6)})
+    assert counts == [closed.get(case, 2**n) for case in range(1, 13)]
 
 
 # --- the argument flip ---------------------------------------------------------
@@ -307,31 +381,21 @@ def test_quotient_invariant_under_exception_lists(f0, f1, exceptions):
     assert quotient(RawFunction(ALG2, f0, f1, tuple(exceptions))) == base
 
 
-# --- order modes ----------------------------------------------------------------
+# --- the order -------------------------------------------------------------------
 
-def test_bottom_below_everything_in_both_modes():
+def test_bottom_below_everything():
     bottom = mk_standard(ALG2, 0)
     for x in all_elements(ALG2):
-        assert leq(bottom, x, OrderMode.POINTWISE)
-        assert leq(bottom, x, OrderMode.PAPER_FIAT)
-
-
-def test_fiat_puts_nonstandard_below_nonzero_standard():
-    x = UltraElement(ALG2, P, Q)
-    assert not leq(x, mk_standard(ALG2, P), OrderMode.POINTWISE)  # q not below p
-    assert leq(x, mk_standard(ALG2, P), OrderMode.PAPER_FIAT)
-    assert not leq(mk_standard(ALG2, P), x, OrderMode.PAPER_FIAT)
-    assert not leq(x, mk_standard(ALG2, 0), OrderMode.PAPER_FIAT)
+        assert leq(bottom, x)
 
 
 def test_pointwise_componentwise_inclusion():
-    assert leq(UltraElement(ALG2, P, 0), UltraElement(ALG2, P, Q), OrderMode.POINTWISE)
-    assert not leq(UltraElement(ALG2, P, Q), UltraElement(ALG2, P, 0), OrderMode.POINTWISE)
-
-
-def test_fiat_falls_back_to_pointwise_between_nonstandard():
-    x, y = UltraElement(ALG2, P, 0), UltraElement(ALG2, P, Q)
-    assert leq(x, y, OrderMode.PAPER_FIAT) == leq(x, y, OrderMode.POINTWISE)
+    assert leq(UltraElement(ALG2, P, 0), UltraElement(ALG2, P, Q))
+    assert not leq(UltraElement(ALG2, P, Q), UltraElement(ALG2, P, 0))
+    x = UltraElement(ALG2, P, Q)
+    assert not leq(x, mk_standard(ALG2, P))  # q not below p
+    assert not leq(mk_standard(ALG2, P), x)
+    assert not leq(x, mk_standard(ALG2, 0))
 
 
 # --- the twelve cases -------------------------------------------------------------
@@ -446,7 +510,7 @@ def test_matrix_modus_ponens_preserves_designation():
 def test_designation_matches_pointwise_order():
     top = mk_standard(ALG2, ALG2.top)
     for x, y in itertools.product(all_elements(ALG2), repeat=2):
-        assert (matrix_imp(x, y) == top) == leq(x, y, OrderMode.POINTWISE)
+        assert (matrix_imp(x, y) == top) == leq(x, y)
 
 
 def test_matrix_eval_compound():

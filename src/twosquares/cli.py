@@ -13,7 +13,7 @@ import json
 import sys
 
 from .analytic import IMPORT_OFF, IMPORT_ON, AnalyticModel
-from .errors import TwoSquaresError
+from .errors import SemanticsError, TwoSquaresError
 from .formula import Schema, parse, render, term_names
 from .opposition import (
     AnalyticSemantics,
@@ -55,7 +55,10 @@ def _write(text: str, out: str | None) -> None:
 
 def _load_model(path: str, args):
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise SemanticsError(f"model file {path!r} nests too deeply") from None
     if args.semantics == "analytic":
         return AnalyticModel.from_dict(data)
     if Reading(args.reading) is Reading.DIRECT:

@@ -197,7 +197,13 @@ def schema_of(text: str) -> Schema:
 
 # --- parsing ---------------------------------------------------------------
 
-_MAX_DEPTH = 400  # keeps pathological inputs from blowing the stack
+# Levels a formula may nest: each parenthesis, `~`, and connective of a
+# chain is one.  A level costs the parser two frames at most and a walker
+# one (`==` on two formulas three), all below the default recursion limit.
+_MAX_DEPTH = 200
+
+# connective token -> (node, binding strength); only `->` groups to the right
+_BINARY = {"&": (And, 3), "|": (Or, 2), "->": (Implies, 1)}
 
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|->|[~&|()]")
 _WS_RE = re.compile(r"\s*")
@@ -244,42 +250,41 @@ class _Parser:
             raise ParseError(f"unexpected token {tok[1] or 'end of input'!r}", tok[2], expected)
         return self.advance()
 
-    def formula(self, depth: int = 0) -> Formula:
-        if depth > _MAX_DEPTH:
-            raise ParseError("formula nesting too deep", self.peek()[2], ())
-        left = self.disjunction(depth)
-        if self.peek()[0] == "->":
-            self.advance()
-            return Implies(left, self.formula(depth + 1))
-        return left
+    # `binary` and `unary` take the levels enclosing them and return what
+    # they parsed with the levels it nests; both counts are bounded.
 
-    def disjunction(self, depth: int) -> Formula:
-        left = self.conjunction(depth)
-        while self.peek()[0] == "|":
-            self.advance()
-            left = Or(left, self.conjunction(depth))
-        return left
-
-    def conjunction(self, depth: int) -> Formula:
+    def binary(self, depth: int, minimum: int = 1) -> tuple[Formula, int]:
+        """Operands joined by connectives binding at least as tightly as `minimum`."""
         left = self.unary(depth)
-        while self.peek()[0] == "&":
-            self.advance()
-            left = And(left, self.unary(depth))
+        while _BINARY.get(self.peek()[0], (None, 0))[1] >= minimum:
+            node, strength = _BINARY[self.advance()[0]]
+            if node is Implies:
+                right = self.binary(depth + 1)
+            else:
+                right = self.binary(depth, strength + 1)
+            left = self.nest(node(left[0], right[0]), max(left[1], right[1]))
         return left
 
-    def unary(self, depth: int) -> Formula:
+    def nest(self, f: Formula, levels: int) -> tuple[Formula, int]:
+        """`f` one level above `levels`, or an error past the limit."""
+        if levels >= _MAX_DEPTH:
+            raise ParseError("formula nesting too deep", self.peek()[2], ())
+        return f, levels + 1
+
+    def unary(self, depth: int) -> tuple[Formula, int]:
         if depth > _MAX_DEPTH:
             raise ParseError("formula nesting too deep", self.peek()[2], ())
         kind, _, _ = self.peek()
         if kind == "~":
             self.advance()
-            return Not(self.unary(depth + 1))
+            operand, levels = self.unary(depth + 1)
+            return self.nest(Not(operand), levels)
         if kind == "(":
             self.advance()
-            inner = self.formula(depth + 1)
+            inner, levels = self.binary(depth + 1)
             self.expect(")", (")",))
-            return inner
-        return self.atom()
+            return self.nest(inner, levels)
+        return self.atom(), 0
 
     def term(self, expected: tuple[str, ...]) -> str:
         kind, lexeme, pos = self.peek()
@@ -307,7 +312,7 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse `text` into a Formula, or raise a positioned ParseError."""
     p = _Parser(text)
-    f = p.formula()
+    f, _ = p.binary(0)
     tok = p.peek()
     if tok[0] != "eof":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("end of input",))

@@ -29,7 +29,7 @@ from .analytic import (
     decide_analytic_validity,
     eval_analytic,
 )
-from .formula import Formula, Schema, instantiate, render, schema_of
+from .formula import Formula, Schema, render, schema_of
 from .record import Record
 from .search import ModelSpace
 from .synthetic import (
@@ -114,11 +114,8 @@ def classify_pair(
     witness is the first model in search order that shows it."""
     if set(phi.metavars) != set(psi.metavars) or len(phi.metavars) != 2:
         raise ValueError("schemas must share the same two metavariables")
-    identity = {m: m for m in phi.metavars}
-    left = instantiate(phi, identity)
-    right = instantiate(psi, identity)
     space = semantics.space(tuple(sorted(phi.metavars)), bound)
-    p, q = space.vector(left), space.vector(right)
+    p, q = space.vector(phi.formula), space.vector(psi.formula)
     both_true = space.first(p & q)
     both_false = space.first(space.full & ~(p | q))
     first_only = space.first(p & ~q)
@@ -304,10 +301,6 @@ def catalog_entries() -> tuple[CatalogEntry, ...]:
     return tuple(entries)
 
 
-def catalog_formula(entry: CatalogEntry) -> Formula:
-    return instantiate(entry.schema, {m: m for m in entry.schema.metavars})
-
-
 def _entry_status(entry: CatalogEntry, verdict: Verdict, bound: int) -> str:
     if entry.expected.valid:
         return "met" if isinstance(verdict, Valid) else "failed"
@@ -315,6 +308,12 @@ def _entry_status(entry: CatalogEntry, verdict: Verdict, bound: int) -> str:
     if isinstance(verdict, Counterexample):
         return "met" if len(verdict.model.universe) == size else "failed"
     return "inconclusive" if bound < size else "failed"
+
+
+def check_entry(entry: CatalogEntry, bound: int, options: SyntheticOptions) -> CatalogResult:
+    """Decide one catalog entry under the given synthetic options."""
+    verdict = SyntheticSemantics(options).decide(entry.schema.formula, bound)
+    return CatalogResult(entry, verdict, _entry_status(entry, verdict, bound))
 
 
 def run_catalog(
@@ -325,9 +324,4 @@ def run_catalog(
     Failures are data, not errors: each result carries the verdict and
     whether it met the entry's recorded expectation (which is stated for
     the default nonempty direct reading)."""
-    semantics = SyntheticSemantics(options)
-    results = []
-    for entry in catalog_entries():
-        verdict = semantics.decide(catalog_formula(entry), bound)
-        results.append(CatalogResult(entry, verdict, _entry_status(entry, verdict, bound)))
-    return tuple(results)
+    return tuple(check_entry(entry, bound, options) for entry in catalog_entries())

@@ -28,7 +28,7 @@ from collections.abc import Mapping
 
 from .errors import BoundError, ParseError
 from .formula import Formula, Implies, Schema, atoms, holds, instantiate, parse, render
-from .opposition import catalog_entries, catalog_formula
+from .opposition import catalog_entries
 from .record import Record
 
 MAX_TAUTOLOGY_ATOMS = 12
@@ -338,8 +338,7 @@ def bundled_theorem_derivations() -> dict[str, Derivation]:
     for entry in catalog_entries():
         if entry.source != "theorem-list":
             continue
-        target = catalog_formula(entry)
-        out[entry.id] = _build_derivation(target, _BUNDLE_PREMISES[entry.id])
+        out[entry.id] = _build_derivation(entry.schema.formula, _BUNDLE_PREMISES[entry.id])
     return out
 
 

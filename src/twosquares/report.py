@@ -12,6 +12,7 @@ environment details are recorded.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from . import __version__
@@ -24,8 +25,7 @@ from .opposition import (
     CatalogResult,
     SyntheticSemantics,
     analytic_square,
-    catalog_entries,
-    catalog_formula,
+    check_entry,
     run_catalog,
     synthetic_square,
     verify_square,
@@ -144,16 +144,17 @@ def _catalog_row(result: CatalogResult, options: SyntheticOptions) -> dict:
     return row
 
 
-def _catalog_section(expect: _Expectations, model_bound: int) -> dict:
-    results = run_catalog(model_bound, DIRECT_NONEMPTY)
+def _catalog_section(
+    expect: _Expectations, model_bound: int, results: tuple[CatalogResult, ...]
+) -> dict:
     for result in results:
         expect.add(
             result.entry.id,
             f"{render(result.entry.schema.formula)} expected {result.entry.expected.label()}",
             result.status,
         )
-    with_empty = run_catalog(model_bound, DIRECT_EMPTY_OK)
-    boundary = next(r for r in with_empty if r.entry.id == "T19")
+    t19 = next(r.entry for r in results if r.entry.id == "T19")
+    boundary = check_entry(t19, model_bound, DIRECT_EMPTY_OK)
     boundary_failed = (
         isinstance(boundary.verdict, Counterexample)
         and len(boundary.verdict.model.universe) == 0
@@ -303,8 +304,7 @@ def _bridge_section(expect: _Expectations, atom_count: int) -> dict:
         for column in (Column.PRIMARY, Column.ALTERNATE):
             for policy in (Strict(), Filter(generator)):
                 tables.append(_bridge_table(BridgeModel(generator, column, policy)))
-    strict_nonstandard = _bridge_table(BridgeModel(nonstandard, Column.PRIMARY, Strict()))
-    strict_top = _bridge_table(BridgeModel(top, Column.PRIMARY, Strict()))
+    strict_nonstandard, strict_top = tables[0], tables[4]  # the primary column, strict
     expect.add(
         "bridge-strict-nonstandard-atom",
         "strict designation leaves the nonstandard a-form atom unsatisfied",
@@ -323,29 +323,24 @@ def _bridge_section(expect: _Expectations, atom_count: int) -> dict:
     return {"atom_count": atom_count, "tables": tables}
 
 
-def _derivations_section(expect: _Expectations, model_bound: int) -> dict:
-    semantics = SyntheticSemantics(DIRECT_NONEMPTY)
-    targets = {
-        entry.id: catalog_formula(entry)
-        for entry in catalog_entries()
-        if entry.source == "theorem-list"
-    }
+def _derivations_section(expect: _Expectations, results: tuple[CatalogResult, ...]) -> dict:
+    """Check each bundled derivation; its semantic status is the catalog's
+    verdict for that theorem."""
+    catalog = {r.entry.id: r for r in results}
     rows = []
     all_ok = True
     all_valid = True
     for tid, derivation in sorted(bundled_theorem_derivations().items()):
-        result = check_proves(derivation, targets[tid], AXIOM5_WITH_DEFINITIONS)
-        verdict = semantics.decide(targets[tid], model_bound)
-        ok = result.ok
-        valid = isinstance(verdict, Valid)
-        all_ok = all_ok and ok
-        all_valid = all_valid and valid
+        target = catalog[tid]
+        result = check_proves(derivation, target.entry.schema.formula, AXIOM5_WITH_DEFINITIONS)
+        all_ok = all_ok and result.ok
+        all_valid = all_valid and isinstance(target.verdict, Valid)
         rows.append(
             {
                 "id": tid,
                 "lines": len(derivation.lines),
                 "check": result.describe(),
-                "semantic_status": verdict.describe(),
+                "semantic_status": target.verdict.describe(),
             }
         )
     expect.add(
@@ -376,15 +371,17 @@ def run_verify_paper(model_bound: int = 3, atom_count: int = 2) -> dict:
         raise BoundError(f"atom count {atom_count} outside 1..{MAX_ATOMS}")
     expect = _Expectations()
     sections: dict = {}
+    # one catalog run for both sections; an error is not cached, so each gets its marker
+    catalog = functools.cache(lambda: run_catalog(model_bound, DIRECT_NONEMPTY))
     builders = (
         ("analytic_square", lambda: _analytic_section(expect)),
         ("synthetic_square", lambda: _synthetic_square_section(expect, model_bound)),
-        ("theorem_catalog", lambda: _catalog_section(expect, model_bound)),
+        ("theorem_catalog", lambda: _catalog_section(expect, model_bound, catalog())),
         ("case_sweep", lambda: _case_section(expect, atom_count)),
         ("proposition1", lambda: _proposition1_section(expect, atom_count)),
         ("matrix_properties", lambda: _matrix_section(expect, atom_count)),
         ("bridge_models", lambda: _bridge_section(expect, atom_count)),
-        ("derivations", lambda: _derivations_section(expect, model_bound)),
+        ("derivations", lambda: _derivations_section(expect, catalog())),
     )
     for name, build in builders:
         try:

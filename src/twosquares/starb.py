@@ -86,18 +86,6 @@ class FiniteBooleanAlgebra(Record):
             raise SemanticsError(f"element {m} outside the algebra")
         return m
 
-    def meet(self, a: int, b: int) -> int:
-        return a & b
-
-    def join(self, a: int, b: int) -> int:
-        return a | b
-
-    def comp(self, a: int) -> int:
-        return self.top & ~a
-
-    def leq(self, a: int, b: int) -> bool:
-        return a & ~b == 0
-
     def render_element(self, m: int) -> str:
         if m == 0:
             return "0"

@@ -190,7 +190,7 @@ def enumerate_copula_structures(
     """All copula structures with |U| <= max_u: every primitive relation,
     every denotation assignment.  Sizes start at 1 even when the empty
     universe is allowed, as denotations need a target.  This is the
-    definition of the order `derived_image` keeps and the tests' oracle;
+    definition of the order the derived image keeps and the tests' oracle;
     no decision walks it."""
     for size in _universe_sizes(max_u, opts):
         universe = _INDIVIDUALS[:size]
@@ -245,7 +245,11 @@ def _derived_shape(k: int, bound: int, opts: SyntheticOptions) -> tuple[int, int
 
 @functools.cache
 def _derived_scan(k: int, bound: int, charitable: bool) -> Mapping[int, CopulaStructure]:
-    """`derived_image` over the term positions 0..k-1 as term names, by type-set key.
+    """The derived image over the term positions 0..k-1 as term names, by
+    type-set key: the first structure, in enumeration order, of each
+    type-set the induced models realize, in order of first appearance.  As
+    a form's truth depends only on the type-set, searching the image gives
+    the verdicts and witnesses of a full scan.
 
     Walks the structures in `enumerate_copula_structures` order without
     building them, over `_relations` only.  A denotation choice d gives
@@ -272,19 +276,6 @@ def _derived_scan(k: int, bound: int, charitable: bool) -> Mapping[int, CopulaSt
 
 def _named(c: CopulaStructure, terms: tuple[str, ...]) -> CopulaStructure:
     return CopulaStructure(c.universe, c.is_prim, {terms[t]: x for t, x in c.denote.items()})
-
-
-def derived_image(
-    terms: tuple[str, ...], bound: int, opts: SyntheticOptions
-) -> tuple[CopulaStructure, ...]:
-    """The first structure, in enumeration order, of each type-set the
-    induced models realize, in order of first appearance.  As a form's
-    truth depends only on the type-set, searching the image gives the
-    verdicts and witnesses of a full scan.  It is computed by term
-    position, from one relation pass per universe size and reading that
-    every term count shares."""
-    scan = _derived_scan(*_derived_shape(len(terms), bound, opts))
-    return tuple(_named(c, terms) for c in scan.values())
 
 
 def synthetic_space(terms: tuple[str, ...], bound: int, opts: SyntheticOptions) -> ModelSpace:

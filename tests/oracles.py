@@ -5,13 +5,14 @@ function visits the models one at a time, in the order the enumerators
 yield them, and stops where the first model of interest shows up, as
 the checkers did before they evaluated every model at once.
 `derived_scan` builds the derived image the same way, one structure and
-induced model at a time.  `structure_walk` and `induced_models` are one
+induced model at a time, and `derived_image` reads the package's image
+off its search space.  `structure_walk` and `induced_models` are one
 cached walk over every copula structure, shared by the tests that
 compare against all of them.
 
 The pair carrier, the oracle for the packed one in `twosquares.starb`:
 an element is the coefficient pair (f0, f1) and every operation acts on
-the two coefficients through the base algebra's own operations.
+the two coefficients, bitmasks of the base algebra, one at a time.
 """
 
 import functools
@@ -30,10 +31,10 @@ from twosquares.synthetic import (
     MAX_UNIVERSE_DERIVED,
     Reading,
     SyntheticOptions,
-    derived_image,
     enumerate_copula_structures,
     enumerate_synthetic_models,
     induced_model,
+    synthetic_space,
 )
 from twosquares.verdicts import Counterexample, Valid
 
@@ -46,6 +47,13 @@ def models(semantics, terms, bound):
     if opts.reading is Reading.DIRECT:
         return enumerate_synthetic_models(terms, bound, opts)
     return derived_image(terms, bound, opts)
+
+
+def derived_image(terms, bound, opts):
+    """The structures a derived reading's search ranges over, in order:
+    the first structure of each type-set its induced models realize."""
+    space = synthetic_space(terms, bound, opts)
+    return tuple(space.model(m) for m in range(space.full.bit_length()))
 
 
 def type_set(model):
@@ -171,17 +179,15 @@ def pair_elements(alg):
 
 
 def pair_meet(x, y):
-    alg = x.algebra
-    return PairElement(alg, alg.meet(x.f0, y.f0), alg.meet(x.f1, y.f1))
+    return PairElement(x.algebra, x.f0 & y.f0, x.f1 & y.f1)
 
 
 def pair_join(x, y):
-    alg = x.algebra
-    return PairElement(alg, alg.join(x.f0, y.f0), alg.join(x.f1, y.f1))
+    return PairElement(x.algebra, x.f0 | y.f0, x.f1 | y.f1)
 
 
 def pair_complement(x):
-    return PairElement(x.algebra, x.algebra.comp(x.f0), x.algebra.comp(x.f1))
+    return PairElement(x.algebra, x.algebra.top & ~x.f0, x.algebra.top & ~x.f1)
 
 
 def pair_fneg(x):
@@ -189,8 +195,7 @@ def pair_fneg(x):
 
 
 def pair_leq(x, y):
-    alg = x.algebra
-    return alg.leq(x.f0, y.f0) and alg.leq(x.f1, y.f1)
+    return x.f0 & ~y.f0 == 0 and x.f1 & ~y.f1 == 0
 
 
 def pair_incomparable(x, y):

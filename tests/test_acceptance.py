@@ -14,7 +14,6 @@ from twosquares.opposition import (
     SyntheticSemantics,
     analytic_square,
     catalog_entries,
-    catalog_formula,
     run_catalog,
     synthetic_square,
     verify_square,
@@ -182,7 +181,7 @@ def _mutations(d: Derivation):
 def test_criterion_8_proof_kernel():
     with _Criterion(8, "20 derivations check, mutations rejected, conclusions model-valid", 5.0):
         targets = {
-            e.id: catalog_formula(e) for e in catalog_entries() if e.source == "theorem-list"
+            e.id: e.schema.formula for e in catalog_entries() if e.source == "theorem-list"
         }
         derivations = bundled_theorem_derivations()
         assert len(derivations) == 20

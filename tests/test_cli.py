@@ -4,16 +4,19 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twosquares import opposition, report
 from twosquares.cli import main
-from twosquares.formula import Copula
+from twosquares.errors import BoundError
+from twosquares.formula import _MAX_DEPTH, Copula
 from twosquares.proofs import bundled_theorem_scripts
-from twosquares.synthetic import Reading
+from twosquares.synthetic import DIRECT_EMPTY_OK, DIRECT_NONEMPTY, Reading
 
 
 def run(capsys, *argv):
@@ -261,6 +264,42 @@ def test_catalog_rows_name_the_semantics_they_ran_under(capsys):
     assert boundary["witness"]["universe"] == []
 
 
+@pytest.mark.parametrize("bound, atoms", [(3, 2), (4, 3)])
+def test_verify_paper_decides_each_claim_once(monkeypatch, bound, atoms):
+    # the catalog under the nonempty reading, T19 alone with the empty
+    # universe allowed, and the analytic subalternation; the derivation
+    # rows reuse the catalog's verdicts
+    decisions = Counter()
+    synthetic_decide = opposition.decide_synthetic_validity
+    analytic_decide = opposition.decide_analytic_validity
+
+    def count_synthetic(f, bound, opts):
+        decisions[opts] += 1
+        return synthetic_decide(f, bound, opts)
+
+    def count_analytic(f, bound, policy):
+        decisions["analytic"] += 1
+        return analytic_decide(f, bound, policy)
+
+    monkeypatch.setattr(opposition, "decide_synthetic_validity", count_synthetic)
+    monkeypatch.setattr(opposition, "decide_analytic_validity", count_analytic)
+    assert report.run_verify_paper(bound, atoms)["pass"]
+    assert decisions == {DIRECT_NONEMPTY: 24, DIRECT_EMPTY_OK: 1, "analytic": 1}
+
+
+def test_a_failed_catalog_run_marks_both_sections_that_use_it(monkeypatch):
+    def refuse(bound, options):
+        raise BoundError("catalog refused")
+
+    monkeypatch.setattr(report, "run_catalog", refuse)
+    result = report.run_verify_paper(3, 1)
+    for name in ("theorem_catalog", "derivations"):
+        assert result["sections"][name] == {"error": "catalog refused"}
+        assert {"id": f"section-{name}", "description": f"section {name} completed",
+                "status": "failed"} in result["expectations"]
+    assert result["pass"] is False
+
+
 def test_verify_paper_json_to_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify-paper", "--json", "--out", str(out_path))
@@ -302,22 +341,66 @@ def test_eval_short_circuits_before_unknown_terms(
     "model, options, message",
     [
         ([{"domain": ["1"]}], ("--semantics", "analytic"), "must be a JSON object"),
+        ("[" * 100_000, (), "nests too deeply"),
         ({"ext": {"S": ["1"]}}, ("--semantics", "analytic"), "lacks 'domain'"),
         ({"universe": ["u"], "is": {"u": "PM"}}, (), "must be a list of strings"),
         ({"universe": ["u", "u"]}, (), "repeats an entry"),
         ({"universe": ["u", "v"], "isPrim": ["uv"], "denote": {"S": "u", "P": "v"}},
          ("--reading", "derived"), "isPrim entry must be a list of strings"),
     ],
-    ids=["json-list", "missing-domain", "terms-as-string", "duplicate-individual",
-         "prim-entry-not-a-pair"],
+    ids=["json-list", "deeply-nested", "missing-domain", "terms-as-string",
+         "duplicate-individual", "prim-entry-not-a-pair"],
 )
 def test_eval_rejects_malformed_model_files(capsys, tmp_path, model, options, message):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(model))
+    path.write_text(model if isinstance(model, str) else json.dumps(model))
     code, out, err = run(capsys, "eval", "S sa P", "--model", str(path), *options)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+KINDS = ["(", "~", "&", "|", "->"]
+KIND_IDS = ["paren", "not", "and", "or", "implies"]
+
+
+def nested(kind, levels):
+    """A formula of `levels` nesting levels of one kind over one atom."""
+    atom = "S sa P"
+    if kind == "(":
+        return "(" * levels + atom + ")" * levels
+    if kind == "~":
+        return "~" * levels + atom
+    return f" {kind} ".join([atom] * (levels + 1))
+
+
+@pytest.mark.parametrize("command", ["eval", "classify", "prove"])
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+@pytest.mark.parametrize("past", [0, 1], ids=["at-limit", "past-limit"])
+def test_formula_nesting_is_evaluated_up_to_the_limit_and_refused_past_it(
+    capsys, tmp_path, synthetic_model, command, kind, past
+):
+    text = nested(kind, _MAX_DEPTH + past)
+    script = tmp_path / "deep.proof"
+    script.write_text(f"1. {text} ; taut\n")
+    argv = {
+        "eval": ["eval", text, "--model", synthetic_model, "--json"],
+        "classify": ["classify", text, "S so P", "--json"],
+        "prove": ["prove", str(script), "--json"],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    if past:
+        assert code == 2 and out == "" and "formula nesting too deep" in err
+    else:
+        # a tautology only as a chain of implications
+        assert code == (1 if command == "prove" and kind != "->" else 0), err
+        assert err == ""
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+def test_formula_nesting_far_past_the_limit_is_refused(capsys, synthetic_model, kind):
+    code, out, err = run(capsys, "eval", nested(kind, 5000), "--model", synthetic_model)
+    assert code == 2 and out == "" and err.startswith("error: formula nesting too deep")
 
 
 # Output of `python -m twosquares <argv>`, pinned byte for byte so that a

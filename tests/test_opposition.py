@@ -11,7 +11,6 @@ from twosquares.opposition import (
     SyntheticSemantics,
     analytic_square,
     catalog_entries,
-    catalog_formula,
     classify_pair,
     run_catalog,
     synthetic_square,
@@ -24,13 +23,13 @@ from twosquares.synthetic import (
     Reading,
     SyntheticOptions,
     decide_synthetic_validity,
-    derived_image,
     enumerate_copula_structures,
     eval_synthetic,
 )
 from twosquares.verdicts import Counterexample, Valid
 
 from oracles import (
+    derived_image,
     first_counterexample,
     induced_models,
     scan_classify,
@@ -266,7 +265,7 @@ def test_derived_image_decides_like_a_full_scan(opts):
     semantics = SyntheticSemantics(opts)
     for bound in (1, 2, 3):
         for entry in catalog_entries():
-            f = catalog_formula(entry)
+            f = entry.schema.formula
             assert verdict_bytes(decide_synthetic_validity(f, bound, opts)) == verdict_bytes(
                 full_scan_decide(f, bound, opts)
             ), (entry.id, bound)

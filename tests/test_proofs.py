@@ -2,7 +2,7 @@ import pytest
 
 from twosquares.errors import BoundError
 from twosquares.formula import Not, parse
-from twosquares.opposition import SyntheticSemantics, catalog_entries, catalog_formula
+from twosquares.opposition import SyntheticSemantics, catalog_entries
 from twosquares.proofs import (
     AXIOM5_WITH_DEFINITIONS,
     AxiomInstance,
@@ -148,7 +148,7 @@ def test_three_line_derivation_from_the_o_definition():
 
 def _targets():
     return {
-        e.id: catalog_formula(e) for e in catalog_entries() if e.source == "theorem-list"
+        e.id: e.schema.formula for e in catalog_entries() if e.source == "theorem-list"
     }
 
 

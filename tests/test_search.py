@@ -30,7 +30,6 @@ from twosquares.opposition import (
     SyntheticSemantics,
     analytic_square,
     catalog_entries,
-    catalog_formula,
     classify_pair,
     synthetic_square,
 )
@@ -102,7 +101,7 @@ def test_decisions_and_classifications_match_the_oracle(semantics, bounds):
     for bound in bounds:
         formulas = []
         if isinstance(semantics, SyntheticSemantics):
-            formulas += [catalog_formula(entry) for entry in catalog_entries()]
+            formulas += [entry.schema.formula for entry in catalog_entries()]
         for k in (1, 2, 3, 4):
             if k == 4 and bound == bounds[-1]:
                 continue  # too many models or structures for the oracle

@@ -13,7 +13,6 @@ from twosquares.synthetic import (
     SyntheticOptions,
     decide_synthetic_validity,
     derived_copula,
-    derived_image,
     enumerate_copula_structures,
     enumerate_synthetic_models,
     eval_synthetic,
@@ -21,7 +20,7 @@ from twosquares.synthetic import (
 )
 from twosquares.verdicts import Counterexample, Valid
 
-from oracles import derived_scan, induced_models, structure_walk
+from oracles import derived_image, derived_scan, induced_models, structure_walk
 
 DERIVED = SyntheticOptions(Reading.DERIVED_LITERAL)
 CHARITABLE = SyntheticOptions(Reading.DERIVED_CHARITABLE)

@@ -186,9 +186,11 @@ def verify_square(spec: SquareSpec, semantics: Semantics, bound: int) -> SquareR
     return SquareReport(spec.name, semantics.label(), bound, tuple(pairs), corner_text)
 
 
+@functools.cache
 def analytic_square() -> SquareSpec:
     """The conventional square: a-e contrary, i-o subcontrary, the two
-    diagonals contradictory, and downward subalternations a->i, e->o."""
+    diagonals contradictory, and downward subalternations a->i, e->o.
+    Built once and shared."""
     return SquareSpec(
         name="analytic",
         corners={
@@ -208,9 +210,10 @@ def analytic_square() -> SquareSpec:
     )
 
 
+@functools.cache
 def synthetic_square() -> SquareSpec:
     """The synthetic square: a-i contrary, e-o subcontrary, a-o and e-i
-    contradictory, subalternations a->e and i->o."""
+    contradictory, subalternations a->e and i->o.  Built once and shared."""
     return SquareSpec(
         name="synthetic",
         corners={
@@ -323,5 +326,11 @@ def run_catalog(
 
     Failures are data, not errors: each result carries the verdict and
     whether it met the entry's recorded expectation (which is stated for
-    the default nonempty direct reading)."""
-    return tuple(check_entry(entry, bound, options) for entry in catalog_entries())
+    the default nonempty direct reading).  Each distinct formula is
+    decided once: T13 and A5 are the same formula and share a verdict."""
+    decide = functools.cache(SyntheticSemantics(options).decide)
+    results = []
+    for entry in catalog_entries():
+        verdict = decide(entry.schema.formula, bound)
+        results.append(CatalogResult(entry, verdict, _entry_status(entry, verdict, bound)))
+    return tuple(results)

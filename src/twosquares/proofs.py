@@ -275,35 +275,28 @@ def _parse_justification(text: str, lineno: int) -> Justification:
 
 # --- bundled derivations of the theorem catalog ------------------------------
 
-# Premises needed per theorem; the builder adds one glue tautology and a
-# modus ponens chain.  Only axiom5 and the two definitional schemas are
-# ever used, so the whole bundle checks under AXIOM5_WITH_DEFINITIONS.
+# The builder adds one glue tautology and a modus ponens chain to the
+# premises.  Only axiom5 and the two definitional schemas are ever used,
+# so the whole bundle checks under AXIOM5_WITH_DEFINITIONS.
 _A5 = ("axiom5", (("S", "S"), ("P", "P")))
 _DEF_O = ("def-o", (("X", "S"), ("Y", "P")))
 _DEF_E = ("def-e", (("X", "S"), ("Y", "P")))
 
-_BUNDLE_PREMISES: Mapping[str, tuple] = {
-    "T01": (_DEF_O,),
-    "T02": (_DEF_O,),
-    "T03": (_DEF_E,),
-    "T04": (_DEF_E,),
-    "T05": (_DEF_E,),
-    "T06": (_DEF_E,),
-    "T07": (_DEF_O,),
-    "T08": (_DEF_O,),
-    "T09": (_A5, _DEF_E),
-    "T10": (_A5, _DEF_E),
-    "T11": (_A5, _DEF_O),
-    "T12": (_A5, _DEF_O),
-    "T13": (_A5,),
-    "T14": (_A5, _DEF_E, _DEF_O),
-    "T15": (_DEF_E,),
-    "T16": (_DEF_E,),
-    "T17": (_DEF_O,),
-    "T18": (_DEF_O,),
-    "T19": (_A5, _DEF_E),
-    "T20": (_A5, _DEF_O),
-}
+
+def _premises(target: Formula) -> tuple:
+    """The premises a bundled derivation of `target` cites, in order:
+    axiom5 when the theorem mentions an a- or o-form and an e- or
+    i-form, def-e when it mentions the i-form, def-o when it mentions the
+    o-form."""
+    copulas = {a.copula.value for a in atoms(target)}
+    premises = []
+    if copulas & {"sa", "so"} and copulas & {"se", "si"}:
+        premises.append(_A5)
+    if "si" in copulas:
+        premises.append(_DEF_E)
+    if "so" in copulas:
+        premises.append(_DEF_O)
+    return tuple(premises)
 
 
 def _build_derivation(target: Formula, premises: tuple) -> Derivation:
@@ -338,7 +331,7 @@ def bundled_theorem_derivations() -> dict[str, Derivation]:
     for entry in catalog_entries():
         if entry.source != "theorem-list":
             continue
-        out[entry.id] = _build_derivation(entry.schema.formula, _BUNDLE_PREMISES[entry.id])
+        out[entry.id] = _build_derivation(entry.schema.formula, _premises(entry.schema.formula))
     return out
 
 

@@ -19,12 +19,13 @@ from . import __version__
 from .analytic import IMPORT_OFF, IMPORT_ON
 from .diagram import square_dict
 from .errors import BoundError, TwoSquaresError
-from .formula import Atom, Copula, parse, render
+from .formula import Atom, Copula, Formula, parse, render
 from .opposition import (
     AnalyticSemantics,
     CatalogResult,
     SyntheticSemantics,
     analytic_square,
+    catalog_entries,
     check_entry,
     run_catalog,
     synthetic_square,
@@ -41,6 +42,7 @@ from .starb import (
     Column,
     FiniteBooleanAlgebra,
     Filter,
+    SquareSweepResult,
     Strict,
     UltraElement,
     all_elements,
@@ -206,6 +208,15 @@ def _case_section(expect: _Expectations, atom_count: int) -> dict:
     }
 
 
+def _sweep_dict(sweep: SquareSweepResult) -> dict:
+    return {
+        "condition": sweep.condition,
+        "satisfied_by": sweep.satisfied_by,
+        "nonstandard_satisfiers": sweep.nonstandard_satisfiers,
+        "violations": list(sweep.violations),
+    }
+
+
 def _proposition1_section(expect: _Expectations, atom_count: int) -> dict:
     reports = [verify_two_squares(FiniteBooleanAlgebra(k)) for k in range(1, atom_count + 1)]
     sweeps = []
@@ -219,18 +230,8 @@ def _proposition1_section(expect: _Expectations, atom_count: int) -> dict:
             {
                 "atom_count": report.atom_count,
                 "elements": report.total_elements,
-                "conventional": {
-                    "condition": report.conventional.condition,
-                    "satisfied_by": report.conventional.satisfied_by,
-                    "nonstandard_satisfiers": report.conventional.nonstandard_satisfiers,
-                    "violations": list(report.conventional.violations),
-                },
-                "synthetic": {
-                    "condition": report.synthetic.condition,
-                    "satisfied_by": report.synthetic.satisfied_by,
-                    "nonstandard_satisfiers": report.synthetic.nonstandard_satisfiers,
-                    "violations": list(report.synthetic.violations),
-                },
+                "conventional": _sweep_dict(report.conventional),
+                "synthetic": _sweep_dict(report.synthetic),
                 "hypothesis_equivalences_ok": report.hypothesis_equivalences_ok,
                 "alternative_hypothesis": {
                     "condition": "[f¬] ≤ [f]",
@@ -276,7 +277,7 @@ def _matrix_section(expect: _Expectations, atom_count: int) -> dict:
     return {"atom_count": atom_count, "elements": len(elems), **checks}
 
 
-def _bridge_table(bm: BridgeModel) -> dict:
+def _bridge_table(bm: BridgeModel, axiom5: Formula) -> dict:
     atom_values = {}
     satisfied = {}
     for copula in ("sa", "se", "si", "so"):
@@ -284,7 +285,7 @@ def _bridge_table(bm: BridgeModel) -> dict:
         value = bm.interpret(atom)
         atom_values[copula] = str(value)
         satisfied[copula] = bridge_satisfies(bm, atom)
-    axiom5_shape = bridge_satisfies(bm, parse("S sa P -> S se P"))
+    axiom5_shape = bridge_satisfies(bm, axiom5)
     return {
         "generator": str(bm.generator),
         "column": bm.column.value,
@@ -299,11 +300,12 @@ def _bridge_section(expect: _Expectations, atom_count: int) -> dict:
     alg = FiniteBooleanAlgebra(atom_count)
     nonstandard = UltraElement(alg, 1, 0)  # meets the conventional-square condition
     top = mk_standard(alg, alg.top)
+    axiom5 = next(e.schema.formula for e in catalog_entries() if e.id == "A5")
     tables = []
     for generator in (nonstandard, top):
         for column in (Column.PRIMARY, Column.ALTERNATE):
             for policy in (Strict(), Filter(generator)):
-                tables.append(_bridge_table(BridgeModel(generator, column, policy)))
+                tables.append(_bridge_table(BridgeModel(generator, column, policy), axiom5))
     strict_nonstandard, strict_top = tables[0], tables[4]  # the primary column, strict
     expect.add(
         "bridge-strict-nonstandard-atom",

@@ -32,12 +32,13 @@ then an int comparison) and return members of the algebra's `carrier`.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from enum import Enum
 from functools import cached_property
 
 from .errors import BoundError, SemanticsError
 from .formula import Atom, Formula, fold, holds
+from .opposition import RelationKind, SquareSpec, analytic_square, synthetic_square
 from .record import Record
 
 MAX_ATOMS = 4
@@ -252,31 +253,6 @@ def classify_cases(x: UltraElement) -> tuple[CaseOutcome, ...]:
     return tuple(outcomes)
 
 
-# --- opposition relations on the carrier -------------------------------------
-
-class OppositionFlags(Record):
-    contrary: bool
-    subcontrary: bool
-    contradictory: bool
-    subaltern_xy: bool
-    subaltern_yx: bool
-
-
-def algebraic_opposition(x: UltraElement, y: UltraElement) -> OppositionFlags:
-    """Relations read off the lattice: contrary = meet is *0, subcontrary =
-    join is *1, contradictory = complement, subalternation = pointwise
-    order."""
-    alg = _same_algebra(x, y)
-    bottom, top = alg.carrier[0], alg.carrier[-1]
-    return OppositionFlags(
-        contrary=meet(x, y) == bottom,
-        subcontrary=join(x, y) == top,
-        contradictory=y == complement(x),
-        subaltern_xy=leq(x, y),
-        subaltern_yx=leq(y, x),
-    )
-
-
 # --- the two squares ---------------------------------------------------------
 
 class SquareSweepResult(Record):
@@ -321,26 +297,35 @@ class Proposition1Report(Record):
         return self.synthetic.nonstandard_satisfiers == 0
 
 
-def _conventional_relations(f, fn, nf, nfn) -> tuple[tuple[str, bool], ...]:
-    return (
-        ("[f],[f¬] contrary", algebraic_opposition(f, fn).contrary),
-        ("¬[f¬],¬[f] subcontrary", algebraic_opposition(nfn, nf).subcontrary),
-        ("[f],¬[f] contradictory", algebraic_opposition(f, nf).contradictory),
-        ("[f¬],¬[f¬] contradictory", algebraic_opposition(fn, nfn).contradictory),
-        ("[f] ≤ ¬[f¬] subalternation", leq(f, nfn)),
-        ("[f¬] ≤ ¬[f] subalternation", leq(fn, nf)),
-    )
+# Quadruple slot names, and the lattice test of each relation kind a
+# square states.
+_SLOT_NAMES = ("[f]", "[f¬]", "¬[f]", "¬[f¬]")
+_LATTICE_TESTS = {
+    RelationKind.CONTRARY: lambda x, y: meet(x, y).bits == 0,
+    RelationKind.SUBCONTRARY: lambda x, y: join(x, y).bits == x.algebra.carrier_top,
+    RelationKind.CONTRADICTORY: lambda x, y: y == complement(x),
+    RelationKind.SUBALTERNATION_FORWARD: leq,
+}
 
 
-def _synthetic_relations(f, fn, nf, nfn) -> tuple[tuple[str, bool], ...]:
-    return (
-        ("[f],¬[f¬] contrary", algebraic_opposition(f, nfn).contrary),
-        ("¬[f],[f¬] subcontrary", algebraic_opposition(nf, fn).subcontrary),
-        ("[f],¬[f] contradictory", algebraic_opposition(f, nf).contradictory),
-        ("[f¬],¬[f¬] contradictory", algebraic_opposition(fn, nfn).contradictory),
-        ("[f] ≤ [f¬] subalternation", leq(f, fn)),
-        ("¬[f¬] ≤ ¬[f] subalternation", leq(nfn, nf)),
-    )
+def square_relations(spec: SquareSpec) -> tuple[tuple[str, Callable, int, int], ...]:
+    """The square's six expected relations on a quadruple: each as its
+    label, its lattice test and the two slots it compares, the corners
+    placed by the bridge's primary column."""
+    relations = []
+    for first, second, kind in spec.expected:
+        i, j = _PRIMARY_SLOTS[first], _PRIMARY_SLOTS[second]
+        x, y = _SLOT_NAMES[i], _SLOT_NAMES[j]
+        if kind is RelationKind.SUBALTERNATION_FORWARD:
+            label = f"{x} ≤ {y} subalternation"
+        else:
+            label = f"{x},{y} {kind.value}"
+        relations.append((label, _LATTICE_TESTS[kind], i, j))
+    return tuple(relations)
+
+
+def _failures(relations: tuple, quad: tuple) -> list[str]:
+    return [label for label, test, i, j in relations if not test(quad[i], quad[j])]
 
 
 def verify_two_squares(alg: FiniteBooleanAlgebra) -> Proposition1Report:
@@ -348,15 +333,18 @@ def verify_two_squares(alg: FiniteBooleanAlgebra) -> Proposition1Report:
 
     Conventional: inf([f],[f¬]) = *0, equivalently [f¬] ≤ ¬[f].
     Synthetic: [f] ≤ [f¬], equivalently ¬[f¬] ≤ ¬[f].
-    Additionally probes the alternative conventional hypothesis
-    [f¬] ≤ [f]: it does not generate the conventional square's six
-    relations (any nonzero standard element is a witness).
+    The relations checked are the ones `analytic_square` and
+    `synthetic_square` state for the model checker.  Additionally probes
+    the alternative conventional hypothesis [f¬] ≤ [f]: it does not
+    generate the conventional square's six relations (any nonzero
+    standard element is a witness).
     """
     bottom = alg.carrier[0]
     squares = (  # condition, its test and the equivalent form's, relations
         ("inf([f],[f¬]) = *0", lambda f, fn, nf, nfn: (meet(f, fn) == bottom, leq(fn, nf)),
-         _conventional_relations),
-        ("[f] ≤ [f¬]", lambda f, fn, nf, nfn: (leq(f, fn), leq(nfn, nf)), _synthetic_relations),
+         square_relations(analytic_square())),
+        ("[f] ≤ [f¬]", lambda f, fn, nf, nfn: (leq(f, fn), leq(nfn, nf)),
+         square_relations(synthetic_square())),
     )
     tallies = [[0, 0, []] for _ in squares]  # satisfied, nonstandard, violations
     equivalences_ok = True
@@ -369,9 +357,8 @@ def verify_two_squares(alg: FiniteBooleanAlgebra) -> Proposition1Report:
             if holds:
                 tally[0] += 1
                 tally[1] += not x.standard
-                tally[2].extend(f"{x}: {label}" for label, ok in relations(*quad) if not ok)
-        if (bullet_witness is None and leq(quad[1], quad[0])
-                and not all(ok for _, ok in _conventional_relations(*quad))):
+                tally[2].extend(f"{x}: {label}" for label in _failures(relations, quad))
+        if bullet_witness is None and leq(quad[1], quad[0]) and _failures(squares[0][2], quad):
             bullet_witness = str(x)
 
     conventional, synthetic = (

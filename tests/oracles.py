@@ -279,7 +279,7 @@ def _pair_opposition(x, y):
     return pair_meet(x, y) == bottom, pair_join(x, y) == top, y == pair_complement(x)
 
 
-def _pair_conventional(f, fn, nf, nfn):
+def pair_conventional(f, fn, nf, nfn):
     return (
         ("[f],[f¬] contrary", _pair_opposition(f, fn)[0]),
         ("¬[f¬],¬[f] subcontrary", _pair_opposition(nfn, nf)[1]),
@@ -290,10 +290,10 @@ def _pair_conventional(f, fn, nf, nfn):
     )
 
 
-def _pair_synthetic(f, fn, nf, nfn):
+def pair_synthetic(f, fn, nf, nfn):
     return (
         ("[f],¬[f¬] contrary", _pair_opposition(f, nfn)[0]),
-        ("¬[f],[f¬] subcontrary", _pair_opposition(nf, fn)[1]),
+        ("[f¬],¬[f] subcontrary", _pair_opposition(fn, nf)[1]),
         ("[f],¬[f] contradictory", _pair_opposition(f, nf)[2]),
         ("[f¬],¬[f¬] contradictory", _pair_opposition(fn, nfn)[2]),
         ("[f] ≤ [f¬] subalternation", pair_leq(f, fn)),
@@ -319,7 +319,7 @@ def pair_verify_two_squares(alg):
             conv_satisfied += 1
             if not x.standard:
                 conv_nonstandard += 1
-            for label, holds in _pair_conventional(f, fn, nf, nfn):
+            for label, holds in pair_conventional(f, fn, nf, nfn):
                 if not holds:
                     conv_violations.append(f"{x}: {label}")
         syn_condition = pair_leq(f, fn)
@@ -329,10 +329,10 @@ def pair_verify_two_squares(alg):
             syn_satisfied += 1
             if not x.standard:
                 syn_nonstandard += 1
-            for label, holds in _pair_synthetic(f, fn, nf, nfn):
+            for label, holds in pair_synthetic(f, fn, nf, nfn):
                 if not holds:
                     syn_violations.append(f"{x}: {label}")
-        if pair_leq(fn, f) and not all(h for _, h in _pair_conventional(f, fn, nf, nfn)):
+        if pair_leq(fn, f) and not all(h for _, h in pair_conventional(f, fn, nf, nfn)):
             if bullet_ok:
                 bullet_witness = str(x)
             bullet_ok = False

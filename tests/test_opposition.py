@@ -2,6 +2,7 @@ import functools
 
 import pytest
 
+from twosquares import opposition
 from twosquares.analytic import IMPORT_ON
 from twosquares.errors import BoundError, SemanticsError
 from twosquares.formula import Schema, holds, instantiate, parse, render, schema_of, term_names
@@ -159,6 +160,23 @@ def test_run_catalog_default_expectations_met():
     assert isinstance(by_id["A7"].verdict, Valid)
     assert len(by_id["A6"].verdict.model.universe) == 1
     assert len(by_id["A8"].verdict.model.universe) == 2
+
+
+def test_run_catalog_decides_each_distinct_formula_once(monkeypatch):
+    decided = []
+
+    def count(f, bound, opts):
+        decided.append(f)
+        return decide_synthetic_validity(f, bound, opts)
+
+    monkeypatch.setattr(opposition, "decide_synthetic_validity", count)
+    results = run_catalog(3)
+    assert len(decided) == len(set(decided)) == 23 < len(results) == 24
+    by_id = {r.entry.id: r for r in results}
+    assert by_id["T13"].entry.schema.formula == by_id["A5"].entry.schema.formula
+    assert by_id["T13"].verdict is by_id["A5"].verdict
+    run_catalog(3)
+    assert len(decided) == 46  # each run decides its own
 
 
 def test_run_catalog_inconclusive_below_witness_size():

@@ -10,6 +10,7 @@ from twosquares.proofs import (
     Derivation,
     DerivationLine,
     ModusPonens,
+    _build_derivation,
     bundled_theorem_derivations,
     bundled_theorem_scripts,
     check_derivation,
@@ -162,6 +163,34 @@ def test_every_bundled_derivation_checks_and_proves_its_theorem():
     for tid, d in bundled_theorem_derivations().items():
         result = check_proves(d, targets[tid], AXIOM5_WITH_DEFINITIONS)
         assert result.ok, f"{tid}: {result.describe()}"
+
+
+def _premises(d: Derivation):
+    return tuple(
+        (line.justification.schema_id, line.justification.binding)
+        for line in d.lines
+        if isinstance(line.justification, AxiomInstance)
+    )
+
+
+def test_bundled_premises_follow_from_the_copulas():
+    premise_ids = {tid: [sid for sid, _ in _premises(d)]
+                   for tid, d in bundled_theorem_derivations().items()}
+    assert premise_ids["T01"] == ["def-o"]  # a- and o-forms only
+    assert premise_ids["T03"] == ["def-e"]  # e- and i-forms only
+    assert premise_ids["T13"] == ["axiom5"]
+    assert premise_ids["T14"] == ["axiom5", "def-e", "def-o"]
+
+
+def test_every_bundled_premise_is_needed():
+    targets = _targets()
+    for tid, d in bundled_theorem_derivations().items():
+        assert check_proves(d, targets[tid], AXIOM5_WITH_DEFINITIONS).ok, tid
+        premises = _premises(d)
+        for k in range(len(premises)):
+            fewer = _build_derivation(targets[tid], premises[:k] + premises[k + 1:])
+            result = check_proves(fewer, targets[tid], AXIOM5_WITH_DEFINITIONS)
+            assert not result.ok, f"{tid} checks without {premises[k][0]}"
 
 
 def test_bundled_scripts_reparse_and_recheck():

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twosquares import starb
 from twosquares.errors import BoundError, SemanticsError
 from twosquares.formula import Atom, Copula, parse
+from twosquares.opposition import RelationKind, SquareSpec, analytic_square, synthetic_square
 from twosquares.starb import (
     BridgeModel,
     Column,
@@ -16,7 +18,6 @@ from twosquares.starb import (
     Filter,
     Strict,
     UltraElement,
-    algebraic_opposition,
     all_elements,
     bridge_satisfies,
     classify_cases,
@@ -31,12 +32,14 @@ from twosquares.starb import (
     meet,
     mk_standard,
     quadruple,
+    square_relations,
     verify_two_squares,
 )
 
 from oracles import (
     pair_classify_cases,
     pair_complement,
+    pair_conventional,
     pair_elements,
     pair_fneg,
     pair_incomparable,
@@ -44,6 +47,8 @@ from oracles import (
     pair_leq,
     pair_matrix_imp,
     pair_meet,
+    pair_quadruple,
+    pair_synthetic,
     pair_verify_two_squares,
 )
 
@@ -121,7 +126,7 @@ def test_ops_commute_with_standard_embedding():
 
 def test_algebra_mismatch_rejected():
     x, y = mk_standard(ALG2, 0), mk_standard(FiniteBooleanAlgebra(1), 0)
-    for op in (meet, join, leq, incomparable, matrix_imp, algebraic_opposition):
+    for op in (meet, join, leq, incomparable, matrix_imp):
         with pytest.raises(SemanticsError):
             op(x, y)
     assert x != y
@@ -432,37 +437,69 @@ def test_case_sweep_has_no_violations_three_atoms():
                 assert outcome.conclusion_holds
 
 
-# --- opposition flags ---------------------------------------------------------------
+# --- opposition read off the lattice --------------------------------------------
+
+BOTTOM2, TOP2 = mk_standard(ALG2, 0), mk_standard(ALG2, ALG2.top)
+
 
 def test_flip_pair_contrary_but_not_subcontrary():
     x = UltraElement(ALG2, P, 0)
-    flags = algebraic_opposition(x, fneg(x))
-    assert flags.contrary and not flags.subcontrary and not flags.contradictory
+    assert meet(x, fneg(x)) == BOTTOM2
+    assert join(x, fneg(x)) != TOP2
+    assert fneg(x) != complement(x)
 
 
 def test_complement_pair_fully_opposed():
     for x in all_elements(ALG2):
-        flags = algebraic_opposition(x, complement(x))
-        assert flags.contradictory and flags.contrary and flags.subcontrary
+        assert meet(x, complement(x)) == BOTTOM2 and join(x, complement(x)) == TOP2
 
 
 def test_subalternation_toward_the_flip_complement():
     x = UltraElement(ALG2, P, 0)
-    flags = algebraic_opposition(x, complement(fneg(x)))
-    assert flags.subaltern_xy
+    assert leq(x, complement(fneg(x)))
 
 
 # --- the two squares ------------------------------------------------------------------
 
 def test_conventional_square_for_disjoint_generator():
-    x = UltraElement(ALG2, P, 0)
-    f, fn, nf, nfn = quadruple(x)
-    assert meet(f, fn) == mk_standard(ALG2, 0)
-    assert algebraic_opposition(f, fn).contrary
-    assert algebraic_opposition(nfn, nf).subcontrary
-    assert algebraic_opposition(f, nf).contradictory
-    assert algebraic_opposition(fn, nfn).contradictory
+    quad = f, fn, nf, nfn = quadruple(UltraElement(ALG2, P, 0))
+    assert meet(f, fn) == BOTTOM2
+    assert join(nfn, nf) == TOP2
+    assert nf == complement(f) and nfn == complement(fn)
     assert leq(f, nfn) and leq(fn, nf)
+    assert all(test(quad[i], quad[j]) for _, test, i, j in square_relations(analytic_square()))
+
+
+@pytest.mark.parametrize("atom_count", [1, 2, 3])
+def test_square_relations_match_the_pair_oracle(atom_count):
+    # each square's six relations, read off its spec through the primary
+    # column, against the oracle's hand-written lists
+    alg = FiniteBooleanAlgebra(atom_count)
+    squares = ((analytic_square(), pair_conventional), (synthetic_square(), pair_synthetic))
+    for x, o in zip(all_elements(alg), pair_elements(alg)):
+        quad = quadruple(x)
+        for spec, oracle in squares:
+            relations = [(label, test(quad[i], quad[j]))
+                         for label, test, i, j in square_relations(spec)]
+            assert relations == list(oracle(*pair_quadruple(o))), (str(x), spec.name)
+
+
+def test_a_mutated_square_spec_yields_violations(monkeypatch):
+    # the synthetic square with a-e contrary, as in the conventional one,
+    # instead of the subalternation a->e
+    spec = synthetic_square()
+    expected = tuple(
+        (a, b, RelationKind.CONTRARY) if (a, b) == ("a", "e") else (a, b, kind)
+        for a, b, kind in spec.expected
+    )
+    assert expected != spec.expected
+    mutated = SquareSpec(spec.name, spec.corners, expected)
+    monkeypatch.setattr(starb, "synthetic_square", lambda: mutated)
+    report = verify_two_squares(ALG2)
+    assert report.synthetic.violations == tuple(
+        f"*{m}: [f],[f¬] contrary" for m in ("p", "q", "1")
+    )
+    assert not report.conventional.violations and not report.passed
 
 
 def test_two_square_sweeps_pass_all_atom_counts():

@@ -9,7 +9,8 @@ class TwoSquaresError(Exception):
 
 
 class ParseError(TwoSquaresError):
-    """Syntax error with a byte offset and the set of expected tokens."""
+    """Syntax error with a character offset (a string index, not a byte
+    count) and the set of expected tokens."""
 
     def __init__(self, message: str, position: int, expected: tuple[str, ...] = ()):
         self.position = position

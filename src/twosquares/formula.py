@@ -43,12 +43,13 @@ class Copula(Enum):
 COPULA_TOKENS: Mapping[str, Copula] = {c.value: c for c in Copula}
 RESERVED_TOKENS = frozenset(COPULA_TOKENS)
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# a term identifier or a copula keyword: the lexer's word
+_WORD = r"[A-Za-z][A-Za-z0-9_]*"
 
 
 def is_term_name(name: str) -> bool:
     """True iff `name` is a legal term identifier (and not a copula keyword)."""
-    return bool(_IDENT_RE.fullmatch(name)) and name not in RESERVED_TOKENS
+    return bool(re.fullmatch(_WORD, name)) and name not in RESERVED_TOKENS
 
 
 class Atom(Record):
@@ -205,29 +206,45 @@ _MAX_DEPTH = 200
 # connective token -> (node, binding strength); only `->` groups to the right
 _BINARY = {"&": (And, 3), "|": (Or, 2), "->": (Implies, 1)}
 
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|->|[~&|()]")
-_WS_RE = re.compile(r"\s*")
+# One scan lexes the whole text.  A word, a copula keyword (`s?[aeio]`)
+# and a word, whitespace between the three, is an atom and one token; the
+# parser then reads the formula one token per atom.  Each match skips
+# whitespace and fills one group set: subject (and copula and predicate
+# for an atom candidate), a connective or parenthesis, or the character
+# no token starts with; or none, at the end.  Without the match at the
+# end, trailing whitespace would fail a match at each of its positions,
+# a scan quadratic in its length.
+_TOKEN_RE = re.compile(
+    rf"\s*(?:({_WORD})(?:\s+(s?[aeio])\s+({_WORD}))?|(->|[~&|()])|(\S)|\Z)"
+)
+
+# (kind, lexeme, offset, the Atom of an "atom" token or None); kind is
+# "atom", "ident" for a word, the symbol itself, or "eof"
+_Token = tuple[str, str, int, Atom | None]
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[_Token]:
+    """The tokens of `text`; an atom's lexeme and offset are its
+    subject's.  A candidate with a reserved term is three words, as is
+    every other atom that is not well formed, and the parser reads it
+    word by word."""
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        pos = _WS_RE.match(text, pos).end()
-        if pos >= n:
-            break
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", pos,
-                ("term", "~", "(",),
-            )
-        lexeme = m.group()
-        kind = "ident" if lexeme[0].isalpha() else lexeme
-        tokens.append((kind, lexeme, pos))
-        pos = m.end()
-    tokens.append(("eof", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        subject, copula, predicate, symbol, bad = m.groups()
+        if subject is None:
+            if bad is not None:
+                raise ParseError(f"unexpected character {bad!r}", m.start(5), ("term", "~", "("))
+            if symbol is not None:
+                tokens.append((symbol, symbol, m.start(4), None))
+        elif copula is None:
+            tokens.append(("ident", subject, m.start(1), None))
+        elif subject in RESERVED_TOKENS or predicate in RESERVED_TOKENS:
+            tokens += [("ident", subject, m.start(1), None), ("ident", copula, m.start(2), None),
+                       ("ident", predicate, m.start(3), None)]
+        else:
+            atom = Atom(subject, COPULA_TOKENS[copula], predicate)
+            tokens.append(("atom", subject, m.start(1), atom))
+    tokens.append(("eof", "", len(text), None))
     return tokens
 
 
@@ -236,15 +253,15 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> tuple[str, str, int]:
+    def peek(self) -> _Token:
         return self.tokens[self.i]
 
-    def advance(self) -> tuple[str, str, int]:
+    def advance(self) -> _Token:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect(self, kind: str, expected: tuple[str, ...]) -> tuple[str, str, int]:
+    def expect(self, kind: str, expected: tuple[str, ...]) -> _Token:
         tok = self.peek()
         if tok[0] != kind:
             raise ParseError(f"unexpected token {tok[1] or 'end of input'!r}", tok[2], expected)
@@ -256,8 +273,9 @@ class _Parser:
     def binary(self, depth: int, minimum: int = 1) -> tuple[Formula, int]:
         """Operands joined by connectives binding at least as tightly as `minimum`."""
         left = self.unary(depth)
-        while _BINARY.get(self.peek()[0], (None, 0))[1] >= minimum:
-            node, strength = _BINARY[self.advance()[0]]
+        while (op := _BINARY.get(self.tokens[self.i][0])) and op[1] >= minimum:
+            self.i += 1
+            node, strength = op
             if node is Implies:
                 right = self.binary(depth + 1)
             else:
@@ -272,9 +290,13 @@ class _Parser:
         return f, levels + 1
 
     def unary(self, depth: int) -> tuple[Formula, int]:
+        tok = self.tokens[self.i]
         if depth > _MAX_DEPTH:
-            raise ParseError("formula nesting too deep", self.peek()[2], ())
-        kind, _, _ = self.peek()
+            raise ParseError("formula nesting too deep", tok[2], ())
+        kind = tok[0]
+        if kind == "atom":
+            self.i += 1
+            return tok[3], 0
         if kind == "~":
             self.advance()
             operand, levels = self.unary(depth + 1)
@@ -287,7 +309,7 @@ class _Parser:
         return self.atom(), 0
 
     def term(self, expected: tuple[str, ...]) -> str:
-        kind, lexeme, pos = self.peek()
+        kind, lexeme, pos, _ = self.peek()
         if kind != "ident" or lexeme in RESERVED_TOKENS:
             raise ParseError(
                 f"unexpected token {lexeme or 'end of input'!r}", pos, expected,
@@ -297,7 +319,7 @@ class _Parser:
 
     def atom(self) -> Formula:
         subject = self.term(("term", "~", "("))
-        kind, lexeme, pos = self.peek()
+        kind, lexeme, pos, _ = self.peek()
         if kind != "ident" or lexeme not in COPULA_TOKENS:
             raise ParseError(
                 f"unexpected token {lexeme or 'end of input'!r}", pos,

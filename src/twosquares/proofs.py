@@ -23,11 +23,11 @@ and lines starting with `#` are ignored.
 
 from __future__ import annotations
 
-import itertools
+import operator
 from collections.abc import Mapping
 
 from .errors import BoundError, ParseError
-from .formula import Formula, Implies, Schema, atoms, holds, instantiate, parse, render
+from .formula import Formula, Implies, Schema, atoms, fold, instantiate, parse, render
 from .opposition import catalog_entries
 from .record import Record
 
@@ -60,14 +60,23 @@ _SOURCE_OF = {sid: name for name, ids in SOURCES.items() for sid in ids}
 
 
 def is_tautology(f: Formula) -> bool:
-    """Truth-table check treating distinct atoms as opaque letters."""
+    """Truth-table check treating distinct atoms as opaque letters.
+
+    The whole table is one fold over big-int columns: bit r of letter k's
+    column is its value in row r, bit k of r.
+    """
     letters = atoms(f)
     if len(letters) > MAX_TAUTOLOGY_ATOMS:
         raise BoundError(f"{len(letters)} distinct atoms exceed the budget of {MAX_TAUTOLOGY_ATOMS}")
-    for values in itertools.product((False, True), repeat=len(letters)):
-        if not holds(f, dict(zip(letters, values)).__getitem__):
-            return False
-    return True
+    full = (1 << (1 << len(letters))) - 1
+    column = {}
+    for k, letter in enumerate(letters):
+        half = 1 << k
+        # `half` zero rows then `half` one rows, repeated down the table
+        column[letter] = full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
+    implies = lambda x, y: ~x | y  # noqa: E731
+    table = fold(f, column.__getitem__, operator.invert, operator.and_, operator.or_, implies)
+    return table & full == full
 
 
 class AxiomSet(Record):

@@ -13,13 +13,36 @@ compare against all of them.
 The pair carrier, the oracle for the packed one in `twosquares.starb`:
 an element is the coefficient pair (f0, f1) and every operation acts on
 the two coefficients, bitmasks of the base algebra, one at a time.
+
+The per-word parser, the oracle for the package's: `reference_parse`
+lexes one word or symbol at a time and reads each atom as three
+tokens, as the package did before one scan lexed whole atoms.  The
+row-by-row truth table, the oracle for `proofs.is_tautology`, walks
+every assignment to the letters with `holds`.
 """
 
 import functools
+import itertools
+import re
 from dataclasses import dataclass
 
 from twosquares.analytic import enumerate_analytic_models
-from twosquares.formula import atoms, render, term_names
+from twosquares.errors import ParseError
+from twosquares.formula import (
+    _MAX_DEPTH,
+    COPULA_TOKENS,
+    RESERVED_TOKENS,
+    And,
+    Atom,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    atoms,
+    holds,
+    render,
+    term_names,
+)
 from twosquares.opposition import AnalyticSemantics, OppositionRelation, RelationKind
 from twosquares.starb import (
     CaseOutcome,
@@ -349,3 +372,132 @@ def pair_verify_two_squares(alg):
         proof_bullet_generates_conventional=bullet_ok,
         proof_bullet_witness=bullet_witness,
     )
+
+
+# --- per-word parser -----------------------------------------------------
+
+# connective token -> (node, binding strength); only `->` groups to the right
+_BINARY = {"&": (And, 3), "|": (Or, 2), "->": (Implies, 1)}
+
+_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|->|[~&|()]")
+_WS_RE = re.compile(r"\s*")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        pos = _WS_RE.match(text, pos).end()
+        if pos >= n:
+            break
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(
+                f"unexpected character {text[pos]!r}", pos,
+                ("term", "~", "(",),
+            )
+        lexeme = m.group()
+        kind = "ident" if lexeme[0].isalpha() else lexeme
+        tokens.append((kind, lexeme, pos))
+        pos = m.end()
+    tokens.append(("eof", "", n))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str, expected: tuple[str, ...]) -> tuple[str, str, int]:
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ParseError(f"unexpected token {tok[1] or 'end of input'!r}", tok[2], expected)
+        return self.advance()
+
+    # `binary` and `unary` take the levels enclosing them and return what
+    # they parsed with the levels it nests; both counts are bounded.
+
+    def binary(self, depth: int, minimum: int = 1) -> tuple[Formula, int]:
+        """Operands joined by connectives binding at least as tightly as `minimum`."""
+        left = self.unary(depth)
+        while _BINARY.get(self.peek()[0], (None, 0))[1] >= minimum:
+            node, strength = _BINARY[self.advance()[0]]
+            if node is Implies:
+                right = self.binary(depth + 1)
+            else:
+                right = self.binary(depth, strength + 1)
+            left = self.nest(node(left[0], right[0]), max(left[1], right[1]))
+        return left
+
+    def nest(self, f: Formula, levels: int) -> tuple[Formula, int]:
+        """`f` one level above `levels`, or an error past the limit."""
+        if levels >= _MAX_DEPTH:
+            raise ParseError("formula nesting too deep", self.peek()[2], ())
+        return f, levels + 1
+
+    def unary(self, depth: int) -> tuple[Formula, int]:
+        if depth > _MAX_DEPTH:
+            raise ParseError("formula nesting too deep", self.peek()[2], ())
+        kind, _, _ = self.peek()
+        if kind == "~":
+            self.advance()
+            operand, levels = self.unary(depth + 1)
+            return self.nest(Not(operand), levels)
+        if kind == "(":
+            self.advance()
+            inner, levels = self.binary(depth + 1)
+            self.expect(")", (")",))
+            return self.nest(inner, levels)
+        return self.atom(), 0
+
+    def term(self, expected: tuple[str, ...]) -> str:
+        kind, lexeme, pos = self.peek()
+        if kind != "ident" or lexeme in RESERVED_TOKENS:
+            raise ParseError(
+                f"unexpected token {lexeme or 'end of input'!r}", pos, expected,
+            )
+        self.advance()
+        return lexeme
+
+    def atom(self) -> Formula:
+        subject = self.term(("term", "~", "("))
+        kind, lexeme, pos = self.peek()
+        if kind != "ident" or lexeme not in COPULA_TOKENS:
+            raise ParseError(
+                f"unexpected token {lexeme or 'end of input'!r}", pos,
+                tuple(sorted(COPULA_TOKENS)),
+            )
+        copula = COPULA_TOKENS[lexeme]
+        self.advance()
+        predicate = self.term(("term",))
+        return Atom(subject, copula, predicate)
+
+
+def reference_parse(text: str) -> Formula:
+    """Parse `text` into a Formula, or raise a positioned ParseError."""
+    p = _Parser(text)
+    f, _ = p.binary(0)
+    tok = p.peek()
+    if tok[0] != "eof":
+        raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("end of input",))
+    return f
+
+
+def row_by_row_tautology(f: Formula) -> bool:
+    """True iff `f` holds on every row of its truth table, its distinct
+    atoms taken as opaque letters; one `holds` walk per row."""
+    letters = atoms(f)
+    for values in itertools.product((False, True), repeat=len(letters)):
+        if not holds(f, dict(zip(letters, values)).__getitem__):
+            return False
+    return True

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,8 @@ from twosquares.formula import (
     schema_of,
     term_names,
 )
+
+from oracles import reference_parse
 
 
 def test_parse_single_atom():
@@ -133,6 +137,73 @@ def test_schema_requires_metavars_to_occur():
         Schema(parse("S a P"), ("S", "P", "Q"))
 
 
+def test_parse_error_offsets_count_characters():
+    # two no-break spaces are two characters but four bytes in UTF-8
+    text = "\xa0\xa0S x P"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.position == 4 == text.index("x")
+    assert text.encode().index(b"x") == 6
+
+
+def _outcome(parser, text):
+    """The tree `parser` reads from `text`, or its error's every detail."""
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position, exc.expected
+
+
+def _same_as_oracle(text):
+    got = _outcome(parse, text)
+    assert got == _outcome(reference_parse, text)
+    return got
+
+
+# Where the one-scan lexer must fall back to words: no whitespace between
+# words, a misspelled or missing copula, a reserved term, a parenthesis
+# inside an atom, and an error raised at an atom token.
+@pytest.mark.parametrize(
+    "text",
+    ["Sa P", "S aP", "S ab P", "a a P", "S a a", "S a(P)", "S a P&S a P", "S\ta\nP", "S sa", "(S a P Q a P)"],
+)
+def test_lexer_boundaries_match_oracle(text):
+    _same_as_oracle(text)
+
+
+def test_lexer_boundary_messages():
+    copulas = "(expected: a, e, i, o, sa, se, si, so)"
+    assert _same_as_oracle("S aP")[1] == f"unexpected token 'aP' at offset 2 {copulas}"
+    assert _same_as_oracle("S a(P)")[1] == "unexpected token '(' at offset 3 (expected: term)"
+    # the atom token `Q a P` is reported by its subject word
+    assert _same_as_oracle("(S a P Q a P)")[1] == "unexpected token 'Q' at offset 7 (expected: ))"
+    assert _same_as_oracle("S\ta\nP") == Atom("S", Copula.A, "P")
+
+
+_NESTINGS = {
+    "parentheses": lambda n: "(" * n + "S a P" + ")" * n,
+    "negations": lambda n: "~" * n + "S a P",
+    "conjunctions": lambda n: " & ".join(["S a P"] * (n + 1)),
+    "implications": lambda n: " -> ".join(["S a P"] * (n + 1)),
+}
+
+
+@pytest.mark.parametrize("levels", [199, 200, 201])
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+def test_nesting_limit_matches_oracle(shape, levels):
+    got = _same_as_oracle(_NESTINGS[shape](levels))
+    assert isinstance(got, tuple) == (levels > 200)
+
+
+def test_trailing_whitespace_is_scanned_once():
+    # a scan retrying a failed match at each trailing position is quadratic:
+    # seconds at this length
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="offset 100003"):
+        parse("S a" + " " * 100_000)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_is_term_name():
     assert is_term_name("S_1")
     assert not is_term_name("se")
@@ -191,3 +262,54 @@ def test_instantiate_distributes_over_connectives(f, fresh):
         return Implies(push(g.left), push(g.right))
 
     assert instantiate(schema, binding) == push(f)
+
+
+# --- the parser against the per-word oracle ---------------------------------
+
+_SPACES = st.sampled_from([" ", "  ", "\t", "\n", "\xa0", "\u2003"])
+_GAPS = st.one_of(st.just(""), _SPACES)
+_COPULAS = st.sampled_from([c.value for c in Copula])
+_TERMS = st.sampled_from(["S", "P", "M", "x", "Y2", "long_name"])
+_ATOM_TEXTS = st.builds(lambda *parts: "".join(parts), _TERMS, _SPACES, _COPULAS, _SPACES, _TERMS)
+
+
+def _compound_texts(kids):
+    return st.one_of(
+        st.builds(lambda s, k: "~" + s + k, _GAPS, kids),
+        st.builds(lambda s, k, t: "(" + s + k + t + ")", _GAPS, kids, _GAPS),
+        *(
+            st.builds(lambda left, s, right, t, op=op: left + s + op + t + right, kids, _GAPS, kids, _GAPS)
+            for op in ("&", "|", "->")
+        ),
+    )
+
+
+# well formed, with any whitespace or none around connectives and parentheses
+_FORMULA_TEXTS = st.builds(
+    lambda s, f, t: s + f + t, _GAPS, st.recursive(_ATOM_TEXTS, _compound_texts, max_leaves=12), _GAPS
+)
+
+
+@st.composite
+def _mutations(draw):
+    """A generated formula with one character deleted, replaced or inserted."""
+    text = draw(_FORMULA_TEXTS)
+    i = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(list("SPax_1~&|()->#é \t\n\xa0\u2003")))
+    kind = draw(st.sampled_from(["delete", "replace", "insert"]))
+    if kind == "insert" or i == len(text):
+        return text[:i] + char + text[i:]
+    return text[:i] + ("" if kind == "delete" else char) + text[i + 1:]
+
+
+@st.composite
+def _token_soups(draw):
+    symbols = st.sampled_from(["~", "&", "|", "->", "(", ")", "-", ">", "1", "_", "Sa", "aP"])
+    tokens = draw(st.lists(st.one_of(_TERMS, _COPULAS, symbols), max_size=12))
+    return draw(_GAPS) + "".join(t + draw(_GAPS) for t in tokens)
+
+
+@given(st.one_of(_FORMULA_TEXTS, _mutations(), _token_soups()))
+@settings(max_examples=300)
+def test_parse_matches_oracle(text):
+    _same_as_oracle(text)

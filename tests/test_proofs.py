@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twosquares.errors import BoundError
-from twosquares.formula import Not, parse
+from twosquares.formula import And, Atom, Copula, Implies, Not, Or, parse
 from twosquares.opposition import SyntheticSemantics, catalog_entries
 from twosquares.proofs import (
     AXIOM5_WITH_DEFINITIONS,
@@ -20,6 +22,8 @@ from twosquares.proofs import (
     parse_script,
 )
 from twosquares.verdicts import Valid
+
+from oracles import row_by_row_tautology
 
 ALL_SOURCES = AxiomSet()
 
@@ -40,6 +44,35 @@ def test_tautology_atom_budget():
     big = " | ".join(f"X{i} sa Y{i}" for i in range(13))
     with pytest.raises(BoundError):
         is_tautology(parse(big))
+
+
+def test_tautology_at_the_atom_budget():
+    letters = [f"X{i} sa Y{i}" for i in range(12)]
+    assert is_tautology(parse(" | ".join(letters[:-1] + [f"~(X0 sa Y0) | {letters[-1]}"])))
+    assert not is_tautology(parse(" | ".join(letters)))
+
+
+@st.composite
+def _letter_formulas(draw):
+    """Formulas over 1-6 letters, few enough that some are tautologies."""
+    letters = [Atom(f"X{i}", Copula.SA, "Y") for i in range(draw(st.integers(1, 6)))]
+    return draw(
+        st.recursive(
+            st.sampled_from(letters),
+            lambda kids: st.one_of(
+                kids.map(Not),
+                st.builds(And, kids, kids),
+                st.builds(Or, kids, kids),
+                st.builds(Implies, kids, kids),
+            ),
+            max_leaves=12,
+        )
+    )
+
+
+@given(_letter_formulas())
+def test_tautology_table_matches_row_by_row(f):
+    assert is_tautology(f) == row_by_row_tautology(f)
 
 
 def test_axiom_set_requires_a_source():

@@ -19,8 +19,7 @@ Classes of constant functions are the standard elements *m (pairs with
 f0 = f1).  The argument-flip x |-> x(~a) swaps the coefficients; the
 pointwise lattice operations act componentwise.  Everything the
 twelve-case analysis and the two-square classification manipulate --
-[f], its flip, and their complements -- lives in this fragment, and
-all sweeps here are exhaustive over it.
+[f], its flip, and their complements -- lives in this fragment.
 
 B x B with componentwise operations is itself the Boolean algebra on
 2n atoms, so an element is one int, `f0 | f1 << n`: every operation is
@@ -28,10 +27,21 @@ one int expression, and the flip swaps the two n-bit halves.  The
 public `UltraElement(alg, f0, f1)` checks the coefficients; binary
 operations check only that the atom counts agree (an identity test,
 then an int comparison) and return members of the algebra's `carrier`.
+
+Every operation acts on each atom's bit pair (i, i + n) alone, and ≤, =
+and `standard` hold iff they hold at every atom, so the carrier on n
+atoms is the n-th direct power of ONE, the carrier on one atom.  Direct
+products preserve universal Horn sentences (Horn, J. Symbolic Logic 16,
+1951), and ONE embeds in every carrier on the diagonal; so a universal
+Horn check holds on every carrier iff it holds on ONE, and a witness on
+ONE lifts to every carrier.  A conjunction of atomic formulas in x holds
+iff it holds at each projection of x: if S satisfies it on ONE, |S|^n
+elements do on n atoms.  The report's carrier results come from ONE.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Mapping
 from enum import Enum
 from functools import cached_property
@@ -198,6 +208,29 @@ def incomparable(x: UltraElement, y: UltraElement) -> bool:
     return not leq(x, y) and not leq(y, x)
 
 
+# --- the one-atom carrier, which decides every carrier ----------------------
+
+ONE = FiniteBooleanAlgebra(1)
+
+
+def product_count(n: int, holds: set, fails: tuple = ()) -> int:
+    """The elements on n atoms with every projection in `holds` and, for
+    each set of `fails`, some projection outside it; the sets hold
+    elements of ONE."""
+    return sum(
+        (-1) ** len(chosen) * len(holds.intersection(*chosen)) ** n
+        for k in range(len(fails) + 1) for chosen in itertools.combinations(fails, k)
+    )
+
+
+def lift(alg: FiniteBooleanAlgebra, parts) -> UltraElement:
+    """The element of `alg` whose projection on atom i is parts[i], or *0
+    past the end of `parts`."""
+    f0 = sum(p.f0 << i for i, p in enumerate(parts))
+    f1 = sum(p.f1 << i for i, p in enumerate(parts))
+    return UltraElement(alg, f0, f1)
+
+
 # --- the twelve-case analysis ------------------------------------------------
 
 class CaseOutcome(Record):
@@ -231,26 +264,46 @@ def quadruple(x: UltraElement) -> tuple[UltraElement, UltraElement, UltraElement
     return x, fneg(x), complement(x), complement(fneg(x))
 
 
+def _concludes(quad: tuple, u: int, v: int, exact: str) -> bool:
+    """A case's conclusion on slots u and v: *0 ≤ inf, sup ≤ *1, and its exact bound."""
+    inf, sup = meet(quad[u], quad[v]), join(quad[u], quad[v])
+    bottom, top = inf.algebra.carrier[0], inf.algebra.carrier[-1]
+    exact_ok = {"inf-bottom": inf == bottom, "sup-top": sup == top}.get(exact, True)
+    return leq(bottom, inf) and leq(sup, top) and exact_ok
+
+
 def classify_cases(x: UltraElement) -> tuple[CaseOutcome, ...]:
     """Test each of the twelve case hypotheses on x's quadruple (pointwise
     order) and, where a hypothesis holds, check the stated inf/sup
     conclusion.  The generic bounds *0 ≤ inf and sup ≤ *1 are asserted
     in every case."""
     quad = quadruple(x)
-    bottom, top = x.algebra.carrier[0], x.algebra.carrier[-1]
     outcomes = []
     for case_id, description, hypothesis, (a, b), (u, v), exact in _CASES:
         holds = hypothesis(quad[a], quad[b])
-        conclusion = None
-        if holds:
-            inf, sup = meet(quad[u], quad[v]), join(quad[u], quad[v])
-            conclusion = leq(bottom, inf) and leq(sup, top)
-            if exact == "inf-bottom":
-                conclusion = conclusion and inf == bottom
-            elif exact == "sup-top":
-                conclusion = conclusion and sup == top
+        conclusion = _concludes(quad, u, v, exact) if holds else None
         outcomes.append(CaseOutcome(case_id, description, holds, conclusion))
     return tuple(outcomes)
+
+
+def case_analysis(alg: FiniteBooleanAlgebra) -> tuple[list[int], int, bool]:
+    """Per case, the carrier elements that meet its hypothesis; the
+    (element, case) pairs whose conclusion then fails, counted on ONE (an
+    incomparability hypothesis fails both comparisons of its slots); and
+    whether inf and sup of each element with its flip are standard."""
+    n, one = alg.atom_count, all_elements(ONE)
+    quads = [quadruple(x) for x in one]
+    counts, violations = [], 0
+    for _, _, hypothesis, (a, b), (u, v), exact in _CASES:
+        below, above = (
+            {x for x, q in zip(one, quads) if leq(q[i], q[j])} for i, j in ((a, b), (b, a))
+        )
+        concluded = {x for x, q in zip(one, quads) if _concludes(q, u, v, exact)}
+        holds, fails = (set(one), (below, above)) if hypothesis is incomparable else (below, ())
+        counts.append(product_count(n, holds, fails))
+        violations += product_count(n, holds, fails + (concluded,))
+    standard = all(meet(x, fneg(x)).standard and join(x, fneg(x)).standard for x in one)
+    return counts, violations, standard
 
 
 # --- the two squares ---------------------------------------------------------
@@ -263,7 +316,7 @@ class SquareSweepResult(Record):
 
 
 class Proposition1Report(Record):
-    """Exhaustive two-square sweep over one carrier.
+    """The two-square classification of one carrier.
 
     For every element whose quadruple satisfies a square's hypothesis,
     all six of that square's relations are checked.  The realizability
@@ -329,50 +382,49 @@ def _failures(relations: tuple, quad: tuple) -> list[str]:
 
 
 def verify_two_squares(alg: FiniteBooleanAlgebra) -> Proposition1Report:
-    """Sweep every carrier element and check both square conditions.
+    """Check both square conditions on every carrier element, on ONE.
 
     Conventional: inf([f],[f¬]) = *0, equivalently [f¬] ≤ ¬[f].
     Synthetic: [f] ≤ [f¬], equivalently ¬[f¬] ≤ ¬[f].
     The relations checked are the ones `analytic_square` and
-    `synthetic_square` state for the model checker.  Additionally probes
-    the alternative conventional hypothesis [f¬] ≤ [f]: it does not
-    generate the conventional square's six relations (any nonzero
-    standard element is a witness).
+    `synthetic_square` state for the model checker.  An element violates
+    one iff a projection does, so the satisfiers are listed only when ONE
+    has a violation.  Additionally probes the alternative conventional
+    hypothesis [f¬] ≤ [f]: it does not generate the conventional
+    square's six relations (any nonzero standard element is a witness).
+    The witness reported is ONE's first at atom p, with *0 (which meets
+    the hypothesis) at the other atoms: the standard element *p, *1 on
+    one atom, which the tests' sweep finds first.
     """
-    bottom = alg.carrier[0]
+    n, one = alg.atom_count, all_elements(ONE)
+    quads = {x: quadruple(x) for x in one}
     squares = (  # condition, its test and the equivalent form's, relations
-        ("inf([f],[f¬]) = *0", lambda f, fn, nf, nfn: (meet(f, fn) == bottom, leq(fn, nf)),
+        ("inf([f],[f¬]) = *0", lambda f, fn, nf, nfn: (meet(f, fn) == one[0], leq(fn, nf)),
          square_relations(analytic_square())),
         ("[f] ≤ [f¬]", lambda f, fn, nf, nfn: (leq(f, fn), leq(nfn, nf)),
          square_relations(synthetic_square())),
     )
-    tallies = [[0, 0, []] for _ in squares]  # satisfied, nonstandard, violations
-    equivalences_ok = True
-    bullet_witness = None
-    for x in all_elements(alg):
-        quad = quadruple(x)
-        for (_, test, relations), tally in zip(squares, tallies):
-            holds, equivalent = test(*quad)
-            equivalences_ok = equivalences_ok and holds == equivalent
-            if holds:
-                tally[0] += 1
-                tally[1] += not x.standard
-                tally[2].extend(f"{x}: {label}" for label in _failures(relations, quad))
-        if bullet_witness is None and leq(quad[1], quad[0]) and _failures(squares[0][2], quad):
-            bullet_witness = str(x)
-
-    conventional, synthetic = (
-        SquareSweepResult(condition, satisfied, nonstandard, tuple(violations))
-        for (condition, _, _), (satisfied, nonstandard, violations) in zip(squares, tallies)
-    )
+    standard = {x for x in one if x.standard}
+    sweeps, equivalences_ok = [], True
+    for condition, test, relations in squares:
+        held, equivalent = ({x for x in one if test(*quads[x])[k]} for k in (0, 1))
+        equivalences_ok = equivalences_ok and held == equivalent
+        violations = []
+        if any(_failures(relations, quads[x]) for x in held):
+            lifted = (lift(alg, parts) for parts in itertools.product(held, repeat=n))
+            for x in sorted(lifted, key=lambda x: (x.f0, x.f1)):
+                violations.extend(f"{x}: {label}" for label in _failures(relations, quadruple(x)))
+        satisfied, nonstandard = len(held) ** n, product_count(n, held, (standard,))
+        sweeps.append(SquareSweepResult(condition, satisfied, nonstandard, tuple(violations)))
+    witnesses = [w for w in one if leq(quads[w][1], w) and _failures(squares[0][2], quads[w])]
     return Proposition1Report(
-        atom_count=alg.atom_count,
-        total_elements=alg.size * alg.size,
-        conventional=conventional,
-        synthetic=synthetic,
+        atom_count=n,
+        total_elements=4**n,
+        conventional=sweeps[0],
+        synthetic=sweeps[1],
         hypothesis_equivalences_ok=equivalences_ok,
-        proof_bullet_generates_conventional=bullet_witness is None,
-        proof_bullet_witness=bullet_witness,
+        proof_bullet_generates_conventional=not witnesses,
+        proof_bullet_witness=str(lift(alg, witnesses[:1])) if witnesses else None,
     )
 
 

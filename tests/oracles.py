@@ -13,6 +13,8 @@ compare against all of them.
 The pair carrier, the oracle for the packed one in `twosquares.starb`:
 an element is the coefficient pair (f0, f1) and every operation acts on
 the two coefficients, bitmasks of the base algebra, one at a time.
+`pair_carrier_sections` sweeps it to build the report's carrier
+sections, which the package computes from the one-atom carrier.
 
 The per-word parser, the oracle for the package's: `reference_parse`
 lexes one word or symbol at a time and reads each atom as three
@@ -372,6 +374,68 @@ def pair_verify_two_squares(alg):
         proof_bullet_generates_conventional=bullet_ok,
         proof_bullet_witness=bullet_witness,
     )
+
+
+def pair_carrier_sections(atom_count, pairs=True):
+    """The report's case_sweep, proposition1 and matrix_properties
+    sections from sweeps of every pair-carrier element, and of every
+    pair of elements unless `pairs` is false, which leaves out
+    designation-order compatibility."""
+    alg = FiniteBooleanAlgebra(atom_count)
+    elems = pair_elements(alg)
+    counts, violations = [0] * 12, 0
+    for x in elems:
+        for outcome in pair_classify_cases(x):
+            counts[outcome.case_id - 1] += outcome.hypothesis_holds
+            violations += outcome.hypothesis_holds and not outcome.conclusion_holds
+    cases = {
+        "atom_count": atom_count,
+        "elements": len(elems),
+        "cases": [{"case": case, "hypothesis_holds_for": k} for case, k in enumerate(counts, 1)],
+        "conclusion_violations": violations,
+        "inf_sup_standard": all(
+            pair_meet(x, pair_fneg(x)).standard and pair_join(x, pair_fneg(x)).standard
+            for x in elems
+        ),
+    }
+    sweeps = []
+    for k in range(1, atom_count + 1):
+        report = pair_verify_two_squares(FiniteBooleanAlgebra(k))
+        sweeps.append({
+            "atom_count": k,
+            "elements": report.total_elements,
+            **{
+                name: {
+                    "condition": sweep.condition,
+                    "satisfied_by": sweep.satisfied_by,
+                    "nonstandard_satisfiers": sweep.nonstandard_satisfiers,
+                    "violations": list(sweep.violations),
+                }
+                for name, sweep in (("conventional", report.conventional),
+                                    ("synthetic", report.synthetic))
+            },
+            "hypothesis_equivalences_ok": report.hypothesis_equivalences_ok,
+            "alternative_hypothesis": {
+                "condition": "[f¬] ≤ [f]",
+                "generates_conventional_square": report.proof_bullet_generates_conventional,
+                "witness": report.proof_bullet_witness,
+            },
+        })
+    top = PairElement(alg, alg.top, alg.top)
+    matrix = {
+        "atom_count": atom_count,
+        "elements": len(elems),
+        "double_negation": all(pair_complement(pair_complement(x)) == x for x in elems),
+        "imp_top_identity": all(pair_matrix_imp(top, x) == x for x in elems),
+        "modus_ponens_preservation": all(
+            y == top for y in elems if pair_matrix_imp(top, y) == top
+        ),
+    }
+    if pairs:
+        matrix["designation_order_compatibility"] = all(
+            (pair_matrix_imp(x, y) == top) == pair_leq(x, y) for x in elems for y in elems
+        )
+    return {"case_sweep": cases, "proposition1": {"sweeps": sweeps}, "matrix_properties": matrix}
 
 
 # --- per-word parser -----------------------------------------------------

@@ -2,15 +2,18 @@ import copy
 import itertools
 import pickle
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from twosquares import starb
 from twosquares.errors import BoundError, SemanticsError
 from twosquares.formula import Atom, Copula, parse
 from twosquares.opposition import RelationKind, SquareSpec, analytic_square, synthetic_square
+from twosquares.report import report_json, run_verify_paper
 from twosquares.starb import (
     BridgeModel,
     Column,
@@ -20,12 +23,14 @@ from twosquares.starb import (
     UltraElement,
     all_elements,
     bridge_satisfies,
+    case_analysis,
     classify_cases,
     complement,
     fneg,
     incomparable,
     join,
     leq,
+    lift,
     matrix_eval,
     matrix_imp,
     matrix_neg,
@@ -37,6 +42,8 @@ from twosquares.starb import (
 )
 
 from oracles import (
+    PairElement,
+    pair_carrier_sections,
     pair_classify_cases,
     pair_complement,
     pair_conventional,
@@ -52,6 +59,7 @@ from oracles import (
     pair_verify_two_squares,
 )
 
+GOLDEN = Path(__file__).parent / "data"
 ALG2 = FiniteBooleanAlgebra(2)
 P = 0b01  # the atom p as a mask in the 2-atom algebra
 Q = 0b10
@@ -227,6 +235,7 @@ def test_carrier_operations_act_atom_by_atom(atom_count):
         assert projections(complement(x)) == [complement(p) for p in projections(x)]
         assert projections(fneg(x)) == [fneg(p) for p in projections(x)]
         assert x.standard == all(p.standard for p in projections(x))
+        assert lift(alg, projections(x)) == x
     if atom_count == 4:
         return
     for x, y in itertools.product(elems, repeat=2):
@@ -260,6 +269,77 @@ def test_sweep_counts_have_closed_forms(n):
     closed = {1: incomparable, 4: incomparable, 7: unequal, 10: unequal}
     closed.update({case: 3**n for case in (2, 3, 5, 6)})
     assert counts == [closed.get(case, 2**n) for case in range(1, 13)]
+    assert case_analysis(alg) == (counts, 0, True)
+
+
+# --- the report's carrier sections, from one atom ------------------------------------
+
+def carrier_sections(atom_count):
+    sections = run_verify_paper(1, atom_count)["sections"]
+    return {name: sections[name] for name in ("case_sweep", "proposition1", "matrix_properties")}
+
+
+@pytest.mark.parametrize("atom_count", [1, 2, 3, 4])
+def test_carrier_sections_equal_the_sweep_oracle(atom_count):
+    # every element at 1-4 atoms; every pair at 1-3 atoms
+    sections = carrier_sections(atom_count)
+    if atom_count == 4:
+        del sections["matrix_properties"]["designation_order_compatibility"]
+    assert sections == pair_carrier_sections(atom_count, pairs=atom_count < 4)
+
+
+def rotate(m, n):
+    """The n-atom mask m with each atom's bit moved to the next atom."""
+    return (m << 1 | m >> n - 1) & ((1 << n) - 1)
+
+
+def rotated_fneg(x):
+    # the flip, then every atom's bit pair moved to the next atom
+    n = x.algebra.atom_count
+    return x.algebra.carrier[rotate(x.f1, n) | rotate(x.f0, n) << n]
+
+
+def rotated_pair_fneg(x):
+    n = x.algebra.atom_count
+    return PairElement(x.algebra, rotate(x.f1, n), rotate(x.f0, n))
+
+
+def fiat_pair_leq(x, y):
+    if x.standard != y.standard:
+        return x.f0 == 0 if x.standard else y.f0 != 0
+    return pair_leq(x, y)
+
+
+@pytest.mark.parametrize(
+    "name, packed, pair",
+    [("leq", fiat_leq, fiat_pair_leq), ("fneg", rotated_fneg, rotated_pair_fneg)],
+)
+def test_an_operation_that_mixes_atoms_splits_the_sections_from_the_sweep(
+    monkeypatch, name, packed, pair
+):
+    # Both mutants agree with the real operation on one atom and mix atoms
+    # on more.  The sections, which rest on every operation acting atom by
+    # atom, keep their values; the sweep sees the mutant.
+    expected = {n: carrier_sections(n) for n in (1, 2)}
+    monkeypatch.setattr(starb, name, packed)
+    monkeypatch.setattr(oracles, f"pair_{name}", pair)
+    assert {n: carrier_sections(n) for n in (1, 2)} == expected
+    assert pair_carrier_sections(1) == expected[1]
+    assert pair_carrier_sections(2) != expected[2]
+
+
+def test_verify_paper_sweeps_no_carrier_past_one_atom(monkeypatch):
+    sweep = all_elements
+
+    def one_atom_only(alg):
+        assert alg.atom_count == 1, f"swept the {alg.atom_count}-atom carrier"
+        return sweep(alg)
+
+    monkeypatch.setattr(starb, "all_elements", one_atom_only)
+    monkeypatch.setattr("twosquares.report.all_elements", one_atom_only)
+    result = run_verify_paper(4, 4)
+    assert result["pass"]
+    assert report_json(result).encode() == (GOLDEN / "verify_paper_b4_a4.json").read_bytes()
 
 
 # --- the argument flip ---------------------------------------------------------
@@ -516,10 +596,15 @@ def test_synthetic_condition_exactly_the_standard_elements():
     assert report.synthetic.nonstandard_satisfiers == 0
 
 
-def test_alternative_conventional_hypothesis_fails_with_witness():
-    report = verify_two_squares(ALG2)
-    assert not report.proof_bullet_generates_conventional
-    assert report.proof_bullet_witness is not None
+@pytest.mark.parametrize("atom_count", [1, 2, 3, 4])
+def test_alternative_conventional_hypothesis_fails_with_witness(atom_count):
+    # the first witness the sweep finds is the standard element of atom p
+    alg = FiniteBooleanAlgebra(atom_count)
+    result = verify_two_squares(alg)
+    assert not result.proof_bullet_generates_conventional
+    assert result.proof_bullet_witness == pair_verify_two_squares(alg).proof_bullet_witness
+    assert result.proof_bullet_witness == str(mk_standard(alg, P))
+    assert result.proof_bullet_witness == ("*p" if atom_count > 1 else "*1")
 
 
 # --- matrix logic ------------------------------------------------------------------------

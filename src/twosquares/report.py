@@ -43,7 +43,6 @@ from .starb import (
     Column,
     FiniteBooleanAlgebra,
     Filter,
-    SquareSweepResult,
     Strict,
     UltraElement,
     all_elements,
@@ -195,49 +194,27 @@ def _case_section(expect: _Expectations, atom_count: int) -> dict:
     }
 
 
-def _sweep_dict(sweep: SquareSweepResult) -> dict:
-    return {
-        "condition": sweep.condition,
-        "satisfied_by": sweep.satisfied_by,
-        "nonstandard_satisfiers": sweep.nonstandard_satisfiers,
-        "violations": list(sweep.violations),
-    }
-
-
 def _proposition1_section(expect: _Expectations, atom_count: int) -> dict:
-    reports = [verify_two_squares(FiniteBooleanAlgebra(k)) for k in range(1, atom_count + 1)]
-    sweeps = []
-    for report in reports:
+    rows = [verify_two_squares(FiniteBooleanAlgebra(k)) for k in range(1, atom_count + 1)]
+    for row in rows:
         expect.add(
-            f"proposition1-{report.atom_count}atom",
-            f"two-square sweep passes over the {report.atom_count}-atom carrier",
-            report.passed,
-        )
-        sweeps.append(
-            {
-                "atom_count": report.atom_count,
-                "elements": report.total_elements,
-                "conventional": _sweep_dict(report.conventional),
-                "synthetic": _sweep_dict(report.synthetic),
-                "hypothesis_equivalences_ok": report.hypothesis_equivalences_ok,
-                "alternative_hypothesis": {
-                    "condition": "[f¬] ≤ [f]",
-                    "generates_conventional_square": report.proof_bullet_generates_conventional,
-                    "witness": report.proof_bullet_witness,
-                },
-            }
+            f"proposition1-{row['atom_count']}atom",
+            f"two-square sweep passes over the {row['atom_count']}-atom carrier",
+            not row["conventional"]["violations"]
+            and not row["synthetic"]["violations"]
+            and row["hypothesis_equivalences_ok"],
         )
     expect.add(
         "prop1-conventional-nonstandard",
         "the conventional-square condition is realizable by nonstandard elements",
-        all(r.conventional_nonstandard_realizable for r in reports),
+        all(row["conventional"]["nonstandard_satisfiers"] > 0 for row in rows),
     )
     expect.add(
         "prop1-synthetic-standard-only",
         "the synthetic-square condition forces [f] = [f¬] in this carrier",
-        all(r.synthetic_forces_standard for r in reports),
+        all(row["synthetic"]["nonstandard_satisfiers"] == 0 for row in rows),
     )
-    return {"sweeps": sweeps}
+    return {"sweeps": rows}
 
 
 def _matrix_section(expect: _Expectations, atom_count: int) -> dict:
@@ -345,8 +322,10 @@ def run_verify_paper(model_bound: int = 3, atom_count: int = 2) -> dict:
 
     `model_bound` caps the synthetic-model sweeps (catalog, axioms, the
     synthetic square); the analytic square always runs at domain bound
-    4, which is what its claim is about.  `atom_count` sizes the
-    carrier sweeps.  Section failures are recorded in the expectation
+    4, which is what its claim is about.  `atom_count` is the
+    carrier's atom count: the bridge models are built on it, and the
+    carrier sections describe it but are decided on one atom (see
+    `starb`).  Section failures are recorded in the expectation
     table; the report's "pass" is true iff every expectation is met.
     """
     if not 1 <= model_bound <= MAX_UNIVERSE_DIRECT:

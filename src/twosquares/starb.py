@@ -26,7 +26,7 @@ B x B with componentwise operations is itself the Boolean algebra on
 one int expression, and the flip swaps the two n-bit halves.  The
 public `UltraElement(alg, f0, f1)` checks the coefficients; binary
 operations check only that the atom counts agree (an identity test,
-then an int comparison) and return members of the algebra's `carrier`.
+then an int comparison) and build their result unchecked, from its bits.
 
 Every operation acts on each atom's bit pair (i, i + n) alone, and ≤, =
 and `standard` hold iff they hold at every atom, so the carrier on n
@@ -77,17 +77,7 @@ class FiniteBooleanAlgebra(Record):
         """*1 of the carrier: both halves full."""
         return self.top | self.top << self.atom_count
 
-    @cached_property
-    def carrier(self) -> tuple[UltraElement, ...]:
-        """The carrier's elements, each at the index of its bits; the
-        operations return these rather than build new elements."""
-        return tuple(UltraElement(self, f0, f1) for f1 in self.elements() for f0 in self.elements())
-
     bottom = 0
-
-    def __reduce__(self) -> tuple:
-        # rebuild from the atom count: the cached carrier refers back here
-        return FiniteBooleanAlgebra, (self.atom_count,)
 
     def elements(self) -> range:
         return range(self.size)
@@ -108,8 +98,8 @@ class FiniteBooleanAlgebra(Record):
 class UltraElement:
     """Class of a Shannon-form function, held as `bits = f0 | f1 << n`.
 
-    Immutable.  The operations return elements of the algebra's
-    `carrier` table, so they build no element and check no coefficient.
+    Immutable.  The operations build their results with `_packed`,
+    which checks no coefficient.
     """
 
     __slots__ = ("algebra", "bits")
@@ -156,6 +146,14 @@ class UltraElement:
     __repr__ = __str__
 
 
+def _packed(algebra: FiniteBooleanAlgebra, bits: int) -> UltraElement:
+    """The element with these bits, which the caller guarantees fit."""
+    x = object.__new__(UltraElement)
+    object.__setattr__(x, "algebra", algebra)
+    object.__setattr__(x, "bits", bits)
+    return x
+
+
 def mk_standard(alg: FiniteBooleanAlgebra, m: int) -> UltraElement:
     """Embed the algebra element m as the class of the constant function."""
     return UltraElement(alg, m, m)
@@ -163,8 +161,8 @@ def mk_standard(alg: FiniteBooleanAlgebra, m: int) -> UltraElement:
 
 def all_elements(alg: FiniteBooleanAlgebra) -> tuple[UltraElement, ...]:
     """Every carrier element, in (f0, f1) lexicographic order."""
-    n, carrier = alg.atom_count, alg.carrier
-    return tuple(carrier[f0 | f1 << n] for f0 in alg.elements() for f1 in alg.elements())
+    n = alg.atom_count
+    return tuple(_packed(alg, f0 | f1 << n) for f0 in alg.elements() for f1 in alg.elements())
 
 
 # --- lattice structure -------------------------------------------------------
@@ -177,22 +175,22 @@ def _same_algebra(x: UltraElement, y: UltraElement) -> FiniteBooleanAlgebra:
 
 
 def meet(x: UltraElement, y: UltraElement) -> UltraElement:
-    return _same_algebra(x, y).carrier[x.bits & y.bits]
+    return _packed(_same_algebra(x, y), x.bits & y.bits)
 
 
 def join(x: UltraElement, y: UltraElement) -> UltraElement:
-    return _same_algebra(x, y).carrier[x.bits | y.bits]
+    return _packed(_same_algebra(x, y), x.bits | y.bits)
 
 
 def complement(x: UltraElement) -> UltraElement:
-    return x.algebra.carrier[x.algebra.carrier_top ^ x.bits]
+    return _packed(x.algebra, x.algebra.carrier_top ^ x.bits)
 
 
 def fneg(x: UltraElement) -> UltraElement:
     """Class of a |-> x(~a): swaps the Shannon coefficients.  An involution
     that fixes exactly the standard elements."""
     alg, n = x.algebra, x.algebra.atom_count
-    return alg.carrier[x.bits >> n | (x.bits & alg.top) << n]
+    return _packed(alg, x.bits >> n | (x.bits & alg.top) << n)
 
 
 def leq(x: UltraElement, y: UltraElement) -> bool:
@@ -267,7 +265,8 @@ def quadruple(x: UltraElement) -> tuple[UltraElement, UltraElement, UltraElement
 def _concludes(quad: tuple, u: int, v: int, exact: str) -> bool:
     """A case's conclusion on slots u and v: *0 ≤ inf, sup ≤ *1, and its exact bound."""
     inf, sup = meet(quad[u], quad[v]), join(quad[u], quad[v])
-    bottom, top = inf.algebra.carrier[0], inf.algebra.carrier[-1]
+    alg = inf.algebra
+    bottom, top = _packed(alg, 0), _packed(alg, alg.carrier_top)
     exact_ok = {"inf-bottom": inf == bottom, "sup-top": sup == top}.get(exact, True)
     return leq(bottom, inf) and leq(sup, top) and exact_ok
 
@@ -308,48 +307,6 @@ def case_analysis(alg: FiniteBooleanAlgebra) -> tuple[list[int], int, bool]:
 
 # --- the two squares ---------------------------------------------------------
 
-class SquareSweepResult(Record):
-    condition: str
-    satisfied_by: int
-    nonstandard_satisfiers: int
-    violations: tuple[str, ...]
-
-
-class Proposition1Report(Record):
-    """The two-square classification of one carrier.
-
-    For every element whose quadruple satisfies a square's hypothesis,
-    all six of that square's relations are checked.  The realizability
-    findings record whether the conventional hypothesis is met by
-    genuinely nonstandard elements and whether the synthetic hypothesis
-    forces the flip to fix the element (it does, in this carrier).
-    """
-
-    atom_count: int
-    total_elements: int
-    conventional: SquareSweepResult
-    synthetic: SquareSweepResult
-    hypothesis_equivalences_ok: bool
-    proof_bullet_generates_conventional: bool
-    proof_bullet_witness: str | None
-
-    @property
-    def passed(self) -> bool:
-        return (
-            not self.conventional.violations
-            and not self.synthetic.violations
-            and self.hypothesis_equivalences_ok
-        )
-
-    @property
-    def conventional_nonstandard_realizable(self) -> bool:
-        return self.conventional.nonstandard_satisfiers > 0
-
-    @property
-    def synthetic_forces_standard(self) -> bool:
-        return self.synthetic.nonstandard_satisfiers == 0
-
-
 # Quadruple slot names, and the lattice test of each relation kind a
 # square states.
 _SLOT_NAMES = ("[f]", "[f¬]", "¬[f]", "¬[f¬]")
@@ -381,16 +338,16 @@ def _failures(relations: tuple, quad: tuple) -> list[str]:
     return [label for label, test, i, j in relations if not test(quad[i], quad[j])]
 
 
-def verify_two_squares(alg: FiniteBooleanAlgebra) -> Proposition1Report:
-    """Check both square conditions on every carrier element, on ONE.
+def verify_two_squares(alg: FiniteBooleanAlgebra) -> dict:
+    """The report's two-square classification row for `alg`, on ONE.
 
     Conventional: inf([f],[f¬]) = *0, equivalently [f¬] ≤ ¬[f].
     Synthetic: [f] ≤ [f¬], equivalently ¬[f¬] ≤ ¬[f].
-    The relations checked are the ones `analytic_square` and
-    `synthetic_square` state for the model checker.  An element violates
-    one iff a projection does, so the satisfiers are listed only when ONE
-    has a violation.  Additionally probes the alternative conventional
-    hypothesis [f¬] ≤ [f]: it does not generate the conventional
+    For every element that meets a square's condition, the relations
+    `analytic_square` and `synthetic_square` state for the model checker
+    are checked.  An element violates one iff a projection does, so the
+    satisfiers are listed only when ONE has a violation.  The alternative
+    conventional hypothesis [f¬] ≤ [f] does not generate the conventional
     square's six relations (any nonzero standard element is a witness).
     The witness reported is ONE's first at atom p, with *0 (which meets
     the hypothesis) at the other atoms: the standard element *p, *1 on
@@ -398,15 +355,16 @@ def verify_two_squares(alg: FiniteBooleanAlgebra) -> Proposition1Report:
     """
     n, one = alg.atom_count, all_elements(ONE)
     quads = {x: quadruple(x) for x in one}
-    squares = (  # condition, its test and the equivalent form's, relations
-        ("inf([f],[f¬]) = *0", lambda f, fn, nf, nfn: (meet(f, fn) == one[0], leq(fn, nf)),
+    squares = (  # name, condition, its test and the equivalent form's, relations
+        ("conventional", "inf([f],[f¬]) = *0",
+         lambda f, fn, nf, nfn: (meet(f, fn) == one[0], leq(fn, nf)),
          square_relations(analytic_square())),
-        ("[f] ≤ [f¬]", lambda f, fn, nf, nfn: (leq(f, fn), leq(nfn, nf)),
+        ("synthetic", "[f] ≤ [f¬]", lambda f, fn, nf, nfn: (leq(f, fn), leq(nfn, nf)),
          square_relations(synthetic_square())),
     )
     standard = {x for x in one if x.standard}
-    sweeps, equivalences_ok = [], True
-    for condition, test, relations in squares:
+    row, equivalences_ok = {"atom_count": n, "elements": 4**n}, True
+    for name, condition, test, relations in squares:
         held, equivalent = ({x for x in one if test(*quads[x])[k]} for k in (0, 1))
         equivalences_ok = equivalences_ok and held == equivalent
         violations = []
@@ -414,18 +372,20 @@ def verify_two_squares(alg: FiniteBooleanAlgebra) -> Proposition1Report:
             lifted = (lift(alg, parts) for parts in itertools.product(held, repeat=n))
             for x in sorted(lifted, key=lambda x: (x.f0, x.f1)):
                 violations.extend(f"{x}: {label}" for label in _failures(relations, quadruple(x)))
-        satisfied, nonstandard = len(held) ** n, product_count(n, held, (standard,))
-        sweeps.append(SquareSweepResult(condition, satisfied, nonstandard, tuple(violations)))
-    witnesses = [w for w in one if leq(quads[w][1], w) and _failures(squares[0][2], quads[w])]
-    return Proposition1Report(
-        atom_count=n,
-        total_elements=4**n,
-        conventional=sweeps[0],
-        synthetic=sweeps[1],
-        hypothesis_equivalences_ok=equivalences_ok,
-        proof_bullet_generates_conventional=not witnesses,
-        proof_bullet_witness=str(lift(alg, witnesses[:1])) if witnesses else None,
-    )
+        row[name] = {
+            "condition": condition,
+            "satisfied_by": len(held) ** n,
+            "nonstandard_satisfiers": product_count(n, held, (standard,)),
+            "violations": violations,
+        }
+    witnesses = [w for w in one if leq(quads[w][1], w) and _failures(squares[0][3], quads[w])]
+    row["hypothesis_equivalences_ok"] = equivalences_ok
+    row["alternative_hypothesis"] = {
+        "condition": "[f¬] ≤ [f]",
+        "generates_conventional_square": not witnesses,
+        "witness": str(lift(alg, witnesses[:1])) if witnesses else None,
+    }
+    return row
 
 
 # --- matrix logic ------------------------------------------------------------
@@ -439,7 +399,7 @@ def matrix_imp(x: UltraElement, y: UltraElement) -> UltraElement:
     # "top minus sup, plus y" read with minus as complement and plus as
     # join; equals complement(x) ∨ y.
     alg = _same_algebra(x, y)
-    return alg.carrier[(alg.carrier_top ^ (x.bits | y.bits)) | y.bits]
+    return _packed(alg, (alg.carrier_top ^ (x.bits | y.bits)) | y.bits)
 
 
 def matrix_eval(f: Formula, valuation: Mapping[Atom, UltraElement]) -> UltraElement:

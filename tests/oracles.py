@@ -46,12 +46,7 @@ from twosquares.formula import (
     term_names,
 )
 from twosquares.opposition import AnalyticSemantics, OppositionRelation, RelationKind
-from twosquares.starb import (
-    CaseOutcome,
-    FiniteBooleanAlgebra,
-    Proposition1Report,
-    SquareSweepResult,
-)
+from twosquares.starb import CaseOutcome, FiniteBooleanAlgebra
 from twosquares.synthetic import (
     MAX_UNIVERSE_DERIVED,
     Reading,
@@ -361,19 +356,28 @@ def pair_verify_two_squares(alg):
             if bullet_ok:
                 bullet_witness = str(x)
             bullet_ok = False
-    return Proposition1Report(
-        atom_count=alg.atom_count,
-        total_elements=alg.size * alg.size,
-        conventional=SquareSweepResult(
-            "inf([f],[f¬]) = *0", conv_satisfied, conv_nonstandard, tuple(conv_violations)
-        ),
-        synthetic=SquareSweepResult(
-            "[f] ≤ [f¬]", syn_satisfied, syn_nonstandard, tuple(syn_violations)
-        ),
-        hypothesis_equivalences_ok=equivalences_ok,
-        proof_bullet_generates_conventional=bullet_ok,
-        proof_bullet_witness=bullet_witness,
-    )
+    return {
+        "atom_count": alg.atom_count,
+        "elements": alg.size * alg.size,
+        "conventional": {
+            "condition": "inf([f],[f¬]) = *0",
+            "satisfied_by": conv_satisfied,
+            "nonstandard_satisfiers": conv_nonstandard,
+            "violations": conv_violations,
+        },
+        "synthetic": {
+            "condition": "[f] ≤ [f¬]",
+            "satisfied_by": syn_satisfied,
+            "nonstandard_satisfiers": syn_nonstandard,
+            "violations": syn_violations,
+        },
+        "hypothesis_equivalences_ok": equivalences_ok,
+        "alternative_hypothesis": {
+            "condition": "[f¬] ≤ [f]",
+            "generates_conventional_square": bullet_ok,
+            "witness": bullet_witness,
+        },
+    }
 
 
 def pair_carrier_sections(atom_count, pairs=True):
@@ -398,29 +402,9 @@ def pair_carrier_sections(atom_count, pairs=True):
             for x in elems
         ),
     }
-    sweeps = []
-    for k in range(1, atom_count + 1):
-        report = pair_verify_two_squares(FiniteBooleanAlgebra(k))
-        sweeps.append({
-            "atom_count": k,
-            "elements": report.total_elements,
-            **{
-                name: {
-                    "condition": sweep.condition,
-                    "satisfied_by": sweep.satisfied_by,
-                    "nonstandard_satisfiers": sweep.nonstandard_satisfiers,
-                    "violations": list(sweep.violations),
-                }
-                for name, sweep in (("conventional", report.conventional),
-                                    ("synthetic", report.synthetic))
-            },
-            "hypothesis_equivalences_ok": report.hypothesis_equivalences_ok,
-            "alternative_hypothesis": {
-                "condition": "[f¬] ≤ [f]",
-                "generates_conventional_square": report.proof_bullet_generates_conventional,
-                "witness": report.proof_bullet_witness,
-            },
-        })
+    sweeps = [
+        pair_verify_two_squares(FiniteBooleanAlgebra(k)) for k in range(1, atom_count + 1)
+    ]
     top = PairElement(alg, alg.top, alg.top)
     matrix = {
         "atom_count": atom_count,

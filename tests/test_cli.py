@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -102,6 +104,22 @@ def test_each_command_loads_only_the_modules_it_runs(synthetic_model, argv, load
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, f"{sorted(loaded)}\n", "")
+
+
+def test_every_function_the_benchmark_tracer_rebinds_resolves():
+    """`perfbench/tracer.py` rebinds these names by lookup; a renamed or
+    removed one would otherwise break only the traced benchmark run."""
+    tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    targets = next(
+        node.value for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TARGETS"]
+    )
+    pairs = [(module, function) for module, function, _, _ in ast.literal_eval(targets)]
+    assert ("starb", "verify_two_squares") in pairs
+    for module, function in pairs:
+        assert callable(getattr(importlib.import_module(f"twosquares.{module}"), function, None)), (
+            module, function
+        )
 
 
 def test_eval_analytic(capsys, analytic_model):

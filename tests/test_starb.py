@@ -159,7 +159,6 @@ def test_public_constructor_validates_and_elements_are_immutable():
     with pytest.raises(AttributeError):
         x.bits = 0
     assert x == UltraElement(ALG2, P, Q)
-    meet(x, x)  # fills the algebra's element table
     for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert y == x and str(y) == str(x)
         assert meet(y, x) == x
@@ -202,7 +201,7 @@ ALG1 = FiniteBooleanAlgebra(1)
 def project(x, i):
     """The 1-atom element on bits (i, i + n) of x: x's coefficients at atom i."""
     n = x.algebra.atom_count
-    return ALG1.carrier[(x.bits >> i & 1) | (x.bits >> (i + n) & 1) << 1]
+    return UltraElement(ALG1, x.bits >> i & 1, x.bits >> (i + n) & 1)
 
 
 def projections(x):
@@ -256,11 +255,13 @@ def test_an_order_that_mixes_atoms_fails_the_atom_check():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sweep_counts_have_closed_forms(n):
     alg = FiniteBooleanAlgebra(n)
-    report = verify_two_squares(alg)
-    assert (report.conventional.satisfied_by, report.conventional.nonstandard_satisfiers) == (
+    row = verify_two_squares(alg)
+    conventional, synthetic = row["conventional"], row["synthetic"]
+    assert row["elements"] == 4**n
+    assert (conventional["satisfied_by"], conventional["nonstandard_satisfiers"]) == (
         3**n, 3**n - 1
     )
-    assert (report.synthetic.satisfied_by, report.synthetic.nonstandard_satisfiers) == (2**n, 0)
+    assert (synthetic["satisfied_by"], synthetic["nonstandard_satisfiers"]) == (2**n, 0)
     counts = [0] * 12
     for x in all_elements(alg):
         for outcome in classify_cases(x):
@@ -296,7 +297,7 @@ def rotate(m, n):
 def rotated_fneg(x):
     # the flip, then every atom's bit pair moved to the next atom
     n = x.algebra.atom_count
-    return x.algebra.carrier[rotate(x.f1, n) | rotate(x.f0, n) << n]
+    return UltraElement(x.algebra, rotate(x.f1, n), rotate(x.f0, n))
 
 
 def rotated_pair_fneg(x):
@@ -329,17 +330,29 @@ def test_an_operation_that_mixes_atoms_splits_the_sections_from_the_sweep(
 
 
 def test_verify_paper_sweeps_no_carrier_past_one_atom(monkeypatch):
-    sweep = all_elements
+    sweep, packed, init = all_elements, starb._packed, UltraElement.__init__
+    built = set()  # the distinct elements either constructor builds
 
     def one_atom_only(alg):
         assert alg.atom_count == 1, f"swept the {alg.atom_count}-atom carrier"
         return sweep(alg)
 
+    def counted_packed(alg, bits):
+        built.add((alg.atom_count, bits))
+        return packed(alg, bits)
+
+    def counted_init(x, alg, f0, f1):
+        init(x, alg, f0, f1)
+        built.add((alg.atom_count, x.bits))
+
     monkeypatch.setattr(starb, "all_elements", one_atom_only)
     monkeypatch.setattr("twosquares.report.all_elements", one_atom_only)
+    monkeypatch.setattr(starb, "_packed", counted_packed)
+    monkeypatch.setattr(UltraElement, "__init__", counted_init)
     result = run_verify_paper(4, 4)
     assert result["pass"]
     assert report_json(result).encode() == (GOLDEN / "verify_paper_b4_a4.json").read_bytes()
+    assert 0 < sum(n == 4 for n, _ in built) < 4**4 // 8, sorted(built)
 
 
 # --- the argument flip ---------------------------------------------------------
@@ -575,36 +588,37 @@ def test_a_mutated_square_spec_yields_violations(monkeypatch):
     assert expected != spec.expected
     mutated = SquareSpec(spec.name, spec.corners, expected)
     monkeypatch.setattr(starb, "synthetic_square", lambda: mutated)
-    report = verify_two_squares(ALG2)
-    assert report.synthetic.violations == tuple(
-        f"*{m}: [f],[f¬] contrary" for m in ("p", "q", "1")
-    )
-    assert not report.conventional.violations and not report.passed
+    row = verify_two_squares(ALG2)
+    assert row["synthetic"]["violations"] == [f"*{m}: [f],[f¬] contrary" for m in ("p", "q", "1")]
+    assert row["conventional"]["violations"] == []
+    assert row["hypothesis_equivalences_ok"]
 
 
 def test_two_square_sweeps_pass_all_atom_counts():
     for k in (1, 2, 3, 4):
-        report = verify_two_squares(FiniteBooleanAlgebra(k))
-        assert report.passed
-        assert report.conventional_nonstandard_realizable
-        assert report.synthetic_forces_standard
+        row = verify_two_squares(FiniteBooleanAlgebra(k))
+        assert row["conventional"]["violations"] == []
+        assert row["synthetic"]["violations"] == []
+        assert row["hypothesis_equivalences_ok"]
+        assert row["conventional"]["nonstandard_satisfiers"] > 0
+        assert row["synthetic"]["nonstandard_satisfiers"] == 0
 
 
 def test_synthetic_condition_exactly_the_standard_elements():
-    report = verify_two_squares(ALG2)
-    assert report.synthetic.satisfied_by == ALG2.size  # one per standard element
-    assert report.synthetic.nonstandard_satisfiers == 0
+    synthetic = verify_two_squares(ALG2)["synthetic"]
+    assert synthetic["satisfied_by"] == ALG2.size  # one per standard element
+    assert synthetic["nonstandard_satisfiers"] == 0
 
 
 @pytest.mark.parametrize("atom_count", [1, 2, 3, 4])
 def test_alternative_conventional_hypothesis_fails_with_witness(atom_count):
     # the first witness the sweep finds is the standard element of atom p
     alg = FiniteBooleanAlgebra(atom_count)
-    result = verify_two_squares(alg)
-    assert not result.proof_bullet_generates_conventional
-    assert result.proof_bullet_witness == pair_verify_two_squares(alg).proof_bullet_witness
-    assert result.proof_bullet_witness == str(mk_standard(alg, P))
-    assert result.proof_bullet_witness == ("*p" if atom_count > 1 else "*1")
+    alternative = verify_two_squares(alg)["alternative_hypothesis"]
+    assert not alternative["generates_conventional_square"]
+    assert alternative == pair_verify_two_squares(alg)["alternative_hypothesis"]
+    assert alternative["witness"] == str(mk_standard(alg, P))
+    assert alternative["witness"] == ("*p" if atom_count > 1 else "*1")
 
 
 # --- matrix logic ------------------------------------------------------------------------

@@ -186,51 +186,38 @@ def verify_square(spec: SquareSpec, semantics: Semantics, bound: int) -> SquareR
     return SquareReport(spec.name, semantics.label(), bound, tuple(pairs), corner_text)
 
 
+def _square(name: str, prefix: str, expected: tuple) -> SquareSpec:
+    """The square whose corner c is `S {prefix}c P`."""
+    return SquareSpec(name, {c: schema_of(f"S {prefix}{c} P") for c in "aeio"}, expected)
+
+
 @functools.cache
 def analytic_square() -> SquareSpec:
     """The conventional square: a-e contrary, i-o subcontrary, the two
     diagonals contradictory, and downward subalternations a->i, e->o.
     Built once and shared."""
-    return SquareSpec(
-        name="analytic",
-        corners={
-            "a": schema_of("S a P"),
-            "e": schema_of("S e P"),
-            "i": schema_of("S i P"),
-            "o": schema_of("S o P"),
-        },
-        expected=(
-            ("a", "e", RelationKind.CONTRARY),
-            ("i", "o", RelationKind.SUBCONTRARY),
-            ("a", "o", RelationKind.CONTRADICTORY),
-            ("e", "i", RelationKind.CONTRADICTORY),
-            ("a", "i", RelationKind.SUBALTERNATION_FORWARD),
-            ("e", "o", RelationKind.SUBALTERNATION_FORWARD),
-        ),
-    )
+    return _square("analytic", "", (
+        ("a", "e", RelationKind.CONTRARY),
+        ("i", "o", RelationKind.SUBCONTRARY),
+        ("a", "o", RelationKind.CONTRADICTORY),
+        ("e", "i", RelationKind.CONTRADICTORY),
+        ("a", "i", RelationKind.SUBALTERNATION_FORWARD),
+        ("e", "o", RelationKind.SUBALTERNATION_FORWARD),
+    ))
 
 
 @functools.cache
 def synthetic_square() -> SquareSpec:
     """The synthetic square: a-i contrary, e-o subcontrary, a-o and e-i
     contradictory, subalternations a->e and i->o.  Built once and shared."""
-    return SquareSpec(
-        name="synthetic",
-        corners={
-            "a": schema_of("S sa P"),
-            "e": schema_of("S se P"),
-            "i": schema_of("S si P"),
-            "o": schema_of("S so P"),
-        },
-        expected=(
-            ("a", "i", RelationKind.CONTRARY),
-            ("e", "o", RelationKind.SUBCONTRARY),
-            ("a", "o", RelationKind.CONTRADICTORY),
-            ("e", "i", RelationKind.CONTRADICTORY),
-            ("a", "e", RelationKind.SUBALTERNATION_FORWARD),
-            ("i", "o", RelationKind.SUBALTERNATION_FORWARD),
-        ),
-    )
+    return _square("synthetic", "s", (
+        ("a", "i", RelationKind.CONTRARY),
+        ("e", "o", RelationKind.SUBCONTRARY),
+        ("a", "o", RelationKind.CONTRADICTORY),
+        ("e", "i", RelationKind.CONTRADICTORY),
+        ("a", "e", RelationKind.SUBALTERNATION_FORWARD),
+        ("i", "o", RelationKind.SUBALTERNATION_FORWARD),
+    ))
 
 
 # --- claim catalog ---------------------------------------------------------

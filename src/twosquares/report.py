@@ -19,13 +19,12 @@ from . import __version__
 from .analytic import IMPORT_OFF, IMPORT_ON
 from .diagram import square_dict
 from .errors import BoundError, TwoSquaresError
-from .formula import Atom, Copula, Formula, parse, render
+from .formula import parse, render
 from .opposition import (
     AnalyticSemantics,
     CatalogResult,
     SyntheticSemantics,
     analytic_square,
-    catalog_entries,
     check_entry,
     run_catalog,
     synthetic_square,
@@ -39,19 +38,13 @@ from .proofs import (
 from .starb import (
     MAX_ATOMS,
     ONE,
-    BridgeModel,
-    Column,
     FiniteBooleanAlgebra,
-    Filter,
-    Strict,
-    UltraElement,
     all_elements,
-    bridge_satisfies,
+    bridge_tables,
     case_analysis,
     leq,
     matrix_imp,
     matrix_neg,
-    mk_standard,
     verify_two_squares,
 )
 from .synthetic import DIRECT_EMPTY_OK, DIRECT_NONEMPTY, MAX_UNIVERSE_DIRECT, SyntheticOptions
@@ -236,35 +229,8 @@ def _matrix_section(expect: _Expectations, atom_count: int) -> dict:
     return {"atom_count": atom_count, "elements": 4**atom_count, **checks}
 
 
-def _bridge_table(bm: BridgeModel, axiom5: Formula) -> dict:
-    atom_values = {}
-    satisfied = {}
-    for copula in ("sa", "se", "si", "so"):
-        atom = Atom("S", Copula(copula), "P")
-        value = bm.interpret(atom)
-        atom_values[copula] = str(value)
-        satisfied[copula] = bridge_satisfies(bm, atom)
-    axiom5_shape = bridge_satisfies(bm, axiom5)
-    return {
-        "generator": str(bm.generator),
-        "column": bm.column.value,
-        "policy": bm.policy.label(),
-        "atom_values": atom_values,
-        "satisfied": satisfied,
-        "axiom5_shape_satisfied": axiom5_shape,
-    }
-
-
 def _bridge_section(expect: _Expectations, atom_count: int) -> dict:
-    alg = FiniteBooleanAlgebra(atom_count)
-    nonstandard = UltraElement(alg, 1, 0)  # meets the conventional-square condition
-    top = mk_standard(alg, alg.top)
-    axiom5 = next(e.schema.formula for e in catalog_entries() if e.id == "A5")
-    tables = []
-    for generator in (nonstandard, top):
-        for column in (Column.PRIMARY, Column.ALTERNATE):
-            for policy in (Strict(), Filter(generator)):
-                tables.append(_bridge_table(BridgeModel(generator, column, policy), axiom5))
+    tables = bridge_tables(FiniteBooleanAlgebra(atom_count))
     strict_nonstandard, strict_top = tables[0], tables[4]  # the primary column, strict
     expect.add(
         "bridge-strict-nonstandard-atom",

@@ -43,12 +43,17 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Mapping
-from enum import Enum
 from functools import cached_property
 
 from .errors import BoundError, SemanticsError
-from .formula import Atom, Formula, fold, holds
-from .opposition import RelationKind, SquareSpec, analytic_square, synthetic_square
+from .formula import Atom, Copula, Formula, fold, holds
+from .opposition import (
+    RelationKind,
+    SquareSpec,
+    analytic_square,
+    catalog_entries,
+    synthetic_square,
+)
 from .record import Record
 
 MAX_ATOMS = 4
@@ -321,10 +326,10 @@ _LATTICE_TESTS = {
 def square_relations(spec: SquareSpec) -> tuple[tuple[str, Callable, int, int], ...]:
     """The square's six expected relations on a quadruple: each as its
     label, its lattice test and the two slots it compares, the corners
-    placed by the bridge's primary column."""
+    placed by the bridge's slot table."""
     relations = []
     for first, second, kind in spec.expected:
-        i, j = _PRIMARY_SLOTS[first], _PRIMARY_SLOTS[second]
+        i, j = _SLOTS[first], _SLOTS[second]
         x, y = _SLOT_NAMES[i], _SLOT_NAMES[j]
         if kind is RelationKind.SUBALTERNATION_FORWARD:
             label = f"{x} ≤ {y} subalternation"
@@ -416,65 +421,62 @@ def matrix_eval(f: Formula, valuation: Mapping[Atom, UltraElement]) -> UltraElem
 
 # --- syllogistic bridge models ------------------------------------------------
 
-class Column(Enum):
-    PRIMARY = "primary"
-    ALTERNATE = "alternate"
-
-
-class Strict(Record):
-    """Designated set {*1} exactly."""
-
-    def label(self) -> str:
-        return "strict"
-
-
-class Filter(Record):
-    """Designate everything pointwise above the threshold.  Exists because
-    strict designation never satisfies a nonstandard atom value, which
-    trivializes models generated from nonstandard elements."""
-
-    threshold: UltraElement
-
-    def label(self) -> str:
-        return f"filter(≥ {self.threshold})"
-
-
-DesignationPolicy = Strict | Filter
-
-# copula -> quadruple slot, per assignment column; slots index ([f], [f¬],
-# ¬[f], ¬[f¬]).  Analytic and synthetic copulas share the assignments.
-_PRIMARY_SLOTS = {"a": 0, "e": 1, "i": 3, "o": 2}
-_ALTERNATE_SLOTS = {"a": 3, "e": 2, "i": 0, "o": 1}
+# copula -> quadruple slot; slots index ([f], [f¬], ¬[f], ¬[f¬]).  Analytic
+# and synthetic copulas share the assignment.
+_SLOTS = {"a": 0, "e": 1, "i": 3, "o": 2}
 
 
 class BridgeModel(Record):
     """Interpretation of atomic syllogistic formulas inside one quadruple.
 
-    Every atom's value depends only on its copula: the chosen assignment
-    column sends each of the four forms to one of [f], [f¬], ¬[f],
-    ¬[f¬] generated from the given element.
+    Every atom's value depends only on its copula: the slot table sends
+    each of the four forms to one of [f], [f¬], ¬[f], ¬[f¬] generated from
+    `generator`, and an atom holds iff its value is at or above
+    `threshold`.  The report's alternate column is this table read on the
+    quadruple of ¬[f¬], which is (¬[f¬], ¬[f], [f¬], [f]); its strict
+    designation is the threshold *1, the only value at or above *1.
     """
 
     generator: UltraElement
-    column: Column = Column.PRIMARY
-    policy: DesignationPolicy = Strict()
+    threshold: UltraElement
 
-    def carrier(self) -> tuple[UltraElement, UltraElement, UltraElement, UltraElement]:
-        return quadruple(self.generator)
+    @cached_property
+    def values(self) -> dict[str, UltraElement]:
+        quad = quadruple(self.generator)
+        return {copula: quad[slot] for copula, slot in _SLOTS.items()}
 
     def interpret(self, atom: Atom) -> UltraElement:
-        slots = _PRIMARY_SLOTS if self.column is Column.PRIMARY else _ALTERNATE_SLOTS
-        key = atom.copula.value[-1]  # a/e/i/o, either family
-        return self.carrier()[slots[key]]
-
-    def designated(self, value: UltraElement) -> bool:
-        if isinstance(self.policy, Strict):
-            return value.bits == value.algebra.carrier_top
-        return leq(self.policy.threshold, value)
+        return self.values[atom.copula.value[-1]]  # a/e/i/o, either family
 
 
 def bridge_satisfies(bm: BridgeModel, f: Formula) -> bool:
-    """Satisfaction: an atom holds iff its interpreted value is designated;
-    compounds follow the classical clauses (an implication holds iff its
+    """Satisfaction: an atom holds iff its interpreted value is at or above
+    the threshold; compounds follow the classical clauses (an implication holds iff its
     antecedent fails or its consequent holds)."""
-    return holds(f, lambda atom: bm.designated(bm.interpret(atom)))
+    return holds(f, lambda atom: leq(bm.threshold, bm.interpret(atom)))
+
+
+def bridge_tables(alg: FiniteBooleanAlgebra) -> list[dict]:
+    """The report's bridge tables on `alg`.  For the generators ⟨p, 0⟩,
+    which meets the conventional-square condition, and *1, each column
+    and each designation policy: the value and satisfaction of each
+    atomic form, and whether the axiom-5 shape is satisfied.  A
+    nonstandard atom value never meets strict designation, so the filter
+    above the generator is reported alongside it."""
+    top = _packed(alg, alg.carrier_top)
+    atoms = {c: Atom("S", Copula(c), "P") for c in ("sa", "se", "si", "so")}
+    axiom5 = next(e.schema.formula for e in catalog_entries() if e.id == "A5")
+    tables = []
+    for g in (UltraElement(alg, 1, 0), top):
+        for column, generator in (("primary", g), ("alternate", complement(fneg(g)))):
+            for policy, threshold in (("strict", top), (f"filter(≥ {g})", g)):
+                bm = BridgeModel(generator, threshold)
+                tables.append({
+                    "generator": str(g),
+                    "column": column,
+                    "policy": policy,
+                    "atom_values": {c: str(bm.interpret(atom)) for c, atom in atoms.items()},
+                    "satisfied": {c: bridge_satisfies(bm, atom) for c, atom in atoms.items()},
+                    "axiom5_shape_satisfied": bridge_satisfies(bm, axiom5),
+                })
+    return tables

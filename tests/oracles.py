@@ -15,6 +15,10 @@ an element is the coefficient pair (f0, f1) and every operation acts on
 the two coefficients, bitmasks of the base algebra, one at a time.
 `pair_carrier_sections` sweeps it to build the report's carrier
 sections, which the package computes from the one-atom carrier.
+`pair_bridge_tables` builds the report's bridge tables from the two
+slot tables (one per column) and the two designation rules (strict and
+filter) that the package reads as one table on a second generator and
+one threshold.
 
 The per-word parser, the oracle for the package's: `reference_parse`
 lexes one word or symbol at a time and reads each atom as three
@@ -420,6 +424,55 @@ def pair_carrier_sections(atom_count, pairs=True):
             (pair_matrix_imp(x, y) == top) == pair_leq(x, y) for x in elems for y in elems
         )
     return {"case_sweep": cases, "proposition1": {"sweeps": sweeps}, "matrix_properties": matrix}
+
+
+# --- the bridge's two slot tables and two designation rules -------------------
+
+# copula -> slot of ([f], [f¬], ¬[f], ¬[f¬]), one table per column
+PAIR_BRIDGE_SLOTS = {
+    "primary": {"a": 0, "e": 1, "i": 3, "o": 2},
+    "alternate": {"a": 3, "e": 2, "i": 0, "o": 1},
+}
+
+
+def pair_bridge_value(x, column, copula):
+    """The value the column gives an atom with this copula (either
+    family) in the quadruple of x."""
+    return pair_quadruple(x)[PAIR_BRIDGE_SLOTS[column][copula[-1]]]
+
+
+def pair_designated(policy, value):
+    """Strict designation is {*1} exactly; a filter, given as its
+    threshold, designates every value at or above it."""
+    if policy == "strict":
+        return value.f0 == value.f1 == value.algebra.top
+    return pair_leq(policy, value)
+
+
+def pair_bridge_tables(alg):
+    """The report's bridge tables from the two slot tables and the two
+    designation rules, for the generators ⟨p, 0⟩ and *1."""
+    atoms = {c: reference_parse(f"S {c} P") for c in ("sa", "se", "si", "so")}
+    axiom5 = reference_parse("S sa P -> S se P")
+    tables = []
+    for x in (PairElement(alg, 1, 0), PairElement(alg, alg.top, alg.top)):
+        for column in ("primary", "alternate"):
+            for policy in ("strict", x):
+                def satisfied(f):
+                    return holds(f, lambda atom: pair_designated(
+                        policy, pair_bridge_value(x, column, atom.copula.value)))
+
+                tables.append({
+                    "generator": str(x),
+                    "column": column,
+                    "policy": "strict" if policy == "strict" else f"filter(≥ {x})",
+                    "atom_values": {
+                        c: str(pair_bridge_value(x, column, c)) for c in atoms
+                    },
+                    "satisfied": {c: satisfied(atom) for c, atom in atoms.items()},
+                    "axiom5_shape_satisfied": satisfied(axiom5),
+                })
+    return tables
 
 
 # --- per-word parser -----------------------------------------------------

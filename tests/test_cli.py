@@ -1,7 +1,9 @@
 import ast
 import contextlib
+import hashlib
 import importlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -445,6 +447,25 @@ def test_output_matches_golden_bytes(capsys, golden, argv, code):
     got_code, out, _ = run(capsys, *argv)
     assert got_code == code
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+def test_verify_paper_output_matches_recorded_digests(capsys):
+    """The text and `--json` output of `verify-paper` at every bound and
+    atom count, pinned by SHA-256 next to the exit code.  The digest file
+    holds `got` below, dumped with `json.dumps(got, indent=2)`, from a
+    commit whose output is known good."""
+    got = {}
+    for bound, atoms in itertools.product(range(1, 5), repeat=2):
+        argv = ("verify-paper", "--bound", str(bound), "--atoms", str(atoms))
+        code, text, text_err = run(capsys, *argv)
+        json_code, out, json_err = run(capsys, *argv, "--json")
+        assert (json_code, text_err, json_err) == (code, "", "")
+        got[" ".join(argv[1:])] = {
+            "exit_code": code,
+            "text_sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "json_sha256": hashlib.sha256(out.encode()).hexdigest(),
+        }
+    assert got == json.loads((GOLDEN / "verify_paper_digests.json").read_text())
 
 
 # --- fuzzing the command line -------------------------------------------------

@@ -16,13 +16,11 @@ from twosquares.opposition import RelationKind, SquareSpec, analytic_square, syn
 from twosquares.report import report_json, run_verify_paper
 from twosquares.starb import (
     BridgeModel,
-    Column,
     FiniteBooleanAlgebra,
-    Filter,
-    Strict,
     UltraElement,
     all_elements,
     bridge_satisfies,
+    bridge_tables,
     case_analysis,
     classify_cases,
     complement,
@@ -43,10 +41,13 @@ from twosquares.starb import (
 
 from oracles import (
     PairElement,
+    pair_bridge_tables,
+    pair_bridge_value,
     pair_carrier_sections,
     pair_classify_cases,
     pair_complement,
     pair_conventional,
+    pair_designated,
     pair_elements,
     pair_fneg,
     pair_incomparable,
@@ -331,19 +332,19 @@ def test_an_operation_that_mixes_atoms_splits_the_sections_from_the_sweep(
 
 def test_verify_paper_sweeps_no_carrier_past_one_atom(monkeypatch):
     sweep, packed, init = all_elements, starb._packed, UltraElement.__init__
-    built = set()  # the distinct elements either constructor builds
+    built = []  # (atom count, bits) of every element either constructor builds
 
     def one_atom_only(alg):
         assert alg.atom_count == 1, f"swept the {alg.atom_count}-atom carrier"
         return sweep(alg)
 
     def counted_packed(alg, bits):
-        built.add((alg.atom_count, bits))
+        built.append((alg.atom_count, bits))
         return packed(alg, bits)
 
     def counted_init(x, alg, f0, f1):
         init(x, alg, f0, f1)
-        built.add((alg.atom_count, x.bits))
+        built.append((alg.atom_count, x.bits))
 
     monkeypatch.setattr(starb, "all_elements", one_atom_only)
     monkeypatch.setattr("twosquares.report.all_elements", one_atom_only)
@@ -352,7 +353,10 @@ def test_verify_paper_sweeps_no_carrier_past_one_atom(monkeypatch):
     result = run_verify_paper(4, 4)
     assert result["pass"]
     assert report_json(result).encode() == (GOLDEN / "verify_paper_b4_a4.json").read_bytes()
-    assert 0 < sum(n == 4 for n, _ in built) < 4**4 // 8, sorted(built)
+    four_atoms = [bits for n, bits in built if n == 4]
+    # each bridge model builds its generator's quadruple once, not once per atom
+    assert 0 < len(set(four_atoms)) < 4**4 // 8, sorted(set(four_atoms))
+    assert len(four_atoms) <= 64, len(four_atoms)
 
 
 # --- the argument flip ---------------------------------------------------------
@@ -662,25 +666,25 @@ def test_matrix_eval_compound():
 # --- bridge models ------------------------------------------------------------------------
 
 def test_strict_nonstandard_atom_unsatisfied_but_negation_holds():
-    bm = BridgeModel(UltraElement(ALG2, P, 0), Column.PRIMARY, Strict())
+    bm = BridgeModel(UltraElement(ALG2, P, 0), TOP2)
     assert not bridge_satisfies(bm, parse("S sa P"))
     assert bridge_satisfies(bm, parse("~(S sa P)"))
 
 
 def test_strict_top_generator_satisfies_affirmatives():
-    bm = BridgeModel(mk_standard(ALG2, ALG2.top), Column.PRIMARY, Strict())
+    bm = BridgeModel(TOP2, TOP2)
     assert bridge_satisfies(bm, parse("S sa P"))
     assert bridge_satisfies(bm, parse("S sa P | S so P"))
 
 
 def test_axiom5_shape_satisfied_in_strict_nonstandard_model():
-    bm = BridgeModel(UltraElement(ALG2, P, 0), Column.PRIMARY, Strict())
+    bm = BridgeModel(UltraElement(ALG2, P, 0), TOP2)
     assert bridge_satisfies(bm, parse("S sa P -> S se P"))
 
 
 def test_filter_policy_designates_the_generated_quadrant():
     x = UltraElement(ALG2, P, 0)
-    bm = BridgeModel(x, Column.PRIMARY, Filter(x))
+    bm = BridgeModel(x, x)
     assert bridge_satisfies(bm, parse("S sa P"))     # [f] itself
     assert bridge_satisfies(bm, parse("S si P"))     # complement of the flip
     assert not bridge_satisfies(bm, parse("S se P"))
@@ -688,6 +692,26 @@ def test_filter_policy_designates_the_generated_quadrant():
 
 
 def test_bridge_interprets_both_copula_families_alike():
-    bm = BridgeModel(UltraElement(ALG2, P, 0), Column.ALTERNATE, Strict())
+    x = UltraElement(ALG2, P, 0)
+    bm = BridgeModel(complement(fneg(x)), TOP2)  # the alternate column of x
     assert bm.interpret(Atom("S", Copula.A, "P")) == bm.interpret(Atom("S", Copula.SA, "P"))
-    assert bm.interpret(Atom("S", Copula.O, "P")) == fneg(bm.generator)
+    assert bm.interpret(Atom("S", Copula.O, "P")) == fneg(x)
+
+
+@pytest.mark.parametrize("atom_count", range(1, 5))
+def test_bridge_model_matches_the_two_slot_tables_and_the_two_designation_rules(atom_count):
+    """The alternate column is the slot table read on the quadruple of
+    ¬[f¬], strict designation is the threshold *1, and the report's bridge
+    tables are the ones the two tables and two rules give."""
+    alg = FiniteBooleanAlgebra(atom_count)
+    top = mk_standard(alg, alg.top)
+    for x in all_elements(alg):
+        pair = PairElement(alg, x.f0, x.f1)
+        for column, generator in (("primary", x), ("alternate", complement(fneg(x)))):
+            bm = BridgeModel(generator, top)
+            for copula in Copula:
+                got = bm.interpret(Atom("S", copula, "P"))
+                want = pair_bridge_value(pair, column, copula.value)
+                assert (got.f0, got.f1) == (want.f0, want.f1), (x, column, copula)
+        assert leq(top, x) == pair_designated("strict", pair) == (x == top)
+    assert bridge_tables(alg) == pair_bridge_tables(alg)

@@ -25,8 +25,13 @@ lexes one word or symbol at a time and reads each atom as three
 tokens, as the package did before one scan lexed whole atoms.  The
 row-by-row truth table, the oracle for `proofs.is_tautology`, walks
 every assignment to the letters with `holds`.
+
+The argparse parser, the oracle for the package's command-line table:
+`build_parser` is the parser `twosquares.cli` built before it read the
+command line from one table.
 """
 
+import argparse
 import functools
 import itertools
 import re
@@ -602,3 +607,57 @@ def row_by_row_tautology(f: Formula) -> bool:
         if not holds(f, dict(zip(letters, values)).__getitem__):
             return False
     return True
+
+
+# --- the argparse command line -------------------------------------------------
+
+def _add_semantics_flags(sub) -> None:
+    sub.add_argument("--semantics", choices=("analytic", "synthetic"), default="synthetic")
+    sub.add_argument("--import", dest="existential_import", choices=("on", "off"), default="on")
+    sub.add_argument(
+        "--reading", choices=tuple(r.value for r in Reading), default=Reading.DIRECT.value
+    )
+    sub.add_argument("--allow-empty", action="store_true")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="twosquares",
+        description="verification workbench for the analytic and synthetic squares of opposition",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_eval = sub.add_parser("eval", help="evaluate a formula against a model file")
+    p_eval.add_argument("formula")
+    p_eval.add_argument("--model", required=True, help="JSON model file")
+    _add_semantics_flags(p_eval)
+
+    p_classify = sub.add_parser("classify", help="classify the opposition relation of two formulas")
+    p_classify.add_argument("first")
+    p_classify.add_argument("second")
+    _add_semantics_flags(p_classify)
+    p_classify.add_argument("--bound", type=int, default=3)
+
+    p_square = sub.add_parser("square", help="verify a full square of opposition")
+    _add_semantics_flags(p_square)
+    p_square.add_argument("--bound", type=int, default=3)
+
+    p_diagram = sub.add_parser("diagram", help="emit a DOT diagram of a verified square")
+    _add_semantics_flags(p_diagram)
+    p_diagram.add_argument("--bound", type=int, default=3)
+
+    p_prove = sub.add_parser("prove", help="check a proof script")
+    p_prove.add_argument("script")
+    p_prove.add_argument(
+        "--axioms", default="a5,a6,a7,a8,def",
+        help="comma list from a5,a6,a7,a8,def (default: all)",
+    )
+
+    p_verify = sub.add_parser("verify-paper", help="run the full verification suite")
+    p_verify.add_argument("--bound", type=int, default=3, help="synthetic model bound (1..4)")
+    p_verify.add_argument("--atoms", type=int, default=2, help="algebra atom count (1..4)")
+
+    for p in (p_eval, p_classify, p_square, p_diagram, p_prove, p_verify):
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--out", help="write output to FILE instead of stdout")
+    return parser

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twosquares import opposition, report
-from twosquares.cli import main
+from oracles import build_parser
+from twosquares.cli import main, parse_args
 from twosquares.errors import BoundError
 from twosquares.formula import _MAX_DEPTH, Copula
 from twosquares.proofs import bundled_theorem_scripts
@@ -60,13 +61,16 @@ def copula_structure(tmp_path):
 
 def test_a_cold_verify_paper_loads_no_class_building_modules():
     """The import layer: neither importing the CLI nor running it pulls
-    in `dataclasses`, `typing` or what `dataclasses` imports."""
+    in `dataclasses`, `typing` or what `dataclasses` imports, nor
+    `argparse` or what argparse loads to translate and lay out its
+    messages (`gettext`, `locale`, `shutil`)."""
     script = (
         "import contextlib, io, sys\n"
         "import twosquares.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['verify-paper', '--json']) == 0\n"
-        "print(sorted(set(sys.modules) & {'dataclasses', 'inspect', 'typing', 'ast', 'dis'}))\n"
+        "print(sorted(set(sys.modules) & {'dataclasses', 'inspect', 'typing', 'ast', 'dis',\n"
+        "                                 'argparse', 'gettext', 'locale', 'shutil'}))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -526,7 +530,7 @@ SEMANTICS_FLAGS = st.builds(
     st.sampled_from(["analytic", "synthetic"]), st.sampled_from(["on", "off"]),
     st.sampled_from([r.value for r in Reading]), st.booleans(), st.booleans(),
 )
-BOUNDS = st.integers(-1, 5).map(str)
+BOUNDS = st.one_of(st.integers(-1, 5).map(str), st.sampled_from(["x", "", "3.5"]))
 SCRIPTS = st.one_of(
     st.sampled_from(sorted(bundled_theorem_scripts().values())),
     st.lists(st.builds("{}. {} ; {}".format, st.integers(0, 3), FORMULAS,
@@ -563,10 +567,191 @@ def test_cli_exit_codes_under_fuzzing(tmp_path_factory, data):
     argv = data.draw(command_lines(tmp_path_factory.mktemp("fuzz")))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the arguments
-            code = exc.code
+        code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
     assert code != 1 or argv[0] in ("square", "diagram", "prove", "verify-paper"), argv
+
+
+# --- the command-line table against the argparse parser ------------------------
+
+def parsed(argv):
+    """What `parse_args` makes of `argv`: ("args", values) or ("exit", code)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        got = parse_args(list(argv))
+    return ("exit", got) if isinstance(got, int) else ("args", vars(got))
+
+
+def reference(argv):
+    """What the argparse parser in `oracles` makes of `argv`, in the same form."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return ("args", vars(build_parser().parse_args(list(argv))))
+        except SystemExit as exc:
+            return ("exit", exc.code)
+
+
+SEMANTICS_OPTIONS = ("--semantics", "--import", "--reading", "--allow-empty")
+OPTIONS = {
+    "eval": ("--model", *SEMANTICS_OPTIONS, "--json", "--out"),
+    "classify": (*SEMANTICS_OPTIONS, "--bound", "--json", "--out"),
+    "square": (*SEMANTICS_OPTIONS, "--bound", "--json", "--out"),
+    "diagram": (*SEMANTICS_OPTIONS, "--bound", "--json", "--out"),
+    "prove": ("--axioms", "--json", "--out"),
+    "verify-paper": ("--bound", "--atoms", "--json", "--out"),
+}
+POSITIONALS = {"eval": 1, "classify": 2, "prove": 1}
+INTEGERS = (["3", "0", "4", "-1", " 2"], ["-7", "x", "", "3.5", "--json"])
+VALUES = {  # the valid values of each option, and others
+    "--model": (["model.json", "S sa P"], ["", "--json"]),
+    "--semantics": (["analytic", "synthetic"], ["modal", ""]),
+    "--import": (["on", "off"], ["yes"]),
+    "--reading": ([r.value for r in Reading], ["derived-literal"]),
+    "--bound": INTEGERS,
+    "--atoms": INTEGERS,
+    "--axioms": (["a5,def", "a9"], [""]),
+    "--out": (["report.json", "-3"], ["", "--json", "-x"]),
+}
+FLAGS = ("--allow-empty", "--json")
+FORMULA_TEXTS = st.sampled_from(
+    ["S sa P", "S si P", "~(S a P)", "S", "", "-3", "-> S si P", "-x", "eval"]
+)
+UNKNOWN = st.sampled_from(
+    ["--frobnicate", "--frobnicate=1", "-x", "--model", "--bound=3", "--atoms"]
+)
+HELP = st.sampled_from(["-h", "--help", "--he", "--h", "-hh", "--help=x"])
+
+
+def sometimes(strategy, odds):
+    """`strategy`'s value as a one-item list, or an empty list `odds` times as often."""
+    one = strategy.map(lambda value: [value])
+    return st.integers(0, odds).flatmap(lambda n: one if n == 0 else st.just([]))
+
+
+@st.composite
+def option_words(draw, name):
+    """`name` with its value: in full or by a unique prefix, apart or
+    joined by `=`; now and then with the ambiguous empty prefix, with the
+    value missing, or with a value it refuses."""
+    spelled = draw(st.sampled_from([name, name[:draw(st.integers(3, len(name)))]]))
+    if name in FLAGS:
+        return draw(st.sampled_from([[spelled]] * 6 + [[f"{spelled}=1"], [f"{spelled}="]]))
+    valid, invalid = VALUES[name]
+    value = draw(st.sampled_from(valid * 4 + invalid))
+    return draw(st.sampled_from(
+        [[spelled, value]] * 4 + [[f"{spelled}={value}"]] * 3 + [[f"--={value}"], [spelled]]
+    ))
+
+
+@st.composite
+def argument_vectors(draw):
+    """An argv around a known or an unknown command: its options, valid
+    and not, its positionals, one too few or one too many, and now and
+    then an unknown option, a help request or an option before the command."""
+    command = draw(st.sampled_from([*OPTIONS, "verify", "evaluate"]))
+    names = OPTIONS.get(command, ("--json",))
+    chosen = draw(st.lists(st.sampled_from(names), max_size=4))
+    pieces = [draw(option_words(name)) for name in chosen]
+    count = POSITIONALS.get(command, 0) + draw(st.sampled_from([0] * 6 + [-1, 1]))
+    pieces += [[draw(FORMULA_TEXTS)] for _ in range(max(count, 0))]
+    pieces += [draw(sometimes(UNKNOWN, 6)), draw(sometimes(HELP, 9))]
+    lead = draw(sometimes(st.sampled_from(["--json", "-h", "--he", "--help=x"]), 9))
+    named = [command] if draw(st.integers(0, 19)) else []
+    return [*lead, *named, *itertools.chain(*draw(st.permutations(pieces)))]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(argv=argument_vectors())
+def test_parser_matches_the_argparse_reference(argv):
+    """Either both parsers accept `argv` with the same values, or both
+    refuse it with the same exit code: 2 for a usage error, 0 for help.
+    Messages are not compared, since argparse words them differently
+    from one Python version to the next."""
+    assert parsed(argv) == reference(argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-paper", "-h", "--=x"],  # an ambiguous option is refused before any is read
+        ["verify-paper", "--out", "--json"],  # a value that reads as an option is missing
+        ["eval", "S sa P", "--model", "--json"],
+        ["eval", "--model", "-> S si P", "-3"],  # a word with a space or a negative number
+        ["classify", "-1", "-.5", "--bound", "-0"],
+        ["verify-paper", "--json", "--json", "--bound", "1", "--bound", "2"],  # the last one wins
+        ["--frobnicate", "verify-paper", "-hh"],  # help before the unknown option is reported
+        ["--help=x", "verify-paper"],
+        ["verify-paper", "--atoms", "x", "-h"],  # a refused value before the help request
+        ["prove", "--axioms=", "t01.proof", "--out="],
+    ],
+    ids=str,
+)
+def test_parser_matches_the_argparse_reference_on_edge_cases(argv):
+    assert parsed(argv) == reference(argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["verify-paper", "--b", "1", "--a", "1"],
+         {"command": "verify-paper", "bound": 1, "atoms": 1, "json": False, "out": None}),
+        (["verify-paper", "--bound=4"],
+         {"command": "verify-paper", "bound": 4, "atoms": 2, "json": False, "out": None}),
+        (["classify", "--bound", "-1", "S sa P", "--reading=derived", "S si P", "--bound", "2"],
+         {"command": "classify", "first": "S sa P", "second": "S si P", "semantics": "synthetic",
+          "existential_import": "on", "reading": "derived", "allow_empty": False, "bound": 2,
+          "json": False, "out": None}),
+    ],
+    ids=["prefixes", "joined-value", "mixed-order"],
+)
+def test_the_table_reads_prefixes_joined_values_and_any_order(argv, expected):
+    assert parsed(argv) == reference(argv) == ("args", expected)
+
+
+def test_prefixed_options_run_as_the_full_ones(capsys):
+    assert run(capsys, "verify-paper", "--b", "1", "--a", "1") == run(
+        capsys, "verify-paper", "--bound", "1", "--atoms", "1"
+    )
+    code, out, err = run(capsys, "verify-paper", "--b", "1", "--a", "1")
+    assert (code, err) == (1, "") and "[ ?? ] A8" in out
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["verify-paper", "--json=1"], "verify-paper"),
+        (["eval", "S sa P"], "eval"),
+        ([], None),
+        (["verify-paper", "--bound", "x"], "verify-paper"),
+        (["verify"], None),
+    ],
+    ids=["flag-with-value", "eval-without-model", "no-arguments", "bound-not-a-number",
+         "unknown-command"],
+)
+def test_usage_errors_exit_2_with_a_usage_and_an_error_line(capsys, argv, command):
+    code, out, err = run(capsys, *argv)
+    prog = f"twosquares {command}" if command else "twosquares"
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith(f"usage: {prog} [-h]") and error.startswith(f"{prog}: error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [None, "eval", "classify", "square", "diagram", "prove",
+                                     "verify-paper"])
+def test_help_names_the_commands_positionals_choices_and_help_strings(capsys, command):
+    code, out, err = run(capsys, *([command] if command else []), "-h")
+    assert (code, err) == (0, "") and out.startswith("usage: twosquares")
+    assert run(capsys, *([command] if command else []), "--he") == (code, out, err)
+    expected = {
+        None: ["eval", "verify-paper", "run the full verification suite",
+               "verification workbench for the analytic and synthetic squares of opposition"],
+        "eval": ["formula", "--model MODEL", "JSON model file", "{analytic,synthetic}",
+                 "{direct,derived,derived-charitable}", "--allow-empty"],
+        "classify": ["first", "second", "{on,off}", "--bound BOUND"],
+        "square": ["--reading", "--json", "write output to FILE instead of stdout"],
+        "diagram": ["--semantics", "--out OUT"],
+        "prove": ["script", "comma list from a5,a6,a7,a8,def (default: all)"],
+        "verify-paper": ["synthetic model bound (1..4)", "algebra atom count (1..4)"],
+    }[command]
+    assert all(word in out for word in expected), out

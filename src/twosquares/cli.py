@@ -74,12 +74,8 @@ def _cmd_eval(args) -> int:
 def _cmd_classify(args) -> int:
     semantics = _semantics(args)
     first, second = parse(args.first), parse(args.second)
-    metavars = tuple(sorted(set(term_names(first)) | set(term_names(second))))
     relation = classify_pair(
-        Schema(first, tuple(m for m in metavars if m in term_names(first))),
-        Schema(second, tuple(m for m in metavars if m in term_names(second))),
-        semantics,
-        args.bound,
+        Schema(first, term_names(first)), Schema(second, term_names(second)), semantics, args.bound
     )
     if args.json:
         payload = {

@@ -206,6 +206,9 @@ _MAX_DEPTH = 200
 # connective token -> (node, binding strength); only `->` groups to the right
 _BINARY = {"&": (And, 3), "|": (Or, 2), "->": (Implies, 1)}
 
+# what an atom's copula word may be, in the order an error lists them
+_COPULAS = tuple(sorted(COPULA_TOKENS))
+
 # One scan lexes the whole text.  A word, a copula keyword (`s?[aeio]`)
 # and a word, whitespace between the three, is an atom and one token; the
 # parser then reads the formula one token per atom.  Each match skips
@@ -226,8 +229,8 @@ _Token = tuple[str, str, int, Atom | None]
 def _tokenize(text: str) -> list[_Token]:
     """The tokens of `text`; an atom's lexeme and offset are its
     subject's.  A candidate with a reserved term is three words, as is
-    every other atom that is not well formed, and the parser reads it
-    word by word."""
+    every other atom that is not well formed; the parser builds no atom
+    from words and reads them only to report the one out of place."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         subject, copula, predicate, symbol, bad = m.groups()
@@ -236,11 +239,8 @@ def _tokenize(text: str) -> list[_Token]:
                 raise ParseError(f"unexpected character {bad!r}", m.start(5), ("term", "~", "("))
             if symbol is not None:
                 tokens.append((symbol, symbol, m.start(4), None))
-        elif copula is None:
-            tokens.append(("ident", subject, m.start(1), None))
-        elif subject in RESERVED_TOKENS or predicate in RESERVED_TOKENS:
-            tokens += [("ident", subject, m.start(1), None), ("ident", copula, m.start(2), None),
-                       ("ident", predicate, m.start(3), None)]
+        elif copula is None or subject in RESERVED_TOKENS or predicate in RESERVED_TOKENS:
+            tokens += [("ident", m[g], m.start(g), None) for g in (1, 2, 3) if m[g]]
         else:
             atom = Atom(subject, COPULA_TOKENS[copula], predicate)
             tokens.append(("atom", subject, m.start(1), atom))
@@ -252,20 +252,6 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, expected: tuple[str, ...]) -> _Token:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"unexpected token {tok[1] or 'end of input'!r}", tok[2], expected)
-        return self.advance()
 
     # `binary` and `unary` take the levels enclosing them and return what
     # they parsed with the levels it nests; both counts are bounded.
@@ -286,56 +272,47 @@ class _Parser:
     def nest(self, f: Formula, levels: int) -> tuple[Formula, int]:
         """`f` one level above `levels`, or an error past the limit."""
         if levels >= _MAX_DEPTH:
-            raise ParseError("formula nesting too deep", self.peek()[2], ())
+            raise ParseError("formula nesting too deep", self.tokens[self.i][2], ())
         return f, levels + 1
 
     def unary(self, depth: int) -> tuple[Formula, int]:
-        tok = self.tokens[self.i]
+        kind, _, pos, atom = self.tokens[self.i]
         if depth > _MAX_DEPTH:
-            raise ParseError("formula nesting too deep", tok[2], ())
-        kind = tok[0]
+            raise ParseError("formula nesting too deep", pos, ())
         if kind == "atom":
             self.i += 1
-            return tok[3], 0
+            return atom, 0
         if kind == "~":
-            self.advance()
+            self.i += 1
             operand, levels = self.unary(depth + 1)
             return self.nest(Not(operand), levels)
         if kind == "(":
-            self.advance()
+            self.i += 1
             inner, levels = self.binary(depth + 1)
-            self.expect(")", (")",))
+            kind, lexeme, pos, _ = self.tokens[self.i]
+            if kind != ")":
+                raise ParseError(f"unexpected token {lexeme or 'end of input'!r}", pos, (")",))
+            self.i += 1
             return self.nest(inner, levels)
-        return self.atom(), 0
+        raise self.atom_error()
 
-    def term(self, expected: tuple[str, ...]) -> str:
-        kind, lexeme, pos, _ = self.peek()
-        if kind != "ident" or lexeme in RESERVED_TOKENS:
-            raise ParseError(
-                f"unexpected token {lexeme or 'end of input'!r}", pos, expected,
-            )
-        self.advance()
-        return lexeme
-
-    def atom(self) -> Formula:
-        subject = self.term(("term", "~", "("))
-        kind, lexeme, pos, _ = self.peek()
-        if kind != "ident" or lexeme not in COPULA_TOKENS:
-            raise ParseError(
-                f"unexpected token {lexeme or 'end of input'!r}", pos,
-                tuple(sorted(COPULA_TOKENS)),
-            )
-        copula = COPULA_TOKENS[lexeme]
-        self.advance()
-        predicate = self.term(("term",))
-        return Atom(subject, copula, predicate)
+    def atom_error(self) -> ParseError:
+        """The error where an atom should start, at the first of subject,
+        copula and predicate out of place: not a word, or a copula keyword
+        but where the copula goes.  A well-formed atom is one "atom" token,
+        so one of the three always is."""
+        words = zip(self.tokens[self.i:], (("term", "~", "("), _COPULAS, ("term",)))
+        for (kind, lexeme, pos, _), expected in words:
+            if kind != "ident" or (lexeme in RESERVED_TOKENS) != (expected is _COPULAS):
+                break
+        return ParseError(f"unexpected token {lexeme or 'end of input'!r}", pos, expected)
 
 
 def parse(text: str) -> Formula:
     """Parse `text` into a Formula, or raise a positioned ParseError."""
     p = _Parser(text)
     f, _ = p.binary(0)
-    tok = p.peek()
+    tok = p.tokens[p.i]
     if tok[0] != "eof":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("end of input",))
     return f
@@ -343,28 +320,26 @@ def parse(text: str) -> Formula:
 
 # --- printing --------------------------------------------------------------
 
-# Binding strength; a node is parenthesized when it appears in a context
-# that requires at least the given level.
-_IMPLIES_LVL, _OR_LVL, _AND_LVL, _NOT_LVL, _ATOM_LVL = 1, 2, 3, 4, 5
+# connective node -> (symbol, binding strength), as the parser reads them;
+# `~` binds more tightly than every connective
+_CONNECTIVES = {node: (symbol, strength) for symbol, (node, strength) in _BINARY.items()}
+_NOT_STRENGTH = 4
 
 
 def render(f: Formula) -> str:
     """Print `f` with minimal parentheses; parse(render(f)) == f."""
-    return _render(f, _IMPLIES_LVL)
+    return _render(f, 0)
 
 
 def _render(f: Formula, minimum: int) -> str:
+    """`f`, parenthesized when it binds less tightly than `minimum`."""
     if isinstance(f, Atom):
         return f"{f.subject} {f.copula.value} {f.predicate}"
     if isinstance(f, Not):
-        text, level = "~" + _render(f.operand, _NOT_LVL), _NOT_LVL
-    elif isinstance(f, And):
-        text = f"{_render(f.left, _AND_LVL)} & {_render(f.right, _AND_LVL + 1)}"
-        level = _AND_LVL
-    elif isinstance(f, Or):
-        text = f"{_render(f.left, _OR_LVL)} | {_render(f.right, _OR_LVL + 1)}"
-        level = _OR_LVL
+        text, strength = "~" + _render(f.operand, _NOT_STRENGTH), _NOT_STRENGTH
     else:
-        text = f"{_render(f.left, _OR_LVL)} -> {_render(f.right, _IMPLIES_LVL)}"
-        level = _IMPLIES_LVL
-    return f"({text})" if level < minimum else text
+        symbol, strength = _CONNECTIVES[type(f)]
+        # only `->` groups to the right
+        left, right = (strength + 1, strength) if type(f) is Implies else (strength, strength + 1)
+        text = f"{_render(f.left, left)} {symbol} {_render(f.right, right)}"
+    return f"({text})" if strength < minimum else text

@@ -172,6 +172,17 @@ def test_classify(capsys):
     assert "contrary" in out
 
 
+def test_classify_prints_copula_structure_witnesses(capsys):
+    # the one output that prints CopulaStructure.summary
+    code, out, _ = run(capsys, "classify", "S sa P", "S si P", "--reading", "derived-charitable")
+    assert code == 0
+    assert out == (
+        "S sa P  /  S si P: contrary (bound 3)\n"
+        "  both_false: U={u}; prim={}; P->u,S->u\n"
+        "  first_only: U={u}; prim={(u,u)}; P->u,S->u\n"
+    )
+
+
 def test_classify_analytic(capsys):
     code, out, _ = run(
         capsys, "classify", "S a P", "S e P", "--semantics", "analytic", "--bound", "3"
@@ -372,9 +383,18 @@ def test_eval_short_circuits_before_unknown_terms(
         ({"universe": ["u", "u"]}, (), "repeats an entry"),
         ({"universe": ["u", "v"], "isPrim": ["uv"], "denote": {"S": "u", "P": "v"}},
          ("--reading", "derived"), "isPrim entry must be a list of strings"),
+        ({"universe": ["u", "v"], "isPrim": [["u", "v", "u"]], "denote": {"S": "u", "P": "v"}},
+         ("--reading", "derived"), "isPrim must be a list of [individual, individual] pairs"),
+        ({"universe": ["u", "v"], "isPrim": [["u", "w"]], "denote": {"S": "u", "P": "v"}},
+         ("--reading", "derived"), "primitive pair ('u', 'w') outside the universe"),
+        ({"universe": ["u"], "isPrim": [], "denote": {"S": "w", "P": "u"}},
+         ("--reading", "derived"), "denotation of 'S' outside the universe"),
+        ({"universe": ["u"], "is": {"w": ["S"]}}, (), "individual 'w' outside the universe"),
     ],
     ids=["json-list", "deeply-nested", "missing-domain", "terms-as-string",
-         "duplicate-individual", "prim-entry-not-a-pair"],
+         "duplicate-individual", "prim-entry-not-a-pair", "prim-entry-of-three",
+         "prim-pair-outside-universe", "denotation-outside-universe",
+         "individual-outside-universe"],
 )
 def test_eval_rejects_malformed_model_files(capsys, tmp_path, model, options, message):
     path = tmp_path / "model.json"

@@ -230,9 +230,46 @@ def _formulas(max_depth: int = 6):
     )
 
 
+def _paren_pairs(text):
+    """The offsets of each matching pair of parentheses in `text`."""
+    opened, pairs = [], []
+    for i, char in enumerate(text):
+        if char == "(":
+            opened.append(i)
+        elif char == ")":
+            pairs.append((opened.pop(), i))
+    return pairs
+
+
+def _check_round_trip(f):
+    """`render(f)` reads back as `f`, and without any one of its pairs of
+    parentheses it fails to parse or reads as another formula."""
+    text = render(f)
+    assert parse(text) == f
+    for i, j in _paren_pairs(text):
+        try:
+            assert parse(text[:i] + text[i + 1:j] + text[j + 1:]) != f
+        except ParseError:
+            pass
+
+
 @given(_formulas())
 def test_parse_render_round_trip(f):
-    assert parse(render(f)) == f
+    _check_round_trip(f)
+
+
+def test_every_parent_and_child_renders_minimally():
+    # a pair of parentheses is needed or not by its node and the node
+    # above, so every formula of depth 2 tries each case; random formulas
+    # rarely nest an implication on the right
+    shallow = [Atom("S", Copula.A, "P")]
+    shallow += [Not(shallow[0])] + [node(shallow[0], shallow[0]) for node in (And, Or, Implies)]
+    for f in shallow:
+        _check_round_trip(f)
+        _check_round_trip(Not(f))
+        for g in shallow:
+            for node in (And, Or, Implies):
+                _check_round_trip(node(f, g))
 
 
 @given(st.text(max_size=60))

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twosquares.errors import BoundError
+from twosquares.cli import main
+from twosquares.errors import BoundError, ParseError
 from twosquares.formula import And, Atom, Copula, Implies, Not, Or, parse
 from twosquares.opposition import SyntheticSemantics, catalog_entries
 from twosquares.proofs import (
@@ -12,6 +13,7 @@ from twosquares.proofs import (
     Derivation,
     DerivationLine,
     ModusPonens,
+    Tautology,
     _build_derivation,
     bundled_theorem_derivations,
     bundled_theorem_scripts,
@@ -138,6 +140,26 @@ def test_rejects_empty_and_bad_index_order():
     assert not check_derivation(shuffled, ALL_SOURCES).ok
 
 
+@pytest.mark.parametrize(
+    "formula, justification, reason",
+    [
+        ("S sa P -> S se P", AxiomInstance("axiom9", (("S", "S"), ("P", "P"))),
+         "unknown schema 'axiom9'"),
+        ("S sa P -> S se P", AxiomInstance("axiom5", (("S", "S"),)),
+         "bad binding: no binding for metavariable 'P'"),
+        ("S sa P -> S se P", AxiomInstance("axiom5", (("S", "S"), ("P", "sa"))),
+         "bad binding: binding 'P' to reserved or invalid token 'sa'"),
+        (" | ".join(f"X{i} sa Y{i}" for i in range(13)), Tautology(),
+         "13 distinct atoms exceed the budget of 12"),
+    ],
+    ids=["unknown-schema", "missing-binding", "reserved-binding", "taut-over-budget"],
+)
+def test_rejects_unknown_schema_bad_binding_and_oversized_tautology(formula, justification, reason):
+    d = Derivation((DerivationLine(3, parse(formula), justification),))
+    result = check_derivation(d, ALL_SOURCES)
+    assert (result.ok, result.line, result.reason) == (False, 3, reason)
+
+
 def test_flags_semantically_refuted_axioms():
     for schema_id, text, binding in (
         ("axiom6", "S so P -> P so S", (("S", "S"), ("P", "P"))),
@@ -166,6 +188,39 @@ def test_check_is_independent_of_annotation_details():
 def test_script_round_trip():
     d = _t09_derivation()
     assert parse_script(format_script(d)) == d
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        ("1. S sa P -> S se P", "line 1: missing ';' justification separator at offset 0"),
+        ("# comment\n\n1 S sa P ; taut", "line 3: expected 'n. <formula> ; <rule>' at offset 0"),
+        ("x. S sa P ; taut", "line 1: expected 'n. <formula> ; <rule>' at offset 0"),
+        ("1. S sa P ;  ", "line 1: empty justification at offset 0"),
+        ("1. S sa P ; taut\n2. S sa P ; mp 1", "line 2: mp needs two line numbers at offset 0"),
+        ("1. S sa P ; mp 1 x", "line 1: mp needs two line numbers at offset 0"),
+        ("1. S so P ; def-o S", "line 1: def-o needs two term arguments at offset 0"),
+        ("1. S sa P -> S se P ; axiom5 S P", "line 1: expected NAME:=TERM, got 'S' at offset 0"),
+        ("1. S sa P -> S se P ; axiom5 S:=S", "line 1: axiom5 needs bindings for S, P at offset 0"),
+        ("1. S sa P ; modus 1 2", "line 1: unknown rule 'modus' at offset 0"),
+    ],
+    ids=["no-separator", "no-dot", "bad-number", "empty-rule", "mp-one-line", "mp-not-a-number",
+         "def-one-term", "binding-without-assignment", "binding-missing", "unknown-rule"],
+)
+def test_parse_script_rejects_malformed_lines(script, message):
+    with pytest.raises(ParseError) as exc:
+        parse_script(script)
+    assert str(exc.value) == message
+    assert exc.value.position == 0
+
+
+def test_prove_reports_a_malformed_script_as_an_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.proof"
+    path.write_text("1. S sa P -> S se P\n")
+    assert main(["prove", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: missing ';' justification separator at offset 0\n"
 
 
 def test_three_line_derivation_from_the_o_definition():

@@ -21,15 +21,15 @@ pointwise lattice operations act componentwise.  Everything the
 twelve-case analysis and the two-square classification manipulate --
 [f], its flip, and their complements -- lives in this fragment.
 
-B x B with componentwise operations is itself the Boolean algebra on
-2n atoms, so an element is one int, `f0 | f1 << n`: every operation is
-one int expression, and the flip swaps the two n-bit halves.  The
-public `UltraElement(alg, f0, f1)` checks the coefficients; binary
-operations check only that the atom counts agree (an identity test,
-then an int comparison) and build their result unchecked, from its bits.
+An element is a `Record` of its algebra and its two coefficients; every
+operation acts on the two coefficients and builds its result through
+the constructor, which checks both.  Packing an element into one int,
+`f0 | f1 << n`, would speed up sweeps of all 4^n elements, but none
+runs (see below): at `--atoms 4` a `verify-paper` builds 39 four-atom
+elements, 7 of them distinct.
 
-Every operation acts on each atom's bit pair (i, i + n) alone, and ≤, =
-and `standard` hold iff they hold at every atom, so the carrier on n
+Every operation acts on each atom's pair of coefficient bits alone, and
+≤, = and `standard` hold iff they hold at every atom, so the carrier on n
 atoms is the n-th direct power of ONE, the carrier on one atom.  Direct
 products preserve universal Horn sentences (Horn, J. Symbolic Logic 16,
 1951), and ONE embeds in every carrier on the diagonal; so a universal
@@ -77,20 +77,14 @@ class FiniteBooleanAlgebra(Record):
     def top(self) -> int:
         return self.size - 1
 
-    @cached_property
-    def carrier_top(self) -> int:
-        """*1 of the carrier: both halves full."""
-        return self.top | self.top << self.atom_count
-
     bottom = 0
 
     def elements(self) -> range:
         return range(self.size)
 
-    def check(self, m: int) -> int:
+    def check(self, m: int) -> None:
         if not 0 <= m < self.size:
             raise SemanticsError(f"element {m} outside the algebra")
-        return m
 
     def render_element(self, m: int) -> str:
         if m == 0:
@@ -100,47 +94,21 @@ class FiniteBooleanAlgebra(Record):
         return "∨".join(_ATOM_NAMES[i] for i in range(self.atom_count) if m >> i & 1)
 
 
-class UltraElement:
-    """Class of a Shannon-form function, held as `bits = f0 | f1 << n`.
+class UltraElement(Record):
+    """Class of a Shannon-form function: its coefficients, bitmasks of
+    `algebra`, which the constructor checks."""
 
-    Immutable.  The operations build their results with `_packed`,
-    which checks no coefficient.
-    """
+    algebra: FiniteBooleanAlgebra
+    f0: int
+    f1: int
 
-    __slots__ = ("algebra", "bits")
-
-    def __init__(self, algebra: FiniteBooleanAlgebra, f0: int, f1: int) -> None:
-        bits = algebra.check(f0) | algebra.check(f1) << algebra.atom_count
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to '{name}': carrier elements are immutable")
-
-    @property
-    def f0(self) -> int:
-        return self.bits & self.algebra.top
-
-    @property
-    def f1(self) -> int:
-        return self.bits >> self.algebra.atom_count
+    def __post_init__(self) -> None:
+        self.algebra.check(self.f0)
+        self.algebra.check(self.f1)
 
     @property
     def standard(self) -> bool:
-        return self.bits & self.algebra.top == self.bits >> self.algebra.atom_count
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not UltraElement:
-            return NotImplemented
-        return self.bits == other.bits and (
-            self.algebra is other.algebra or self.algebra.atom_count == other.algebra.atom_count
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.algebra.atom_count, self.bits))
-
-    def __reduce__(self) -> tuple:
-        return UltraElement, (self.algebra, self.f0, self.f1)
+        return self.f0 == self.f1
 
     def __str__(self) -> str:
         render = self.algebra.render_element
@@ -151,14 +119,6 @@ class UltraElement:
     __repr__ = __str__
 
 
-def _packed(algebra: FiniteBooleanAlgebra, bits: int) -> UltraElement:
-    """The element with these bits, which the caller guarantees fit."""
-    x = object.__new__(UltraElement)
-    object.__setattr__(x, "algebra", algebra)
-    object.__setattr__(x, "bits", bits)
-    return x
-
-
 def mk_standard(alg: FiniteBooleanAlgebra, m: int) -> UltraElement:
     """Embed the algebra element m as the class of the constant function."""
     return UltraElement(alg, m, m)
@@ -166,45 +126,43 @@ def mk_standard(alg: FiniteBooleanAlgebra, m: int) -> UltraElement:
 
 def all_elements(alg: FiniteBooleanAlgebra) -> tuple[UltraElement, ...]:
     """Every carrier element, in (f0, f1) lexicographic order."""
-    n = alg.atom_count
-    return tuple(_packed(alg, f0 | f1 << n) for f0 in alg.elements() for f1 in alg.elements())
+    return tuple(UltraElement(alg, f0, f1) for f0 in alg.elements() for f1 in alg.elements())
 
 
 # --- lattice structure -------------------------------------------------------
 
 def _same_algebra(x: UltraElement, y: UltraElement) -> FiniteBooleanAlgebra:
-    alg = x.algebra
-    if alg is not y.algebra and alg.atom_count != y.algebra.atom_count:
+    if x.algebra != y.algebra:
         raise SemanticsError("elements from different algebras")
-    return alg
+    return x.algebra
 
 
 def meet(x: UltraElement, y: UltraElement) -> UltraElement:
-    return _packed(_same_algebra(x, y), x.bits & y.bits)
+    return UltraElement(_same_algebra(x, y), x.f0 & y.f0, x.f1 & y.f1)
 
 
 def join(x: UltraElement, y: UltraElement) -> UltraElement:
-    return _packed(_same_algebra(x, y), x.bits | y.bits)
+    return UltraElement(_same_algebra(x, y), x.f0 | y.f0, x.f1 | y.f1)
 
 
 def complement(x: UltraElement) -> UltraElement:
-    return _packed(x.algebra, x.algebra.carrier_top ^ x.bits)
+    top = x.algebra.top
+    return UltraElement(x.algebra, top ^ x.f0, top ^ x.f1)
 
 
 def fneg(x: UltraElement) -> UltraElement:
     """Class of a |-> x(~a): swaps the Shannon coefficients.  An involution
     that fixes exactly the standard elements."""
-    alg, n = x.algebra, x.algebra.atom_count
-    return _packed(alg, x.bits >> n | (x.bits & alg.top) << n)
+    return UltraElement(x.algebra, x.f1, x.f0)
 
 
 def leq(x: UltraElement, y: UltraElement) -> bool:
     """The pointwise order: componentwise inclusion of the pairs, the
-    order induced by meet and join.  It acts on each atom's bit pair
-    alone, as every other carrier operation does.  Between two standard
-    elements it is the base algebra's order."""
+    order induced by meet and join.  It acts on each atom's pair of
+    coefficient bits alone, as every other carrier operation does.
+    Between two standard elements it is the base algebra's order."""
     _same_algebra(x, y)
-    return x.bits & ~y.bits == 0
+    return x.f0 & ~y.f0 == 0 and x.f1 & ~y.f1 == 0
 
 
 def incomparable(x: UltraElement, y: UltraElement) -> bool:
@@ -271,7 +229,7 @@ def _concludes(quad: tuple, u: int, v: int, exact: str) -> bool:
     """A case's conclusion on slots u and v: *0 ≤ inf, sup ≤ *1, and its exact bound."""
     inf, sup = meet(quad[u], quad[v]), join(quad[u], quad[v])
     alg = inf.algebra
-    bottom, top = _packed(alg, 0), _packed(alg, alg.carrier_top)
+    bottom, top = mk_standard(alg, 0), mk_standard(alg, alg.top)
     exact_ok = {"inf-bottom": inf == bottom, "sup-top": sup == top}.get(exact, True)
     return leq(bottom, inf) and leq(sup, top) and exact_ok
 
@@ -316,8 +274,8 @@ def case_analysis(alg: FiniteBooleanAlgebra) -> tuple[list[int], int, bool]:
 # square states.
 _SLOT_NAMES = ("[f]", "[f¬]", "¬[f]", "¬[f¬]")
 _LATTICE_TESTS = {
-    RelationKind.CONTRARY: lambda x, y: meet(x, y).bits == 0,
-    RelationKind.SUBCONTRARY: lambda x, y: join(x, y).bits == x.algebra.carrier_top,
+    RelationKind.CONTRARY: lambda x, y: meet(x, y) == mk_standard(x.algebra, 0),
+    RelationKind.SUBCONTRARY: lambda x, y: join(x, y) == mk_standard(x.algebra, x.algebra.top),
     RelationKind.CONTRADICTORY: lambda x, y: y == complement(x),
     RelationKind.SUBALTERNATION_FORWARD: leq,
 }
@@ -404,7 +362,7 @@ def matrix_imp(x: UltraElement, y: UltraElement) -> UltraElement:
     # "top minus sup, plus y" read with minus as complement and plus as
     # join; equals complement(x) ∨ y.
     alg = _same_algebra(x, y)
-    return _packed(alg, (alg.carrier_top ^ (x.bits | y.bits)) | y.bits)
+    return UltraElement(alg, alg.top ^ (x.f0 | y.f0) | y.f0, alg.top ^ (x.f1 | y.f1) | y.f1)
 
 
 def matrix_eval(f: Formula, valuation: Mapping[Atom, UltraElement]) -> UltraElement:
@@ -463,7 +421,7 @@ def bridge_tables(alg: FiniteBooleanAlgebra) -> list[dict]:
     atomic form, and whether the axiom-5 shape is satisfied.  A
     nonstandard atom value never meets strict designation, so the filter
     above the generator is reported alongside it."""
-    top = _packed(alg, alg.carrier_top)
+    top = mk_standard(alg, alg.top)
     atoms = {c: Atom("S", Copula(c), "P") for c in ("sa", "se", "si", "so")}
     axiom5 = next(e.schema.formula for e in catalog_entries() if e.id == "A5")
     tables = []

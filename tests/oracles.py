@@ -10,9 +10,9 @@ off its search space.  `structure_walk` and `induced_models` are one
 cached walk over every copula structure, shared by the tests that
 compare against all of them.
 
-The pair carrier, the oracle for the packed one in `twosquares.starb`:
-an element is the coefficient pair (f0, f1) and every operation acts on
-the two coefficients, bitmasks of the base algebra, one at a time.
+The pair carrier, the oracle for the carrier in `twosquares.starb`:
+an element is the coefficient pair (f0, f1), and every operation acts
+on the two coefficients, bitmasks of the base algebra.
 `pair_carrier_sections` sweeps it to build the report's carrier
 sections, which the package computes from the one-atom carrier.
 `pair_bridge_tables` builds the report's bridge tables from the two

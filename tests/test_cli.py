@@ -283,6 +283,24 @@ def test_verify_paper_bad_bound_is_usage_error(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--bound", "0", "model bound 0 outside 1..4"),
+        ("--bound", "5", "model bound 5 outside 1..4"),
+        ("--atoms", "0", "atom count 0 outside 1..4"),
+        ("--atoms", "5", "atom count 5 outside 1..4"),
+    ],
+)
+def test_verify_paper_refuses_bounds_outside_their_range(option, value, message):
+    # through `python -m twosquares`, so `__main__` and the script entry run too
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "twosquares", "verify-paper", option, value]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_verify_paper_small_bound_marks_a8_inconclusive(capsys):
     code, out, _ = run(capsys, "verify-paper", "--bound", "1", "--atoms", "1")
     assert code == 1  # the A8 expectation cannot be met at bound 1

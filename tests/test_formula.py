@@ -137,6 +137,11 @@ def test_schema_requires_metavars_to_occur():
         Schema(parse("S a P"), ("S", "P", "Q"))
 
 
+def test_schema_rejects_a_duplicate_metavariable():
+    with pytest.raises(ValueError, match="^duplicate metavariable$"):
+        Schema(parse("S a P"), ("S", "S"))
+
+
 def test_parse_error_offsets_count_characters():
     # two no-break spaces are two characters but four bytes in UTF-8
     text = "\xa0\xa0S x P"

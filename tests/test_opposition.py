@@ -9,6 +9,7 @@ from twosquares.formula import Schema, holds, instantiate, parse, render, schema
 from twosquares.opposition import (
     AnalyticSemantics,
     RelationKind,
+    SquareSpec,
     SyntheticSemantics,
     analytic_square,
     catalog_entries,
@@ -70,6 +71,15 @@ def test_classify_rejects_terms_outside_the_metavariables():
         phi = Schema(parse(text), ("S", "P"))
         with pytest.raises(SemanticsError):
             classify_pair(phi, schema_of(text.split(" & ")[0]), semantics, 2)
+
+
+def test_square_needs_exactly_the_six_corner_pairs():
+    square = analytic_square()
+    five = square.expected[:5]
+    for expected in (five, five + square.expected[:1]):
+        with pytest.raises(ValueError, match="^a square needs exactly the six corner pairs$"):
+            SquareSpec(square.name, square.corners, expected)
+    assert SquareSpec(square.name, square.corners, square.expected) == square
 
 
 def test_classify_rejects_metavariable_mismatch():

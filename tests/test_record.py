@@ -12,7 +12,7 @@ import pytest
 from twosquares.analytic import AnalyticModel
 from twosquares.formula import Atom, Copula, Schema, parse
 from twosquares.record import Record
-from twosquares.starb import FiniteBooleanAlgebra
+from twosquares.starb import FiniteBooleanAlgebra, UltraElement
 from twosquares.synthetic import SyntheticModel
 from twosquares.verdicts import Counterexample, Valid
 
@@ -150,7 +150,7 @@ def test_copy_and_pickle_round_trips(protocol):
 def test_package_records_hash_as_the_tuple_of_their_fields():
     f = parse("S a P -> S i P")
     alg = FiniteBooleanAlgebra(2)
-    assert alg.carrier_top  # cached properties stay out of the hash
+    assert alg.top  # cached properties stay out of the hash
     analytic = AnalyticModel(("1",), {"S": frozenset({"1"}), "P": frozenset()})
     synthetic = SyntheticModel(("u",), frozenset({("u", "S")}))
     cases = (
@@ -160,6 +160,7 @@ def test_package_records_hash_as_the_tuple_of_their_fields():
         (Counterexample(synthetic, (("S sa P", False),)), (synthetic, (("S sa P", False),))),
         (synthetic, (("u",), frozenset({("u", "S")}))),
         (alg, (2,)),
+        (UltraElement(alg, 1, 2), (alg, 1, 2)),
     )
     for record, fields in cases:
         assert hash(record) == hash(fields), record

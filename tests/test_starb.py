@@ -156,23 +156,23 @@ def test_public_constructor_validates_and_elements_are_immutable():
     with pytest.raises(SemanticsError):
         UltraElement(ALG2, 0, -1)
     x = UltraElement(ALG2, P, Q)
-    assert (x.f0, x.f1, x.bits) == (P, Q, P | Q << 2)
+    assert (x.f0, x.f1) == (P, Q)
     with pytest.raises(AttributeError):
-        x.bits = 0
+        x.f0 = 0
     assert x == UltraElement(ALG2, P, Q)
     for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert y == x and str(y) == str(x)
         assert meet(y, x) == x
 
 
-# --- the packed carrier against the pair oracle ------------------------------------
+# --- the carrier against the pair oracle ------------------------------------
 
 def _as_pair(x):
     return x.f0, x.f1, x.standard, str(x)
 
 
 @pytest.mark.parametrize("atom_count", [1, 2, 3, 4])
-def test_packed_carrier_matches_the_pair_oracle(atom_count):
+def test_carrier_matches_the_pair_oracle(atom_count):
     # Every element at 1-4 atoms; every pair of elements at 1-3 atoms.
     alg = FiniteBooleanAlgebra(atom_count)
     elems, oracle = all_elements(alg), pair_elements(alg)
@@ -200,9 +200,8 @@ ALG1 = FiniteBooleanAlgebra(1)
 
 
 def project(x, i):
-    """The 1-atom element on bits (i, i + n) of x: x's coefficients at atom i."""
-    n = x.algebra.atom_count
-    return UltraElement(ALG1, x.bits >> i & 1, x.bits >> (i + n) & 1)
+    """The 1-atom element of x's coefficients at atom i."""
+    return UltraElement(ALG1, x.f0 >> i & 1, x.f1 >> i & 1)
 
 
 def projections(x):
@@ -222,7 +221,7 @@ def fiat_leq(x, y):
     # a standard-first order: nonstandard elements below every nonzero
     # standard one, *0 the bottom, pointwise otherwise
     if x.standard != y.standard:
-        return x.bits == 0 if x.standard else y.bits != 0
+        return x.f0 == 0 if x.standard else y.f0 != 0
     return leq(x, y)
 
 
@@ -331,29 +330,24 @@ def test_an_operation_that_mixes_atoms_splits_the_sections_from_the_sweep(
 
 
 def test_verify_paper_sweeps_no_carrier_past_one_atom(monkeypatch):
-    sweep, packed, init = all_elements, starb._packed, UltraElement.__init__
-    built = []  # (atom count, bits) of every element either constructor builds
+    sweep, init = all_elements, UltraElement.__init__
+    built = []  # (atom count, f0, f1) of every element built
 
     def one_atom_only(alg):
         assert alg.atom_count == 1, f"swept the {alg.atom_count}-atom carrier"
         return sweep(alg)
 
-    def counted_packed(alg, bits):
-        built.append((alg.atom_count, bits))
-        return packed(alg, bits)
-
     def counted_init(x, alg, f0, f1):
         init(x, alg, f0, f1)
-        built.append((alg.atom_count, x.bits))
+        built.append((alg.atom_count, f0, f1))
 
     monkeypatch.setattr(starb, "all_elements", one_atom_only)
     monkeypatch.setattr("twosquares.report.all_elements", one_atom_only)
-    monkeypatch.setattr(starb, "_packed", counted_packed)
     monkeypatch.setattr(UltraElement, "__init__", counted_init)
     result = run_verify_paper(4, 4)
     assert result["pass"]
     assert report_json(result).encode() == (GOLDEN / "verify_paper_b4_a4.json").read_bytes()
-    four_atoms = [bits for n, bits in built if n == 4]
+    four_atoms = [(f0, f1) for n, f0, f1 in built if n == 4]
     # each bridge model builds its generator's quadruple once, not once per atom
     assert 0 < len(set(four_atoms)) < 4**4 // 8, sorted(set(four_atoms))
     assert len(four_atoms) <= 64, len(four_atoms)

@@ -1,6 +1,7 @@
 import pytest
 
 from twosquares import synthetic
+from twosquares.analytic import AnalyticModel
 from twosquares.errors import BoundError, SemanticsError
 from twosquares.formula import parse
 from twosquares.opposition import SyntheticSemantics, synthetic_square, verify_square
@@ -83,6 +84,10 @@ def test_rejects_analytic_copula_and_model_mismatch():
         eval_synthetic(m, parse("S a P"))
     with pytest.raises(SemanticsError):
         eval_synthetic(m, parse("S sa P"), DERIVED)
+    analytic = AnalyticModel(("u",), {"S": frozenset({"u"}), "P": frozenset()})
+    for other in (structure("u", set(), S="u", P="u"), analytic):
+        with pytest.raises(SemanticsError, match="^direct reading expects a SyntheticModel$"):
+            eval_synthetic(other, parse("S sa P"))
 
 
 def test_expanded_forms_match_unexpanded_oracle_everywhere():
@@ -300,6 +305,7 @@ def test_axiom6_instance_has_size_one_countermodel():
     assert isinstance(verdict, Counterexample)
     expected = model("u", P="u")
     assert verdict.model == expected
+    assert verdict.describe() == "counterexample (U={u}; P={u})"
     # oracle confirmation by quantifier expansion on the witness
     assert oracle_so(expected, "S", "P") and not oracle_so(expected, "P", "S")
 

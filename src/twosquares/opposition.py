@@ -19,7 +19,7 @@ claimed.
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from enum import Enum
 
 from .analytic import (
@@ -222,21 +222,16 @@ def synthetic_square() -> SquareSpec:
 
 # --- claim catalog ---------------------------------------------------------
 
-class ExpectedStatus(Record):
-    valid: bool
-    countermodel_size: int | None = None
-
-    def label(self) -> str:
-        if self.valid:
-            return "valid"
-        return f"counterexample at size {self.countermodel_size}"
-
-
 class CatalogEntry(Record):
     id: str
     schema: Schema
     source: str  # "axiom" | "theorem-list"
-    expected: ExpectedStatus
+    countermodel_size: int | None = None  # None: expected valid
+
+    def expected(self) -> str:
+        if self.countermodel_size is None:
+            return "valid"
+        return f"counterexample at size {self.countermodel_size}"
 
 
 class CatalogResult(Record):
@@ -269,10 +264,10 @@ _THEOREM_TEXTS = (
 )
 
 _AXIOM_TEXTS = (
-    ("A5", "S sa P -> S se P", ExpectedStatus(True)),
-    ("A6", "S so P -> P so S", ExpectedStatus(False, 1)),
-    ("A7", "(M sa P & S sa M) -> S sa P", ExpectedStatus(True)),
-    ("A8", "(M sa P & S se M) -> S se P", ExpectedStatus(False, 2)),
+    ("A5", "S sa P -> S se P", None),
+    ("A6", "S so P -> P so S", 1),
+    ("A7", "(M sa P & S sa M) -> S sa P", None),
+    ("A8", "(M sa P & S se M) -> S se P", 2),
 )
 
 
@@ -281,29 +276,29 @@ def catalog_entries() -> tuple[CatalogEntry, ...]:
     """The fixed catalog: theorems T01-T20 and axioms A5-A8, in id order,
     parsed once and shared (the records are frozen)."""
     entries = [
-        CatalogEntry(tid, schema_of(text), "theorem-list", ExpectedStatus(True))
+        CatalogEntry(tid, schema_of(text), "theorem-list")
         for tid, text in _THEOREM_TEXTS
     ]
     entries.extend(
-        CatalogEntry(aid, schema_of(text), "axiom", expected)
-        for aid, text, expected in _AXIOM_TEXTS
+        CatalogEntry(aid, schema_of(text), "axiom", size)
+        for aid, text, size in _AXIOM_TEXTS
     )
     return tuple(entries)
 
 
-def _entry_status(entry: CatalogEntry, verdict: Verdict, bound: int) -> str:
-    if entry.expected.valid:
-        return "met" if isinstance(verdict, Valid) else "failed"
-    size = entry.expected.countermodel_size
-    if isinstance(verdict, Counterexample):
-        return "met" if len(verdict.model.universe) == size else "failed"
-    return "inconclusive" if bound < size else "failed"
-
-
-def check_entry(entry: CatalogEntry, bound: int, options: SyntheticOptions) -> CatalogResult:
-    """Decide one catalog entry under the given synthetic options."""
-    verdict = SyntheticSemantics(options).decide(entry.schema.formula, bound)
-    return CatalogResult(entry, verdict, _entry_status(entry, verdict, bound))
+def check_entry(
+    entry: CatalogEntry, bound: int, decide: Callable[[Formula, int], Verdict]
+) -> CatalogResult:
+    """Decide one catalog entry with `decide` and judge it against its expectation."""
+    verdict = decide(entry.schema.formula, bound)
+    size = entry.countermodel_size
+    if size is None:
+        status = "met" if isinstance(verdict, Valid) else "failed"
+    elif isinstance(verdict, Counterexample):
+        status = "met" if len(verdict.model.universe) == size else "failed"
+    else:
+        status = "inconclusive" if bound < size else "failed"
+    return CatalogResult(entry, verdict, status)
 
 
 def run_catalog(
@@ -316,8 +311,4 @@ def run_catalog(
     the default nonempty direct reading).  Each distinct formula is
     decided once: T13 and A5 are the same formula and share a verdict."""
     decide = functools.cache(SyntheticSemantics(options).decide)
-    results = []
-    for entry in catalog_entries():
-        verdict = decide(entry.schema.formula, bound)
-        results.append(CatalogResult(entry, verdict, _entry_status(entry, verdict, bound)))
-    return tuple(results)
+    return tuple(check_entry(entry, bound, decide) for entry in catalog_entries())

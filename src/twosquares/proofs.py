@@ -49,14 +49,13 @@ SCHEMAS: Mapping[str, Schema] = {
     "def-e": Schema(parse("(X se Y -> ~(X si Y)) & (~(X si Y) -> X se Y)"), ("X", "Y")),
 }
 
-SEMANTICALLY_REFUTED = tuple(sid for sid, e in _AXIOMS.items() if not e.expected.valid)
-
-# `--axioms` names -> the schemas each one admits
-SOURCES: Mapping[str, tuple[str, ...]] = {
-    **{e.id.lower(): (sid,) for sid, e in _AXIOMS.items()},
-    "def": ("def-o", "def-e"),
+# each schema -> the `--axioms` name that admits it
+_SOURCE_OF = {
+    **{sid: e.id.lower() for sid, e in _AXIOMS.items()},
+    "def-o": "def",
+    "def-e": "def",
 }
-_SOURCE_OF = {sid: name for name, ids in SOURCES.items() for sid in ids}
+SOURCES = frozenset(_SOURCE_OF.values())
 
 
 def is_tautology(f: Formula) -> bool:
@@ -82,10 +81,10 @@ def is_tautology(f: Formula) -> bool:
 class AxiomSet(Record):
     """The rule sources a derivation may cite, by their `SOURCES` names."""
 
-    sources: frozenset[str] = frozenset(SOURCES)
+    sources: frozenset[str] = SOURCES
 
     def __post_init__(self) -> None:
-        unknown = self.sources - SOURCES.keys()
+        unknown = self.sources - SOURCES
         if unknown:
             raise ValueError(f"unknown axiom source(s): {', '.join(sorted(unknown))}")
         if not self.sources:
@@ -148,59 +147,56 @@ class ProofCheckResult(Record):
         return f"rejected at line {self.line}: {self.reason}"
 
 
+def _fault(line: DerivationLine, earlier: Mapping[int, Formula], ax: AxiomSet) -> str | None:
+    """Why `line` does not follow from the `earlier` lines under `ax`, or
+    None when it does."""
+    j = line.justification
+    if isinstance(j, AxiomInstance):
+        if j.schema_id not in SCHEMAS:
+            return f"unknown schema {j.schema_id!r}"
+        if not ax.allows(j.schema_id):
+            return f"schema {j.schema_id!r} disabled in this axiom set"
+        try:
+            expected = instantiate(SCHEMAS[j.schema_id], dict(j.binding))
+        except Exception as exc:
+            return f"bad binding: {exc}"
+        if expected != line.formula:
+            return f"formula is not the stated {j.schema_id} instance"
+    elif isinstance(j, Tautology):
+        try:
+            if not is_tautology(line.formula):
+                return "formula is not a tautology"
+        except BoundError as exc:
+            return str(exc)
+    elif j.antecedent not in earlier or j.implication not in earlier:
+        return "modus ponens cites a missing or later line"
+    elif earlier[j.implication] != Implies(earlier[j.antecedent], line.formula):
+        return "cited lines do not fit modus ponens for this formula"
+    return None
+
+
 def check_derivation(d: Derivation, ax: AxiomSet) -> ProofCheckResult:
     """Accept iff every line is a correct axiom instance, a tautology, or
     follows by modus ponens from cited earlier lines."""
     if not d.lines:
         return ProofCheckResult(False, None, "empty derivation")
-    by_index: dict[int, Formula] = {}
+    earlier: dict[int, Formula] = {}
     last_index = 0
-    refuted_used: list[str] = []
     for line in d.lines:
         if line.index <= last_index:
-            return ProofCheckResult(False, line.index, "line indices must strictly increase")
-        j = line.justification
-        if isinstance(j, AxiomInstance):
-            if j.schema_id not in SCHEMAS:
-                return ProofCheckResult(False, line.index, f"unknown schema {j.schema_id!r}")
-            if not ax.allows(j.schema_id):
-                return ProofCheckResult(
-                    False, line.index, f"schema {j.schema_id!r} disabled in this axiom set"
-                )
-            schema = SCHEMAS[j.schema_id]
-            binding = dict(j.binding)
-            try:
-                expected = instantiate(schema, binding)
-            except Exception as exc:
-                return ProofCheckResult(False, line.index, f"bad binding: {exc}")
-            if expected != line.formula:
-                return ProofCheckResult(
-                    False, line.index,
-                    f"formula is not the stated {j.schema_id} instance",
-                )
-            if j.schema_id in SEMANTICALLY_REFUTED:
-                refuted_used.append(j.schema_id)
-        elif isinstance(j, Tautology):
-            try:
-                if not is_tautology(line.formula):
-                    return ProofCheckResult(False, line.index, "formula is not a tautology")
-            except BoundError as exc:
-                return ProofCheckResult(False, line.index, str(exc))
+            reason = "line indices must strictly increase"
         else:
-            if j.antecedent not in by_index or j.implication not in by_index:
-                return ProofCheckResult(
-                    False, line.index, "modus ponens cites a missing or later line"
-                )
-            premise = by_index[j.antecedent]
-            implication = by_index[j.implication]
-            if implication != Implies(premise, line.formula):
-                return ProofCheckResult(
-                    False, line.index,
-                    "cited lines do not fit modus ponens for this formula",
-                )
-        by_index[line.index] = line.formula
+            reason = _fault(line, earlier, ax)
+        if reason is not None:
+            return ProofCheckResult(False, line.index, reason)
+        earlier[line.index] = line.formula
         last_index = line.index
-    return ProofCheckResult(True, refuted_axioms_used=tuple(dict.fromkeys(refuted_used)))
+    refuted = (
+        j.schema_id for j in (line.justification for line in d.lines)
+        if isinstance(j, AxiomInstance) and j.schema_id in _AXIOMS
+        and _AXIOMS[j.schema_id].countermodel_size is not None
+    )
+    return ProofCheckResult(True, refuted_axioms_used=tuple(dict.fromkeys(refuted)))
 
 
 def check_proves(d: Derivation, target: Formula, ax: AxiomSet) -> ProofCheckResult:
@@ -310,26 +306,19 @@ def _premises(target: Formula) -> tuple:
 
 def _build_derivation(target: Formula, premises: tuple) -> Derivation:
     lines = []
-    premise_formulas = []
     for k, (schema_id, binding) in enumerate(premises, start=1):
         formula = instantiate(SCHEMAS[schema_id], dict(binding))
-        premise_formulas.append(formula)
         lines.append(DerivationLine(k, formula, AxiomInstance(schema_id, binding)))
-    if len(premise_formulas) == 1 and premise_formulas[0] == target:
+    if len(lines) == 1 and lines[0].formula == target:
         return Derivation(tuple(lines))
     glue = target
-    for formula in reversed(premise_formulas):
-        glue = Implies(formula, glue)
+    for line in reversed(lines):
+        glue = Implies(line.formula, glue)
     n = len(premises)
     lines.append(DerivationLine(n + 1, glue, Tautology()))
-    implication_line = n + 1
-    current = glue
-    for k in range(n):
-        current = current.right
-        lines.append(
-            DerivationLine(n + 2 + k, current, ModusPonens(k + 1, implication_line))
-        )
-        implication_line = n + 2 + k
+    # line n + 1 + k detaches premise k from the implication on the line above
+    for k in range(1, n + 1):
+        lines.append(DerivationLine(n + 1 + k, lines[-1].formula.right, ModusPonens(k, n + k)))
     return Derivation(tuple(lines))
 
 

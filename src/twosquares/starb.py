@@ -77,8 +77,6 @@ class FiniteBooleanAlgebra(Record):
     def top(self) -> int:
         return self.size - 1
 
-    bottom = 0
-
     def elements(self) -> range:
         return range(self.size)
 

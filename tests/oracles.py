@@ -284,7 +284,7 @@ def _pair_cases():
 def pair_classify_cases(x):
     quad = pair_quadruple(x)
     alg = x.algebra
-    bottom, top = PairElement(alg, alg.bottom, alg.bottom), PairElement(alg, alg.top, alg.top)
+    bottom, top = PairElement(alg, 0, 0), PairElement(alg, alg.top, alg.top)
     outcomes = []
     for case_id, description, hypothesis, pair, exact in _pair_cases():
         holds = hypothesis(*quad)
@@ -304,7 +304,7 @@ def pair_classify_cases(x):
 def _pair_opposition(x, y):
     """(contrary, subcontrary, contradictory) read off the lattice."""
     alg = x.algebra
-    bottom, top = PairElement(alg, alg.bottom, alg.bottom), PairElement(alg, alg.top, alg.top)
+    bottom, top = PairElement(alg, 0, 0), PairElement(alg, alg.top, alg.top)
     return pair_meet(x, y) == bottom, pair_join(x, y) == top, y == pair_complement(x)
 
 
@@ -331,7 +331,7 @@ def pair_synthetic(f, fn, nf, nfn):
 
 
 def pair_verify_two_squares(alg):
-    bottom = PairElement(alg, alg.bottom, alg.bottom)
+    bottom = PairElement(alg, 0, 0)
     conv_satisfied = conv_nonstandard = 0
     conv_violations = []
     syn_satisfied = syn_nonstandard = 0

@@ -285,9 +285,8 @@ def test_parser_total_on_arbitrary_text(text):
         assert 0 <= exc.position <= len(text)
 
 
-@given(_formulas(max_depth=4), st.permutations(["A", "B", "C", "D", "E", "F"]))
-@settings(max_examples=50)
-def test_instantiate_distributes_over_connectives(f, fresh):
+def _check_instantiate_distributes(f, fresh):
+    """Instantiating `f` equals instantiating each of its atoms in place."""
     metavars = term_names(f)
     binding = dict(zip(metavars, fresh))
     schema = Schema(f, metavars)
@@ -304,6 +303,25 @@ def test_instantiate_distributes_over_connectives(f, fresh):
         return Implies(push(g.left), push(g.right))
 
     assert instantiate(schema, binding) == push(f)
+
+
+@given(_formulas(max_depth=4), st.permutations(["A", "B", "C", "D", "E", "F"]))
+@settings(max_examples=50)
+def test_instantiate_distributes_over_connectives(f, fresh):
+    _check_instantiate_distributes(f, fresh)
+
+
+def test_instantiate_distributes_over_every_depth_two_formula():
+    # random formulas can miss a shape, so each connective is tried over
+    # each depth-1 child; the two atoms share one term and differ in the
+    # others, so substitution shows in both operands
+    a, b = Atom("S", Copula.A, "P"), Atom("M", Copula.I, "S")
+    shallow = [a, b, Not(b)] + [node(a, b) for node in (And, Or, Implies)]
+    for f in shallow:
+        _check_instantiate_distributes(Not(f), "XYZ")
+        for g in shallow:
+            for node in (And, Or, Implies):
+                _check_instantiate_distributes(node(f, g), "XYZ")
 
 
 # --- the parser against the per-word oracle ---------------------------------

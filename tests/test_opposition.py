@@ -13,6 +13,7 @@ from twosquares.opposition import (
     SyntheticSemantics,
     analytic_square,
     catalog_entries,
+    check_entry,
     classify_pair,
     run_catalog,
     synthetic_square,
@@ -23,6 +24,7 @@ from twosquares.synthetic import (
     DIRECT_NONEMPTY,
     MAX_UNIVERSE_DERIVED,
     Reading,
+    SyntheticModel,
     SyntheticOptions,
     decide_synthetic_validity,
     enumerate_copula_structures,
@@ -194,6 +196,35 @@ def test_run_catalog_inconclusive_below_witness_size():
     assert by_id["A6"].status == "met"
     assert isinstance(by_id["A8"].verdict, Valid)
     assert by_id["A8"].status == "inconclusive"
+
+
+def _countermodel(universe):
+    return Counterexample(SyntheticModel(tuple(universe), frozenset()), ())
+
+
+@pytest.mark.parametrize(
+    "entry_id, verdict, bound, status",
+    [
+        ("T01", Valid(3), 3, "met"),
+        ("T01", _countermodel("u"), 3, "failed"),
+        ("A8", _countermodel("uv"), 3, "met"),
+        ("A8", _countermodel("u"), 3, "failed"),
+        ("A8", Valid(1), 1, "inconclusive"),
+        ("A8", Valid(2), 2, "failed"),
+    ],
+    ids=["valid-met", "valid-failed", "size-met", "size-failed", "below-size", "at-size"],
+)
+def test_check_entry_judges_the_verdict_against_the_entry(entry_id, verdict, bound, status):
+    entry = next(e for e in catalog_entries() if e.id == entry_id)
+    calls = []
+
+    def decide(f, b):
+        calls.append((f, b))
+        return verdict
+
+    result = check_entry(entry, bound, decide)
+    assert calls == [(entry.schema.formula, bound)]
+    assert (result.entry, result.verdict, result.status) == (entry, verdict, status)
 
 
 def test_run_catalog_empty_universe_breaks_contrariety_entry():

@@ -160,6 +160,62 @@ def test_rejects_unknown_schema_bad_binding_and_oversized_tautology(formula, jus
     assert (result.ok, result.line, result.reason) == (False, 3, reason)
 
 
+_A5 = AxiomInstance("axiom5", (("S", "S"), ("P", "P")))
+_A6 = AxiomInstance("axiom6", (("S", "S"), ("P", "P")))
+
+
+def _line(index, text, justification):
+    return DerivationLine(index, parse(text), justification)
+
+
+@pytest.mark.parametrize(
+    "lines, ax, line, reason",
+    [
+        ([_line(0, "S sa P -> S se P", _A5)], ALL_SOURCES,
+         0, "line indices must strictly increase"),
+        ([_line(-1, "S sa P -> S se P", _A5)], ALL_SOURCES,
+         -1, "line indices must strictly increase"),
+        ([_line(1, "S sa P -> S se P", _A5), _line(1, "S sa P -> S se P", _A5)], ALL_SOURCES,
+         1, "line indices must strictly increase"),
+        ([_line(1, "S sa P -> S se P", _A5), _line(2, "S sa P | ~(S sa P)", Tautology()),
+          _line(4, "S so P -> P so S", _A6)], AxiomSet(frozenset({"a5"})),
+         4, "schema 'axiom6' disabled in this axiom set"),
+        ([_line(1, "S sa P -> S se P", AxiomInstance("axiom5", (("S", "P"), ("P", "S"))))],
+         ALL_SOURCES, 1, "formula is not the stated axiom5 instance"),
+        ([_line(1, "S so P -> P so S", _A6), _line(2, "S sa P -> S se P", Tautology())],
+         ALL_SOURCES, 2, "formula is not a tautology"),
+        ([_line(1, "S sa P -> S se P", _A5), _line(2, "S sa P | ~(S sa P)", Tautology()),
+          _line(3, "S se P", ModusPonens(1, 3))], ALL_SOURCES,
+         3, "modus ponens cites a missing or later line"),
+        ([_line(1, "S sa P -> S se P", _A5), _line(2, "S se P", ModusPonens(1, 1))], ALL_SOURCES,
+         2, "cited lines do not fit modus ponens for this formula"),
+    ],
+    ids=["first-index-zero", "first-index-negative", "repeated-index", "disabled-source",
+         "wrong-instance", "not-a-tautology", "mp-later-line", "mp-mismatch"],
+)
+def test_each_rejection_names_its_line_and_flags_nothing(lines, ax, line, reason):
+    result = check_derivation(Derivation(tuple(lines)), ax)
+    assert (result.ok, result.line, result.reason, result.refuted_axioms_used) == (
+        False, line, reason, ()
+    )
+
+
+@pytest.mark.parametrize(
+    "binding, prefix",
+    [
+        ((("S", 1), ("P", "P")), "bad binding: expected string or bytes-like object"),
+        ((("S",), ("P", "P")), "bad binding: dictionary update sequence element"),
+    ],
+    ids=["int-target", "not-a-pair"],
+)
+def test_any_malformed_binding_is_a_rejection(binding, prefix):
+    d = Derivation((_line(1, "S sa P -> S se P", AxiomInstance("axiom5", binding)),))
+    result = check_derivation(d, ALL_SOURCES)
+    assert (result.ok, result.line, result.refuted_axioms_used) == (False, 1, ())
+    # the rest of the message is worded differently across Python versions
+    assert result.reason.startswith(prefix)
+
+
 def test_flags_semantically_refuted_axioms():
     for schema_id, text, binding in (
         ("axiom6", "S so P -> P so S", (("S", "S"), ("P", "P"))),
@@ -170,6 +226,20 @@ def test_flags_semantically_refuted_axioms():
         assert result.ok
         assert result.refuted_axioms_used == (schema_id,)
         assert "unsound" in result.describe() or "refuted" in result.describe()
+
+
+REFUTED_SCRIPT = """\
+1. S so P -> P so S ; axiom6 S:=S P:=P
+2. M so N -> N so M ; axiom6 S:=M P:=N
+3. (M sa P & S se M) -> S se P ; axiom8 M:=M P:=P S:=S
+"""
+
+
+def test_refuted_axioms_are_flagged_once_each_in_citation_order():
+    result = check_derivation(parse_script(REFUTED_SCRIPT), ALL_SOURCES)
+    assert result.ok
+    assert result.refuted_axioms_used == ("axiom6", "axiom8")
+    assert result.describe() == "ok (sound relative to semantically refuted axioms: axiom6, axiom8)"
 
 
 def test_check_is_independent_of_annotation_details():

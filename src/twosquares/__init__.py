@@ -48,15 +48,22 @@ from .opposition import (
 from .synthetic import (
     DIRECT_EMPTY_OK,
     DIRECT_NONEMPTY,
-    CopulaStructure,
     Reading,
     SyntheticModel,
     SyntheticOptions,
     decide_synthetic_validity,
-    derived_copula,
     enumerate_synthetic_models,
     eval_synthetic,
 )
 from .verdicts import Counterexample, Valid, Verdict
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | {"CopulaStructure", "derived_copula"})
+
+
+def __getattr__(name: str) -> object:
+    """`CopulaStructure` and `derived_copula`, from `copula`, loaded at first use."""
+    if name in ("CopulaStructure", "derived_copula"):
+        from . import copula
+
+        return getattr(copula, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

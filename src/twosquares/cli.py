@@ -3,39 +3,18 @@
 Subcommands: eval, classify, square, prove, verify-paper, diagram, each
 with its handler, positionals and options in the one table `_COMMANDS`.
 Exit codes: 0 pass, 1 expectation failure, 2 usage or input error.
-Each handler imports the report, the prover or the renderer it uses, so
-that the other subcommands neither compile nor run them.
+`verify-paper` is handled here and imports the report; the other
+handlers are in `commands`, which loads only when one of them runs.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from types import SimpleNamespace
 
-from .analytic import IMPORT_OFF, IMPORT_ON, AnalyticModel
-from .errors import SemanticsError, TwoSquaresError
-from .formula import Schema, parse, render, term_names
-from .opposition import (
-    AnalyticSemantics,
-    SyntheticSemantics,
-    analytic_square,
-    classify_pair,
-    synthetic_square,
-    verify_square,
-)
-from .synthetic import CopulaStructure, Reading, SyntheticModel, SyntheticOptions
-
-
-def _synthetic_options(args) -> SyntheticOptions:
-    return SyntheticOptions(Reading(args.reading), args.allow_empty)
-
-
-def _semantics(args):
-    if args.semantics == "analytic":
-        return AnalyticSemantics(IMPORT_ON if args.existential_import == "on" else IMPORT_OFF)
-    return SyntheticSemantics(_synthetic_options(args))
+from .errors import TwoSquaresError
+from .synthetic import Reading
 
 
 def _write(text: str, out: str | None) -> None:
@@ -46,122 +25,23 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_model(path: str, args):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except RecursionError:
-            raise SemanticsError(f"model file {path!r} nests too deeply") from None
-    if args.semantics == "analytic":
-        return AnalyticModel.from_dict(data)
-    if Reading(args.reading) is Reading.DIRECT:
-        return SyntheticModel.from_dict(data)
-    return CopulaStructure.from_dict(data)
-
-
-def _cmd_eval(args) -> int:
-    semantics = _semantics(args)
-    formula = parse(args.formula)
-    model = _load_model(args.model, args)
-    value = semantics.evaluate(model, formula)
-    if args.json:
-        _write(json.dumps({"formula": render(formula), "value": value}) + "\n", args.out)
-    else:
-        _write(("true" if value else "false") + "\n", args.out)
-    return 0
-
-
-def _cmd_classify(args) -> int:
-    semantics = _semantics(args)
-    first, second = parse(args.first), parse(args.second)
-    relation = classify_pair(
-        Schema(first, term_names(first)), Schema(second, term_names(second)), semantics, args.bound
-    )
-    if args.json:
-        payload = {
-            "first": render(first),
-            "second": render(second),
-            "semantics": semantics.label(),
-            "bound": args.bound,
-            "relation": relation.kind.value,
-            "witnesses": {k: m.to_dict() for k, m in relation.witnesses().items()},
-        }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [f"{render(first)}  /  {render(second)}: {relation.kind.value} (bound {args.bound})"]
-        for name, model in relation.witnesses().items():
-            lines.append(f"  {name}: {model.summary()}")
-        _write("\n".join(lines) + "\n", args.out)
-    return 0
-
-
-def _square_report(args):
-    if args.semantics == "analytic":
-        return verify_square(analytic_square(), _semantics(args), args.bound)
-    return verify_square(synthetic_square(), _semantics(args), args.bound)
-
-
-def _cmd_square(args) -> int:
-    report = _square_report(args)
-    if args.json:
-        from .diagram import square_dict
-
-        _write(json.dumps(square_dict(report), indent=2) + "\n", args.out)
-    else:
-        lines = [f"{report.name} square ({report.semantics_label}, bound {report.bound})"]
-        for pv in report.pairs:
-            mark = "ok  " if pv.ok else "FAIL"
-            lines.append(
-                f"  [{mark}] {pv.first}-{pv.second}: expected {pv.expected.value}, "
-                f"got {pv.relation.kind.value}"
-            )
-        lines.append("PASS" if report.passed else "FAIL")
-        _write("\n".join(lines) + "\n", args.out)
-    return 0 if report.passed else 1
-
-
-def _cmd_diagram(args) -> int:
-    from .diagram import emit_diagram
-
-    report = _square_report(args)
-    _write(emit_diagram(report), args.out)
-    return 0 if report.passed else 1
-
-
-def _axiom_set(spec: str):
-    from .proofs import AxiomSet
-
-    return AxiomSet(frozenset(w.strip() for w in spec.split(",") if w.strip()))
-
-
-def _cmd_prove(args) -> int:
-    from .proofs import check_derivation, parse_script
-
-    with open(args.script, encoding="utf-8") as handle:
-        derivation = parse_script(handle.read())
-    result = check_derivation(derivation, _axiom_set(args.axioms))
-    conclusion = derivation.conclusion
-    if args.json:
-        payload = {
-            "ok": result.ok,
-            "detail": result.describe(),
-            "conclusion": render(conclusion) if conclusion is not None else None,
-        }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        line = result.describe()
-        if result.ok and conclusion is not None:
-            line += f"; derives {render(conclusion)}"
-        _write(line + "\n", args.out)
-    return 0 if result.ok else 1
-
-
 def _cmd_verify_paper(args) -> int:
     from .report import report_json, report_text, run_verify_paper
 
     report = run_verify_paper(args.bound, args.atoms)
     _write(report_json(report) if args.json else report_text(report), args.out)
     return 0 if report["pass"] else 1
+
+
+def _later(name: str):
+    """The handler of command `name`: `commands.run_<name>`, loaded when it runs."""
+
+    def run(args) -> int:
+        from . import commands
+
+        return getattr(commands, f"run_{name}")(args)
+
+    return run
 
 
 _REQUIRED = object()  # the default of an option that must be given
@@ -183,13 +63,13 @@ _OUTPUT = (
 _COMMANDS = {
     None: (None, "verification workbench for the analytic and synthetic squares of opposition",
            ("command",), ()),
-    "eval": (_cmd_eval, "evaluate a formula against a model file", ("formula",),
+    "eval": (_later("eval"), "evaluate a formula against a model file", ("formula",),
              (("--model", "model", str, _REQUIRED, "JSON model file"), *_SEMANTICS, *_OUTPUT)),
-    "classify": (_cmd_classify, "classify the opposition relation of two formulas",
+    "classify": (_later("classify"), "classify the opposition relation of two formulas",
                  ("first", "second"), (*_SQUARE, *_OUTPUT)),
-    "square": (_cmd_square, "verify a full square of opposition", (), (*_SQUARE, *_OUTPUT)),
-    "diagram": (_cmd_diagram, "emit a DOT diagram of a verified square", (), (*_SQUARE, *_OUTPUT)),
-    "prove": (_cmd_prove, "check a proof script", ("script",), (
+    "square": (_later("square"), "verify a full square of opposition", (), (*_SQUARE, *_OUTPUT)),
+    "diagram": (_later("diagram"), "emit a DOT diagram of a verified square", (), (*_SQUARE, *_OUTPUT)),
+    "prove": (_later("prove"), "check a proof script", ("script",), (
         ("--axioms", "axioms", str, "a5,a6,a7,a8,def",
          "comma list from a5,a6,a7,a8,def (default: all)"), *_OUTPUT)),
     "verify-paper": (_cmd_verify_paper, "run the full verification suite", (), (

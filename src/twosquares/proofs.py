@@ -5,20 +5,7 @@ schemas (the o-form as the negation of the a-form, the e-form as the
 negation of the i-form, each encoded as a conjunction of the two
 implications since the surface language has no biconditional),
 propositional tautologies admitted wholesale by truth-table check, and
-modus ponens.
-
-Proof script line format (one line per derivation step)::
-
-    n. <formula> ; axiom5 S:=X P:=Y
-    n. <formula> ; axiom7 M:=A P:=B S:=C
-    n. <formula> ; def-o X Y
-    n. <formula> ; def-e X Y
-    n. <formula> ; taut
-    n. <formula> ; mp i j        # line i: phi, line j: phi -> psi
-
-Lines must be numbered in strictly increasing order; `mp` may cite
-earlier lines only; the derived formula is the last line.  Blank lines
-and lines starting with `#` are ignored.
+modus ponens.  Proof scripts are read and written by `proofscript`.
 """
 
 from __future__ import annotations
@@ -26,8 +13,8 @@ from __future__ import annotations
 import operator
 from collections.abc import Mapping
 
-from .errors import BoundError, ParseError
-from .formula import Formula, Implies, Schema, atoms, fold, instantiate, parse, render
+from .errors import BoundError
+from .formula import Formula, Implies, Schema, atoms, fold, instantiate, parse
 from .opposition import catalog_entries
 from .record import Record
 
@@ -211,73 +198,6 @@ def check_proves(d: Derivation, target: Formula, ax: AxiomSet) -> ProofCheckResu
     return result
 
 
-# --- proof scripts ---------------------------------------------------------
-
-def format_script(d: Derivation) -> str:
-    out = []
-    for line in d.lines:
-        j = line.justification
-        if isinstance(j, AxiomInstance):
-            if j.schema_id.startswith("def-"):
-                just = f"{j.schema_id} " + " ".join(v for _, v in j.binding)
-            else:
-                just = f"{j.schema_id} " + " ".join(f"{m}:={v}" for m, v in j.binding)
-        elif isinstance(j, Tautology):
-            just = "taut"
-        else:
-            just = f"mp {j.antecedent} {j.implication}"
-        out.append(f"{line.index}. {render(line.formula)} ; {just}")
-    return "\n".join(out) + "\n"
-
-
-def parse_script(text: str) -> Derivation:
-    """Parse a proof script (see the module docstring for the format)."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        head, sep, just_text = stripped.partition(";")
-        if not sep:
-            raise ParseError(f"line {lineno}: missing ';' justification separator", 0)
-        num_text, dot, formula_text = head.partition(".")
-        if not dot or not num_text.strip().isdigit():
-            raise ParseError(f"line {lineno}: expected 'n. <formula> ; <rule>'", 0)
-        index = int(num_text.strip())
-        formula = parse(formula_text.strip())
-        lines.append(DerivationLine(index, formula, _parse_justification(just_text, lineno)))
-    return Derivation(tuple(lines))
-
-
-def _parse_justification(text: str, lineno: int) -> Justification:
-    words = text.split()
-    if not words:
-        raise ParseError(f"line {lineno}: empty justification", 0)
-    rule, args = words[0], words[1:]
-    if rule == "taut":
-        return Tautology()
-    if rule == "mp":
-        if len(args) != 2 or not all(w.isdigit() for w in args):
-            raise ParseError(f"line {lineno}: mp needs two line numbers", 0)
-        return ModusPonens(int(args[0]), int(args[1]))
-    if rule in ("def-o", "def-e"):
-        if len(args) != 2:
-            raise ParseError(f"line {lineno}: {rule} needs two term arguments", 0)
-        return AxiomInstance(rule, (("X", args[0]), ("Y", args[1])))
-    if rule in SCHEMAS:
-        binding = {}
-        for arg in args:
-            name, sep, value = arg.partition(":=")
-            if not sep:
-                raise ParseError(f"line {lineno}: expected NAME:=TERM, got {arg!r}", 0)
-            binding[name] = value
-        order = SCHEMAS[rule].metavars
-        if set(binding) != set(order):
-            raise ParseError(f"line {lineno}: {rule} needs bindings for {', '.join(order)}", 0)
-        return AxiomInstance(rule, tuple((m, binding[m]) for m in order))
-    raise ParseError(f"line {lineno}: unknown rule {rule!r}", 0)
-
-
 # --- bundled derivations of the theorem catalog ------------------------------
 
 # The builder adds one glue tautology and a modus ponens chain to the
@@ -332,6 +252,3 @@ def bundled_theorem_derivations() -> dict[str, Derivation]:
         out[entry.id] = _build_derivation(entry.schema.formula, _premises(entry.schema.formula))
     return out
 
-
-def bundled_theorem_scripts() -> dict[str, str]:
-    return {tid: format_script(d) for tid, d in bundled_theorem_derivations().items()}

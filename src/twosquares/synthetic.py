@@ -22,32 +22,20 @@ composite copula holds between x and t's denotation, and the forms are
 evaluated on that model.  The readings differ in the last conjunct
 (Literal demands forall C. (C prim a and C prim b), Charitable weakens
 it to forall C. (C prim a -> C prim b)).  Neither derived reading is
-preferred; they exist to probe the composite definition.
-
-A form's truth depends only on which sets of terms the individuals of
-a model realize, so derived decisions range over the derived image:
-the first structure of each realized type-set.  It is computed from
-bitmask columns: one pass over the relations of each universe size and
-reading, shared by every term count, keeps the relations with new
-columns, and only the distinct columns are chosen as denotations.  Only
-the witnesses themselves are built as structures.
+preferred; they exist to probe the composite definition, and load from
+`copula` at their first use.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Iterator, Mapping
 from enum import Enum
-from types import MappingProxyType
 
-from .copula import CopulaStructure, derived_copula  # noqa: F401  (derived_copula is re-exported)
 from .errors import BoundError, SemanticsError, json_object, string_list
 from .formula import Atom, Formula, holds, term_names
 from .record import Record
-from .search import (
-    ModelSpace, Regions, check_family, copula_truth, monadic_space, occupied, type_set_atom
-)
+from .search import ModelSpace, Regions, check_family, copula_truth, monadic_space, occupied
 from .verdicts import Verdict
 
 _INDIVIDUALS = ("u", "v", "w", "x")
@@ -112,18 +100,6 @@ class SyntheticModel(Record):
         return cls(universe, frozenset(facts))
 
 
-def induced_model(c: CopulaStructure, charitable: bool) -> SyntheticModel:
-    """The direct model a structure induces under a derived reading: x is
-    t iff derived_copula(c, x, c.denote[t], charitable), read off the
-    columns of its primitive relation."""
-    size, at = len(c.universe), {x: i for i, x in enumerate(c.universe)}
-    col = _columns(size, sum(1 << (size * at[y] + at[x]) for y, x in c.is_prim), charitable)
-    facts = frozenset(
-        (x, t) for t, b in c.denote.items() for i, x in enumerate(c.universe) if col[at[b]] >> i & 1
-    )
-    return SyntheticModel(c.universe, facts)
-
-
 def eval_synthetic(
     model: SyntheticModel | CopulaStructure,
     f: Formula,
@@ -134,8 +110,11 @@ def eval_synthetic(
     direct = opts.reading is Reading.DIRECT
     if direct and not isinstance(model, SyntheticModel):
         raise SemanticsError("direct reading expects a SyntheticModel")
-    if not direct and not isinstance(model, CopulaStructure):
-        raise SemanticsError("derived readings expect a CopulaStructure")
+    if not direct:
+        from .copula import CopulaStructure, induced_model
+
+        if not isinstance(model, CopulaStructure):
+            raise SemanticsError("derived readings expect a CopulaStructure")
     if not model.universe and not opts.allow_empty_universe:
         raise SemanticsError("empty universe disallowed by the evaluation options")
     if not direct:
@@ -184,110 +163,14 @@ def enumerate_synthetic_models(
             yield _model(terms, size, masks)
 
 
-def enumerate_copula_structures(
-    terms: tuple[str, ...], max_u: int, opts: SyntheticOptions
-) -> Iterator[CopulaStructure]:
-    """All copula structures with |U| <= max_u: every primitive relation,
-    every denotation assignment.  Sizes start at 1 even when the empty
-    universe is allowed, as denotations need a target.  This is the
-    definition of the order the derived image keeps and the tests' oracle;
-    no decision walks it."""
-    for size in _universe_sizes(max_u, opts):
-        universe = _INDIVIDUALS[:size]
-        pairs = [(a, b) for a in universe for b in universe]
-        for prim_mask in range(1 << len(pairs)):
-            prim = frozenset(p for i, p in enumerate(pairs) if prim_mask >> i & 1)
-            for denote_choice in itertools.product(range(size), repeat=len(terms)):
-                denote = {t: universe[denote_choice[k]] for k, t in enumerate(terms)}
-                yield CopulaStructure(universe, prim, denote)
-
-
-def _columns(size: int, prim_mask: int, charitable: bool) -> tuple[int, ...]:
-    """col[b] is the bitmask of the individuals that are b under a derived
-    reading, for the relation with bit size*y+x of `prim_mask` set iff y
-    prim x.  With pred(x) = {y : y prim x}, x can be a subject iff pred(x)
-    is a nonempty clique; the literal reading then holds iff pred(x) =
-    pred(b) = U, the charitable one iff pred(x) is a subset of pred(b)."""
-    everyone, pred = (1 << size) - 1, [0] * size
-    for i in range(size * size):
-        if prim_mask >> i & 1:
-            pred[i % size] |= 1 << i // size
-    col = [0] * size
-    for x, p in enumerate(pred):
-        subject = p != 0
-        for z in range(size):
-            if p >> z & 1 and p & ~pred[z]:
-                subject = False
-        if subject:
-            for b, q in enumerate(pred):
-                if (p & ~q == 0) if charitable else p == q == everyone:
-                    col[b] |= 1 << x
-    return tuple(col)
-
-
-@functools.cache
-def _relations(size: int, charitable: bool) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(prim_mask, columns) of the first relation, in `prim_mask` order, of
-    each distinct column tuple over `size` individuals.  A later relation
-    with the same columns realizes only type-sets an earlier one did."""
-    first: dict[tuple[int, ...], int] = {}
-    for prim_mask in range(1 << size * size):
-        first.setdefault(_columns(size, prim_mask, charitable), prim_mask)
-    return tuple((prim_mask, col) for col, prim_mask in first.items())
-
-
-def _derived_shape(k: int, bound: int, opts: SyntheticOptions) -> tuple[int, int, bool]:
-    """The key of a derived reading's image over k terms, or a bound error.
-    Allowing the empty universe changes nothing, as no structure is empty."""
-    _universe_sizes(bound, opts)
-    return k, bound, opts.reading is Reading.DERIVED_CHARITABLE
-
-
-@functools.cache
-def _derived_scan(k: int, bound: int, charitable: bool) -> Mapping[int, CopulaStructure]:
-    """The derived image over the term positions 0..k-1 as term names, by
-    type-set key: the first structure, in enumeration order, of each
-    type-set the induced models realize, in order of first appearance.  As
-    a form's truth depends only on the type-set, searching the image gives
-    the verdicts and witnesses of a full scan.
-
-    Walks the structures in `enumerate_copula_structures` order without
-    building them, over `_relations` only.  A denotation choice d gives
-    individual x the type {t : x in col[d[t]]}, so the type-set is a
-    2^k-bit key.  Only the first individual of each distinct column is
-    chosen: a later one repeats the key of a choice that comes earlier in
-    product order."""
-    witnesses: dict[int, CopulaStructure] = {}
-    for size in range(1, bound + 1):
-        universe = _INDIVIDUALS[:size]
-        for prim_mask, col in _relations(size, charitable):
-            firsts = [b for b in range(size) if col.index(col[b]) == b]
-            for choice in itertools.product(firsts, repeat=k):
-                key = 0
-                for x in range(size):
-                    key |= 1 << sum((col[b] >> x & 1) << t for t, b in enumerate(choice))
-                if key not in witnesses:
-                    pairs = itertools.product(universe, universe)
-                    prim = frozenset(p for i, p in enumerate(pairs) if prim_mask >> i & 1)
-                    denote = {t: universe[b] for t, b in enumerate(choice)}
-                    witnesses[key] = CopulaStructure(universe, prim, denote)
-    return MappingProxyType(witnesses)
-
-
-def _named(c: CopulaStructure, terms: tuple[str, ...]) -> CopulaStructure:
-    return CopulaStructure(c.universe, c.is_prim, {terms[t]: x for t, x in c.denote.items()})
-
-
 def synthetic_space(terms: tuple[str, ...], bound: int, opts: SyntheticOptions) -> ModelSpace:
     """The type-sets of the direct models up to `bound`, each at its first
     model in enumeration order, or a derived reading's image."""
     if opts.reading is Reading.DIRECT:
         return monadic_space(terms, _universe_sizes(bound, opts).start, bound, True, False, _model)
-    shape = _derived_shape(len(terms), bound, opts)
-    image = tuple(_derived_scan(*shape).values())
-    atom_vector = functools.partial(type_set_atom, _derived_scan, shape, False)
-    model_at = lambda m: _named(image[m], terms)  # noqa: E731
-    return ModelSpace((1 << len(image)) - 1, bound, terms, True, atom_vector, model_at)
+    from .copula import derived_space
+
+    return derived_space(terms, bound, opts)
 
 
 def decide_synthetic_validity(
@@ -295,3 +178,12 @@ def decide_synthetic_validity(
 ) -> Verdict:
     """Valid up to `bound`, or the first (minimal) countermodel."""
     return synthetic_space(term_names(f), bound, opts).decide(f)
+
+
+def __getattr__(name: str) -> object:
+    """The derived readings' names that `synthetic` held, from `copula`."""
+    if name in ("CopulaStructure", "derived_copula", "enumerate_copula_structures", "induced_model"):
+        from . import copula
+
+        return getattr(copula, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,7 +20,7 @@ from oracles import build_parser
 from twosquares.cli import main, parse_args
 from twosquares.errors import BoundError
 from twosquares.formula import _MAX_DEPTH, Copula
-from twosquares.proofs import bundled_theorem_scripts
+from twosquares.proofscript import bundled_theorem_scripts
 from twosquares.synthetic import DIRECT_EMPTY_OK, DIRECT_NONEMPTY, Reading
 
 
@@ -78,38 +78,74 @@ def test_a_cold_verify_paper_loads_no_class_building_modules():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
-HEAVY_MODULES = ("twosquares.proofs", "twosquares.report", "twosquares.starb")
+# the modules `import twosquares.cli` loads, and what each command adds to them
+IMPORTED = ("analytic", "cli", "errors", "formula", "opposition", "record", "search", "synthetic",
+            "verdicts")
+# the lines of the modules a default `verify-paper --json` loads (3094 when it
+# also loaded the derived readings, the proof-script reader and writer and the
+# other commands' handlers); a deliberate change to that path updates it here
+VERIFY_PAPER_LINES = 2722
 
 
 @pytest.mark.parametrize(
-    "argv, loaded",
+    "argv, added",
     [
         (None, ()),
-        (["eval", "S si P", "--model", "MODEL"], ()),
-        (["classify", "S sa P", "S so P"], ()),
-        (["square"], ()),
-        (["square", "--json"], ()),
-        (["diagram"], ()),
-        (["verify-paper", "--json"], HEAVY_MODULES),
+        (["eval", "S si P", "--model", "MODEL"], ("commands",)),
+        (["eval", "S sa P", "--model", "STRUCTURE", "--reading", "derived"], ("commands", "copula")),
+        (["classify", "S sa P", "S so P"], ("commands",)),
+        (["classify", "S sa P", "S si P", "--reading", "derived-charitable"], ("commands", "copula")),
+        (["square"], ("commands",)),
+        (["square", "--json"], ("commands", "diagram")),
+        (["diagram"], ("commands", "diagram")),
+        (["prove", "SCRIPT"], ("commands", "proofs", "proofscript")),
+        (["verify-paper", "--json"], ("diagram", "proofs", "report", "starb")),
     ],
-    ids=["import", "eval", "classify", "square", "square-json", "diagram", "verify-paper"],
+    ids=["import", "eval", "eval-derived", "classify", "classify-derived-charitable", "square",
+         "square-json", "diagram", "prove", "verify-paper"],
 )
-def test_each_command_loads_only_the_modules_it_runs(synthetic_model, argv, loaded):
-    """The report, the prover and the carrier are loaded by the commands
-    that run them and by no other."""
-    run_argv = [synthetic_model if a == "MODEL" else a for a in argv or ()]
+def test_each_command_loads_only_the_modules_it_runs(
+    synthetic_model, copula_structure, tmp_path, argv, added
+):
+    """Each command loads exactly the `twosquares` modules it runs: the
+    derived readings (`copula`) only under a derived reading, the other
+    commands' handlers (`commands`) and the proof-script format
+    (`proofscript`) never for `verify-paper`, which alone loads the report
+    and the carrier."""
+    script_path = tmp_path / "t01.proof"
+    script_path.write_text(bundled_theorem_scripts()["T01"])
+    files = {"MODEL": synthetic_model, "STRUCTURE": copula_structure, "SCRIPT": str(script_path)}
+    run_argv = [files.get(a, a) for a in argv or ()]
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "import twosquares.cli as cli\n"
         f"if {run_argv!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         f"        assert cli.main({run_argv!r}) == 0\n"
-        f"print(sorted(set(sys.modules) & set({HEAVY_MODULES!r})))\n"
+        "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'twosquares')\n"
+        "lines = sum(sum(1 for _ in open(sys.modules[m].__file__, 'rb')) for m in mods)\n"
+        "print(json.dumps([mods, lines]))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
-    assert (done.returncode, done.stdout, done.stderr) == (0, f"{sorted(loaded)}\n", "")
+    assert (done.returncode, done.stderr) == (0, "")
+    modules, lines = json.loads(done.stdout)
+    assert modules == ["twosquares"] + sorted(f"twosquares.{m}" for m in IMPORTED + added)
+    if argv == ["verify-paper", "--json"]:
+        assert lines == VERIFY_PAPER_LINES
+
+
+def test_prove_axioms_default_and_help_name_every_rule_source():
+    """`cli` states the rule sources as literals, so that it need not load
+    `proofs`; they must be the names `proofs.SOURCES` accepts."""
+    from twosquares import proofs
+    from twosquares.cli import _COMMANDS
+
+    names = ",".join(sorted(proofs.SOURCES))
+    (option,) = [o for o in _COMMANDS["prove"][3] if o[0] == "--axioms"]
+    assert option[3] == names
+    assert option[4] == f"comma list from {names} (default: all)"
 
 
 def test_every_function_the_benchmark_tracer_rebinds_resolves():

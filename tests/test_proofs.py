@@ -16,13 +16,11 @@ from twosquares.proofs import (
     Tautology,
     _build_derivation,
     bundled_theorem_derivations,
-    bundled_theorem_scripts,
     check_derivation,
     check_proves,
-    format_script,
     is_tautology,
-    parse_script,
 )
+from twosquares.proofscript import bundled_theorem_scripts, format_script, parse_script
 from twosquares.verdicts import Valid
 
 from oracles import row_by_row_tautology

@@ -171,3 +171,86 @@ def test_package_records_hash_as_the_tuple_of_their_fields():
         hash(analytic)
     with pytest.raises(TypeError):
         hash((analytic.domain, analytic.ext))
+
+
+# --- methods built on first use -------------------------------------------------
+
+class PickledFirst:
+    Point, Labelled, Ordered, Squared, Empty = _classes("PickledFirst", Record, lambda cls: cls)
+
+
+class PickledFirstTwins:
+    Point, Labelled, Ordered, Squared, Empty = _classes(
+        "PickledFirstTwins", object, dataclasses.dataclass(frozen=True)
+    )
+
+
+def _fresh():
+    """New twin namespaces, whose record classes have built no method yet."""
+    records = type("Records", (), dict(zip("Point Labelled Ordered Squared Empty".split(),
+                                           _classes("Records", Record, lambda cls: cls))))
+    twins = type("Dataclasses", (), dict(zip("Point Labelled Ordered Squared Empty".split(),
+                                             _classes("Dataclasses", object,
+                                                      dataclasses.dataclass(frozen=True)))))
+    return records, twins
+
+
+def _hashes(ns):
+    return [hash(obj) for obj in instances(ns)]
+
+
+def _equalities(ns):
+    objs = instances(ns)
+    return [[a == b for b in objs] for a in objs] + [[a != b for b in objs] for a in objs]
+
+
+def _copies(ns):
+    objs = instances(ns)
+    return [(twin == obj, hash(twin) == hash(obj), vars(twin) == vars(obj))
+            for obj in objs for twin in (copy.copy(obj), copy.deepcopy(obj))]
+
+
+def _pickles(ns):
+    objs = instances(ns)
+    return [(twin == obj, hash(twin) == hash(obj), vars(twin) == vars(obj))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1) for obj in objs
+            for twin in [pickle.loads(pickle.dumps(obj, protocol))]]
+
+
+def _subclass_first(ns):
+    labelled = (ns.Labelled(1), ns.Labelled(1, 0, "p"), ns.Labelled(2, label="q"))
+    results = [repr(x).split(".", 1)[1] for x in labelled]
+    results += [hash(x) for x in labelled] + [a == b for a in labelled for b in labelled]
+    points = (ns.Point(1), ns.Point(1, 0))
+    return results + [hash(p) for p in points] + [p == x for p in points for x in labelled]
+
+
+def _failed_first_construction(ns):
+    results = []
+    for args in ((2, 1), (1, 2), (2, 1), (3, 3)):
+        try:
+            results.append(repr(ns.Ordered(*args)).split(".", 1)[1])
+        except ValueError as error:
+            results.append(str(error))
+    return results
+
+
+@pytest.mark.parametrize(
+    "first_use",
+    [[_hashes, _equalities], [_equalities, _hashes], [_copies], [_subclass_first],
+     [_failed_first_construction, _hashes, _equalities]],
+    ids=["hash-before-eq", "eq-before-hash", "copy", "subclass-before-base", "post-init-raises"],
+)
+def test_twins_agree_whatever_is_used_first(first_use):
+    records, twins = _fresh()
+    assert [use(records) for use in first_use] == [use(twins) for use in first_use]
+    # each stub used has been replaced by the generated method, named after
+    # the class as it was made, not as it was renamed
+    for name in ("__init__", "__eq__", "__hash__"):
+        assert getattr(records.Point, name).__qualname__ == f"_classes.<locals>.Point.{name}"
+
+
+def test_a_pickle_round_trip_as_the_first_comparison():
+    assert _pickles(PickledFirst) == _pickles(PickledFirstTwins)
+    assert PickledFirst.Point.__eq__.__qualname__ == "_classes.<locals>.Point.__eq__"
+

@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from twosquares import synthetic
+from twosquares import copula, synthetic
 from twosquares.analytic import AnalyticModel
 from twosquares.errors import BoundError, SemanticsError
 from twosquares.formula import parse
@@ -222,7 +228,7 @@ def test_derived_decisions_do_not_enumerate_structures(monkeypatch):
     def refuse(*args):
         raise AssertionError("a derived decision enumerated every structure")
 
-    monkeypatch.setattr(synthetic, "enumerate_copula_structures", refuse)
+    monkeypatch.setattr(copula, "enumerate_copula_structures", refuse)
     clear_derived_caches()
     try:
         for opts in (DERIVED, CHARITABLE):
@@ -234,8 +240,8 @@ def test_derived_decisions_do_not_enumerate_structures(monkeypatch):
 
 
 def clear_derived_caches():
-    synthetic._derived_scan.cache_clear()
-    synthetic._relations.cache_clear()
+    copula._derived_scan.cache_clear()
+    copula._relations.cache_clear()
 
 
 @pytest.mark.parametrize("opts", [DERIVED, CHARITABLE], ids=lambda o: o.reading.value)
@@ -246,8 +252,8 @@ def test_one_relation_pass_per_universe_size(opts):
         decide_synthetic_validity(parse("(M sa P & S se M) -> S se P"), 3, opts)
         decide_synthetic_validity(parse("S sa P"), 2, opts)
         # two term counts at bound 3 and one at bound 2 share the passes of sizes 1-3
-        assert synthetic._relations.cache_info().misses == 3
-        assert synthetic._derived_scan.cache_info().misses == 3
+        assert copula._relations.cache_info().misses == 3
+        assert copula._derived_scan.cache_info().misses == 3
     finally:
         clear_derived_caches()
 
@@ -261,8 +267,8 @@ def test_allowing_the_empty_universe_shares_the_derived_scan(reading):
             decide_synthetic_validity(f, 3, SyntheticOptions(reading, empty)) for empty in (False, True)
         ]
         assert verdicts[0] == verdicts[1]
-        assert synthetic._derived_scan.cache_info().misses == 1
-        assert synthetic._derived_scan.cache_info().hits == 1
+        assert copula._derived_scan.cache_info().misses == 1
+        assert copula._derived_scan.cache_info().hits == 1
     finally:
         clear_derived_caches()
     # the flag still shows in the label
@@ -352,3 +358,79 @@ def test_structure_json_round_trip():
         "denote": {"P": "b", "S": "a"},
     }
     assert CopulaStructure.from_dict(data) == c
+
+
+# --- the derived readings load at their first use -------------------------------
+
+_STEPS = """
+import json, sys
+import twosquares as ts
+
+def decide(reading):
+    out = []
+    for text in ("(M sa P & S se M) -> S se P", "S sa P -> S si P", "S so P -> P so S"):
+        v = ts.decide_synthetic_validity(ts.parse(text), 3, ts.SyntheticOptions(ts.Reading(reading)))
+        out.append([v.describe(), list(getattr(v, "atom_trace", ()))])
+    return out
+
+def evaluate():
+    c = ts.CopulaStructure(("c", "a", "b"), frozenset({("c", "a"), ("c", "b"), ("c", "c")}),
+                           {"S": "a", "P": "b"})
+    return [ts.eval_synthetic(c, ts.parse(text), ts.SyntheticOptions(ts.Reading(reading)))
+            for text in ("S sa P", "S si P", "S so P | S se P")
+            for reading in ("derived", "derived-charitable")]
+
+steps = {"direct": lambda: decide("direct"), "derived": lambda: decide("derived"),
+         "charitable": lambda: decide("derived-charitable"), "eval": evaluate}
+print(json.dumps([[steps[s](), "twosquares.copula" in sys.modules] for s in sys.argv[1:]]))
+"""
+
+
+def _run_steps(*steps):
+    """Each step's results, in one fresh process, and whether the derived
+    readings were loaded after it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-S", "-c", _STEPS, *steps], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (0, "")
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [("direct", "derived"), ("derived", "direct"), ("charitable", "direct", "derived"), ("direct", "eval")],
+    ids="-".join,
+)
+def test_mixed_readings_in_one_process_decide_as_fresh_ones(steps):
+    mixed = _run_steps(*steps)
+    assert [results for results, _ in mixed] == [_run_steps(step)[0][0] for step in steps]
+    # a direct step before any derived one leaves the derived readings unloaded
+    assert [loaded for _, loaded in mixed] == [
+        any(s != "direct" for s in steps[: i + 1]) for i in range(len(steps))
+    ]
+
+
+def test_moved_names_resolve_where_they_were_read():
+    script = (
+        "import sys, twosquares\n"
+        "from twosquares import synthetic\n"
+        "assert 'twosquares.copula' not in sys.modules\n"
+        "from twosquares import copula\n"
+        "assert twosquares.CopulaStructure is synthetic.CopulaStructure is copula.CopulaStructure\n"
+        "assert twosquares.derived_copula is synthetic.derived_copula is copula.derived_copula\n"
+        "assert synthetic.enumerate_copula_structures is copula.enumerate_copula_structures\n"
+        "assert synthetic.induced_model is copula.induced_model\n"
+        "assert {'CopulaStructure', 'derived_copula'} <= set(twosquares.__all__)\n"
+        "assert all(getattr(twosquares, name) is not None for name in twosquares.__all__)\n"
+        "for module in (twosquares, synthetic):\n"
+        "    try:\n"
+        "        module.no_such_name\n"
+        "    except AttributeError as error:\n"
+        "        assert str(error) == f\"module {module.__name__!r} has no attribute 'no_such_name'\"\n"
+        "    else:\n"
+        "        raise AssertionError(module)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")

@@ -53,10 +53,8 @@ _SEMANTICS = (
     ("--allow-empty", "allow_empty", bool, False, ""),
 )
 _SQUARE = (*_SEMANTICS, ("--bound", "bound", int, 3, ""))
-_OUTPUT = (
-    ("--json", "json", bool, False, ""),
-    ("--out", "out", str, None, "write output to FILE instead of stdout"),
-)
+_OUT = ("--out", "out", str, None, "write output to FILE instead of stdout")
+_OUTPUT = (("--json", "json", bool, False, ""), _OUT)
 # Each command's handler, help, positionals and options.  An option is
 # (string, dest, kind, default or _REQUIRED, help); its kind is bool for a
 # flag, int, str or a tuple of the choices.  None names the top level.
@@ -68,7 +66,7 @@ _COMMANDS = {
     "classify": (_later("classify"), "classify the opposition relation of two formulas",
                  ("first", "second"), (*_SQUARE, *_OUTPUT)),
     "square": (_later("square"), "verify a full square of opposition", (), (*_SQUARE, *_OUTPUT)),
-    "diagram": (_later("diagram"), "emit a DOT diagram of a verified square", (), (*_SQUARE, *_OUTPUT)),
+    "diagram": (_later("diagram"), "emit a DOT diagram of a verified square", (), (*_SQUARE, _OUT)),
     "prove": (_later("prove"), "check a proof script", ("script",), (
         ("--axioms", "axioms", str, "a5,a6,a7,a8,def",
          "comma list from a5,a6,a7,a8,def (default: all)"), *_OUTPUT)),
@@ -94,6 +92,8 @@ def _lookup(arg, names, command):
     head, eq, value = arg.partition("=")
     if head in names:
         return head, value if eq else None
+    if arg == "--":  # a bare `--` is no prefix of every long option: it names none
+        return None, None
     if arg[1] == "-":  # a long option, by any unique prefix
         found = [(name, value if eq else None) for name in names if name.startswith(head)]
     else:  # a short option, joined to its value

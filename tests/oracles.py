@@ -38,6 +38,7 @@ import re
 from dataclasses import dataclass
 
 from twosquares.analytic import enumerate_analytic_models
+from twosquares.copula import enumerate_copula_structures, induced_model
 from twosquares.errors import ParseError
 from twosquares.formula import (
     _MAX_DEPTH,
@@ -60,9 +61,7 @@ from twosquares.synthetic import (
     MAX_UNIVERSE_DERIVED,
     Reading,
     SyntheticOptions,
-    enumerate_copula_structures,
     enumerate_synthetic_models,
-    induced_model,
     synthetic_space,
 )
 from twosquares.verdicts import Counterexample, Valid
@@ -658,6 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--atoms", type=int, default=2, help="algebra atom count (1..4)")
 
     for p in (p_eval, p_classify, p_square, p_diagram, p_prove, p_verify):
-        p.add_argument("--json", action="store_true")
+        if p is not p_diagram:  # a diagram is DOT only
+            p.add_argument("--json", action="store_true")
         p.add_argument("--out", help="write output to FILE instead of stdout")
     return parser

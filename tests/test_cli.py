@@ -79,27 +79,29 @@ def test_a_cold_verify_paper_loads_no_class_building_modules():
 
 
 # the modules `import twosquares.cli` loads, and what each command adds to them
-IMPORTED = ("analytic", "cli", "errors", "formula", "opposition", "record", "search", "synthetic",
-            "verdicts")
+IMPORTED = ("cli", "errors", "formula", "record", "search", "synthetic", "verdicts")
+HANDLERS = ("analytic", "commands", "opposition")  # what the handlers in `commands` load
 # the lines of the modules a default `verify-paper --json` loads (3094 when it
 # also loaded the derived readings, the proof-script reader and writer and the
-# other commands' handlers); a deliberate change to that path updates it here
-VERIFY_PAPER_LINES = 2722
+# other commands' handlers, 2722 while the package re-exported its modules'
+# names); a deliberate change to that path updates it here
+VERIFY_PAPER_LINES = 2658
 
 
 @pytest.mark.parametrize(
     "argv, added",
     [
         (None, ()),
-        (["eval", "S si P", "--model", "MODEL"], ("commands",)),
-        (["eval", "S sa P", "--model", "STRUCTURE", "--reading", "derived"], ("commands", "copula")),
-        (["classify", "S sa P", "S so P"], ("commands",)),
-        (["classify", "S sa P", "S si P", "--reading", "derived-charitable"], ("commands", "copula")),
-        (["square"], ("commands",)),
-        (["square", "--json"], ("commands", "diagram")),
-        (["diagram"], ("commands", "diagram")),
-        (["prove", "SCRIPT"], ("commands", "proofs", "proofscript")),
-        (["verify-paper", "--json"], ("diagram", "proofs", "report", "starb")),
+        (["eval", "S si P", "--model", "MODEL"], HANDLERS),
+        (["eval", "S sa P", "--model", "STRUCTURE", "--reading", "derived"], (*HANDLERS, "copula")),
+        (["classify", "S sa P", "S so P"], HANDLERS),
+        (["classify", "S sa P", "S si P", "--reading", "derived-charitable"], (*HANDLERS, "copula")),
+        (["square"], HANDLERS),
+        (["square", "--json"], (*HANDLERS, "diagram")),
+        (["diagram"], (*HANDLERS, "diagram")),
+        (["prove", "SCRIPT"], (*HANDLERS, "proofs", "proofscript")),
+        (["verify-paper", "--json"],
+         ("analytic", "diagram", "opposition", "proofs", "report", "starb")),
     ],
     ids=["import", "eval", "eval-derived", "classify", "classify-derived-charitable", "square",
          "square-json", "diagram", "prove", "verify-paper"],
@@ -162,6 +164,25 @@ def test_every_function_the_benchmark_tracer_rebinds_resolves():
         assert callable(getattr(importlib.import_module(f"twosquares.{module}"), function, None)), (
             module, function
         )
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).resolve().parent.parent / "src" / "twosquares").glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_each_module_reads_every_name_it_imports(path):
+    """Every name a module imports is read in it, so that each name has
+    one import path: the module that defines it, not a re-export."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        if getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(imported - read) == []
 
 
 def test_eval_analytic(capsys, analytic_model):
@@ -626,7 +647,8 @@ def command_lines(draw, folder):
         return ["classify", draw(FORMULAS), draw(FORMULAS), "--bound", draw(BOUNDS),
                 *draw(SEMANTICS_FLAGS)]
     if command in ("square", "diagram"):
-        return [command, "--bound", draw(BOUNDS), *draw(SEMANTICS_FLAGS)]
+        flags = [f for f in draw(SEMANTICS_FLAGS) if command == "square" or f != "--json"]
+        return [command, "--bound", draw(BOUNDS), *flags]
     if command == "prove":
         script = folder / "script.proof"
         script.write_text(draw(SCRIPTS))
@@ -670,7 +692,7 @@ OPTIONS = {
     "eval": ("--model", *SEMANTICS_OPTIONS, "--json", "--out"),
     "classify": (*SEMANTICS_OPTIONS, "--bound", "--json", "--out"),
     "square": (*SEMANTICS_OPTIONS, "--bound", "--json", "--out"),
-    "diagram": (*SEMANTICS_OPTIONS, "--bound", "--json", "--out"),
+    "diagram": (*SEMANTICS_OPTIONS, "--bound", "--out"),
     "prove": ("--axioms", "--json", "--out"),
     "verify-paper": ("--bound", "--atoms", "--json", "--out"),
 }
@@ -791,23 +813,30 @@ def test_prefixed_options_run_as_the_full_ones(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, command",
+    "argv, command, message",
     [
-        (["verify-paper", "--json=1"], "verify-paper"),
-        (["eval", "S sa P"], "eval"),
-        ([], None),
-        (["verify-paper", "--bound", "x"], "verify-paper"),
-        (["verify"], None),
+        (["verify-paper", "--json=1"], "verify-paper", "argument --json: ignored explicit argument '1'"),
+        (["eval", "S sa P"], "eval", "the following arguments are required: --model"),
+        ([], None, "the following arguments are required: command"),
+        (["verify-paper", "--bound", "x"], "verify-paper", "argument --bound: invalid int value: 'x'"),
+        (["verify"], None, "argument command: invalid choice: 'verify'"),
+        # a bare `--` names no option: it is neither a prefix of every long one nor their end
+        (["--"], None, "the following arguments are required: command"),
+        (["--", "verify-paper"], None, "unrecognized arguments: --"),
+        (["verify-paper", "--"], None, "unrecognized arguments: --"),
+        (["verify-paper", "--out", "--"], "verify-paper", "argument --out: expected one argument"),
+        (["diagram", "--json"], None, "unrecognized arguments: --json"),  # a diagram is DOT only
     ],
     ids=["flag-with-value", "eval-without-model", "no-arguments", "bound-not-a-number",
-         "unknown-command"],
+         "unknown-command", "double-dash", "double-dash-before-command",
+         "double-dash-after-command", "double-dash-as-value", "diagram-json"],
 )
-def test_usage_errors_exit_2_with_a_usage_and_an_error_line(capsys, argv, command):
+def test_usage_errors_exit_2_with_a_usage_and_an_error_line(capsys, argv, command, message):
     code, out, err = run(capsys, *argv)
     prog = f"twosquares {command}" if command else "twosquares"
     assert (code, out) == (2, "")
     usage, error = err.splitlines()
-    assert usage.startswith(f"usage: {prog} [-h]") and error.startswith(f"{prog}: error: ")
+    assert usage.startswith(f"usage: {prog} [-h]") and error == f"{prog}: error: {message}"
     assert "Traceback" not in err
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from twosquares import opposition
 from twosquares.analytic import IMPORT_ON
+from twosquares.copula import enumerate_copula_structures
 from twosquares.errors import BoundError, SemanticsError
 from twosquares.formula import Schema, holds, instantiate, parse, render, schema_of, term_names
 from twosquares.opposition import (
@@ -27,7 +28,6 @@ from twosquares.synthetic import (
     SyntheticModel,
     SyntheticOptions,
     decide_synthetic_validity,
-    enumerate_copula_structures,
     eval_synthetic,
 )
 from twosquares.verdicts import Counterexample, Valid

@@ -12,6 +12,7 @@ from twosquares.analytic import (
     decide_analytic_validity,
     enumerate_analytic_models,
 )
+from twosquares.copula import enumerate_copula_structures
 from twosquares.errors import BoundError
 from twosquares.formula import (
     And,
@@ -40,7 +41,6 @@ from twosquares.synthetic import (
     Reading,
     SyntheticOptions,
     decide_synthetic_validity,
-    enumerate_copula_structures,
     enumerate_synthetic_models,
     synthetic_space,
 )

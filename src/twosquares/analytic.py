@@ -15,7 +15,7 @@ from collections.abc import Iterator, Mapping
 from .errors import BoundError, SemanticsError, json_object, string_list
 from .formula import Atom, Formula, holds, term_names
 from .record import Record
-from .search import ModelSpace, Regions, check_family, copula_truth, monadic_space, occupied
+from .search import ModelSpace, Regions, check_family, copula_truth, monadic_shape, occupied
 from .verdicts import Verdict
 
 _INDIVIDUALS = ("1", "2", "3", "4", "5", "6")
@@ -114,7 +114,7 @@ def enumerate_analytic_models(terms: tuple[str, ...], max_domain: int) -> Iterat
 def analytic_space(terms: tuple[str, ...], bound: int, policy: ImportPolicy) -> ModelSpace:
     """The type-sets of `enumerate_analytic_models(terms, bound)`, each at its first model."""
     _check_domain_bound(bound)
-    return monadic_space(terms, 0, bound, False, policy.existential_import, _model)
+    return ModelSpace(monadic_shape(len(terms), 0, bound, False, policy.existential_import, _model), terms)
 
 
 def decide_analytic_validity(f: Formula, bound: int, policy: ImportPolicy = IMPORT_ON) -> Verdict:

@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 from .errors import SemanticsError, json_object, string_list
 from .record import Record
-from .search import ModelSpace, type_set_atom
+from .search import ModelSpace, Shape, type_set_atom
 from .synthetic import _INDIVIDUALS, Reading, SyntheticModel, SyntheticOptions, _universe_sizes
 
 
@@ -203,8 +203,13 @@ def derived_space(terms: tuple[str, ...], bound: int, opts: SyntheticOptions) ->
     """A derived reading's image over `terms` up to `bound`, or a bound error.
     Allowing the empty universe changes nothing, as no structure is empty."""
     _universe_sizes(bound, opts)
-    shape = len(terms), bound, opts.reading is Reading.DERIVED_CHARITABLE
-    image = tuple(_derived_scan(*shape).values())
-    atom_vector = functools.partial(type_set_atom, _derived_scan, shape, False)
-    model_at = lambda m: _named(image[m], terms)  # noqa: E731
-    return ModelSpace((1 << len(image)) - 1, bound, terms, True, atom_vector, model_at)
+    return ModelSpace(derived_shape(len(terms), bound, opts.reading is Reading.DERIVED_CHARITABLE), terms)
+
+
+@functools.cache
+def derived_shape(k: int, bound: int, charitable: bool) -> Shape:
+    """The shape of `derived_space` over k terms."""
+    image = tuple(_derived_scan(k, bound, charitable).values())
+    atom_vector = functools.partial(type_set_atom, _derived_scan, (k, bound, charitable), False)
+    witness = lambda terms, m: _named(image[m], terms)  # noqa: E731
+    return Shape((1 << len(image)) - 1, bound, True, atom_vector, witness)

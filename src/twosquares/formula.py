@@ -17,6 +17,7 @@ keywords are reserved and cannot be used as term names.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Callable, Mapping
 from enum import Enum
@@ -82,19 +83,8 @@ Formula = Atom | Not | And | Or | Implies
 
 def atoms(f: Formula) -> tuple[Atom, ...]:
     """Distinct atoms of `f` in first-occurrence order."""
-    seen: dict[Atom, None] = {}
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Atom):
-            seen.setdefault(g, None)
-        elif isinstance(g, Not):
-            walk(g.operand)
-        else:
-            walk(g.left)
-            walk(g.right)
-
-    walk(f)
-    return tuple(seen)
+    add = operator.add
+    return tuple(dict.fromkeys(fold(f, lambda a: (a,), tuple, add, add, add)))
 
 
 def holds(f: Formula, atom: Callable[[Atom], bool]) -> bool:
@@ -124,14 +114,16 @@ def fold(
     imp: Callable[[object, object], object],
 ) -> object:
     """The value of `f`, with `atom` giving each atom's value and the
-    other four combining operand values; every operand is evaluated."""
+    other four combining operand values; every operand is evaluated,
+    left to right."""
 
     def walk(g: Formula) -> object:
-        if isinstance(g, Atom):
+        node = type(g)
+        if node is Atom:
             return atom(g)
-        if isinstance(g, Not):
+        if node is Not:
             return neg(walk(g.operand))
-        op = conj if isinstance(g, And) else disj if isinstance(g, Or) else imp
+        op = conj if node is And else disj if node is Or else imp
         return op(walk(g.left), walk(g.right))
 
     return walk(f)
@@ -139,10 +131,17 @@ def fold(
 
 def term_names(f: Formula) -> tuple[str, ...]:
     """Sorted term identifiers occurring in `f`."""
-    names = set()
-    for atom in atoms(f):
-        names.add(atom.subject)
-        names.add(atom.predicate)
+    names, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        node = type(g)
+        if node is Atom:
+            names.add(g.subject)
+            names.add(g.predicate)
+        elif node is Not:
+            stack.append(g.operand)
+        else:
+            stack += g.left, g.right
     return tuple(sorted(names))
 
 
@@ -221,80 +220,96 @@ _TOKEN_RE = re.compile(
     rf"\s*(?:({_WORD})(?:\s+(s?[aeio])\s+({_WORD}))?|(->|[~&|()])|(\S)|\Z)"
 )
 
-# (kind, lexeme, offset, the Atom of an "atom" token or None); kind is
-# "atom", "ident" for a word, the symbol itself, or "eof"
-_Token = tuple[str, str, int, Atom | None]
+# (kind, lexeme, the Atom of an "atom" token or None); kind is "atom",
+# "ident" for a word, the symbol itself, or "eof"
+_Token = tuple[str, str, Atom | None]
 
 
 def _tokenize(text: str) -> list[_Token]:
-    """The tokens of `text`; an atom's lexeme and offset are its
-    subject's.  A candidate with a reserved term is three words, as is
-    every other atom that is not well formed; the parser builds no atom
-    from words and reads them only to report the one out of place."""
+    """The tokens of `text`.  A candidate with a reserved term is three
+    words, as is every other atom that is not well formed; the parser
+    builds no atom from words and reads them only to report the one out
+    of place.  `findall` builds no match objects: `_offsets` scans again
+    for an error's offset."""
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        subject, copula, predicate, symbol, bad = m.groups()
-        if subject is None:
-            if bad is not None:
-                raise ParseError(f"unexpected character {bad!r}", m.start(5), ("term", "~", "("))
-            if symbol is not None:
-                tokens.append((symbol, symbol, m.start(4), None))
-        elif copula is None or subject in RESERVED_TOKENS or predicate in RESERVED_TOKENS:
-            tokens += [("ident", m[g], m.start(g), None) for g in (1, 2, 3) if m[g]]
-        else:
-            atom = Atom(subject, COPULA_TOKENS[copula], predicate)
-            tokens.append(("atom", subject, m.start(1), atom))
-    tokens.append(("eof", "", len(text), None))
+    for subject, copula, predicate, symbol, bad in _TOKEN_RE.findall(text):
+        if copula and subject not in RESERVED_TOKENS and predicate not in RESERVED_TOKENS:
+            tokens.append(("atom", subject, Atom(subject, COPULA_TOKENS[copula], predicate)))
+        elif symbol:
+            tokens.append((symbol, symbol, None))
+        elif subject:
+            tokens += [("ident", word, None) for word in (subject, copula, predicate) if word]
+        elif bad:
+            offset = _offsets(text, tokens)[len(tokens)]
+            raise ParseError(f"unexpected character {bad!r}", offset, ("term", "~", "("))
+    tokens.append(("eof", "", None))
     return tokens
+
+
+def _offsets(text: str, tokens: list[_Token]) -> list[int]:
+    """The offsets in `text` of `tokens`, its tokens, for an error: an
+    atom's is its subject's, the end of input's the length of `text`.
+    Where `tokens` stop at a character no token starts with, its offset
+    follows theirs."""
+    offsets = []
+    for m in _TOKEN_RE.finditer(text):
+        starts = [m.start(g) for g in range(1, 6) if m[g]]
+        atom = len(offsets) < len(tokens) and tokens[len(offsets)][0] == "atom"
+        offsets += starts[:1] if atom else starts
+    return offsets + [len(text)]
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+
+    def error(self, message: str, at: int, expected: tuple[str, ...]) -> ParseError:
+        return ParseError(message, _offsets(self.text, self.tokens)[at], expected)
 
     # `binary` and `unary` take the levels enclosing them and return what
     # they parsed with the levels it nests; both counts are bounded.
 
     def binary(self, depth: int, minimum: int = 1) -> tuple[Formula, int]:
         """Operands joined by connectives binding at least as tightly as `minimum`."""
-        left = self.unary(depth)
+        left, levels = self.unary(depth)
         while (op := _BINARY.get(self.tokens[self.i][0])) and op[1] >= minimum:
             self.i += 1
             node, strength = op
             if node is Implies:
-                right = self.binary(depth + 1)
+                right, nested = self.binary(depth + 1)
             else:
-                right = self.binary(depth, strength + 1)
-            left = self.nest(node(left[0], right[0]), max(left[1], right[1]))
-        return left
-
-    def nest(self, f: Formula, levels: int) -> tuple[Formula, int]:
-        """`f` one level above `levels`, or an error past the limit."""
-        if levels >= _MAX_DEPTH:
-            raise ParseError("formula nesting too deep", self.tokens[self.i][2], ())
-        return f, levels + 1
+                right, nested = self.binary(depth, strength + 1)
+            levels = max(levels, nested)
+            if levels >= _MAX_DEPTH:
+                raise self.error("formula nesting too deep", self.i, ())
+            left, levels = node(left, right), levels + 1
+        return left, levels
 
     def unary(self, depth: int) -> tuple[Formula, int]:
-        kind, _, pos, atom = self.tokens[self.i]
+        kind, _, atom = self.tokens[self.i]
         if depth > _MAX_DEPTH:
-            raise ParseError("formula nesting too deep", pos, ())
+            raise self.error("formula nesting too deep", self.i, ())
         if kind == "atom":
             self.i += 1
             return atom, 0
         if kind == "~":
             self.i += 1
             operand, levels = self.unary(depth + 1)
-            return self.nest(Not(operand), levels)
-        if kind == "(":
+            f = Not(operand)
+        elif kind == "(":
             self.i += 1
-            inner, levels = self.binary(depth + 1)
-            kind, lexeme, pos, _ = self.tokens[self.i]
+            f, levels = self.binary(depth + 1)
+            kind, lexeme, _ = self.tokens[self.i]
             if kind != ")":
-                raise ParseError(f"unexpected token {lexeme or 'end of input'!r}", pos, (")",))
+                raise self.error(f"unexpected token {lexeme or 'end of input'!r}", self.i, (")",))
             self.i += 1
-            return self.nest(inner, levels)
-        raise self.atom_error()
+        else:
+            raise self.atom_error()
+        if levels >= _MAX_DEPTH:
+            raise self.error("formula nesting too deep", self.i, ())
+        return f, levels + 1
 
     def atom_error(self) -> ParseError:
         """The error where an atom should start, at the first of subject,
@@ -302,19 +317,19 @@ class _Parser:
         but where the copula goes.  A well-formed atom is one "atom" token,
         so one of the three always is."""
         words = zip(self.tokens[self.i:], (("term", "~", "("), _COPULAS, ("term",)))
-        for (kind, lexeme, pos, _), expected in words:
+        for at, ((kind, lexeme, _), expected) in enumerate(words, self.i):
             if kind != "ident" or (lexeme in RESERVED_TOKENS) != (expected is _COPULAS):
                 break
-        return ParseError(f"unexpected token {lexeme or 'end of input'!r}", pos, expected)
+        return self.error(f"unexpected token {lexeme or 'end of input'!r}", at, expected)
 
 
 def parse(text: str) -> Formula:
     """Parse `text` into a Formula, or raise a positioned ParseError."""
     p = _Parser(text)
     f, _ = p.binary(0)
-    tok = p.tokens[p.i]
-    if tok[0] != "eof":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("end of input",))
+    kind, lexeme, _ = p.tokens[p.i]
+    if kind != "eof":
+        raise p.error(f"trailing input {lexeme!r}", p.i, ("end of input",))
     return f
 
 

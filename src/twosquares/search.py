@@ -30,7 +30,7 @@ import operator
 from collections.abc import Callable, Iterable
 
 from .errors import BoundError, SemanticsError
-from .formula import Atom, Copula, Formula, atoms, fold, render
+from .formula import Atom, Copula, Formula, fold, render
 from .record import Record
 from .verdicts import Counterexample, Valid, Verdict
 
@@ -74,47 +74,65 @@ def lowest_bit(v: int) -> int:
     return (v & -v).bit_length() - 1
 
 
-class ModelSpace(Record):
-    """The type-sets of a search over `terms`, in order: `full` has one set
-    bit per type-set, `atom_vector(s, p, copula)` is an atom's truth
-    vector by term positions, and `model` builds the witness of the
-    type-set at an index."""
+class Shape(Record):
+    """What a search depends on apart from its term names, built once per
+    shape: `full` has one set bit per type-set, `atom_vector(s, p, copula)`
+    is an atom's truth vector by term positions, and `witness(terms, m)`
+    builds the model of the m-th type-set over `terms`."""
 
     full: int
     bound: int
-    terms: tuple[str, ...]
     synthetic: bool
     atom_vector: Callable[[int, int, Copula], int]
-    model: Callable[[int], object]
+    witness: Callable[[tuple[str, ...], int], object]
+
+
+_implies = lambda x, y: ~x | y  # noqa: E731
+
+
+class ModelSpace(Record):
+    """The type-sets of a search over `terms`, in order: a shape with its
+    term names bound."""
+
+    shape: Shape
+    terms: tuple[str, ...]
+
+    full = property(lambda self: self.shape.full)
+
+    def model(self, m: int) -> object:
+        """The witness of the type-set at index `m`."""
+        return self.shape.witness(self.terms, m)
 
     def atom(self, a: Atom) -> int:
         """The truth vector of `a`, an atom of the space's family over `terms`."""
-        check_family(a.copula, self.synthetic)
+        check_family(a.copula, self.shape.synthetic)
         try:
             s, p = self.terms.index(a.subject), self.terms.index(a.predicate)
         except ValueError:
             t = a.predicate if a.subject in self.terms else a.subject
             raise SemanticsError(f"term {t!r} is not among the searched terms") from None
-        return self.atom_vector(s, p, a.copula)
+        return self.shape.atom_vector(s, p, a.copula)
 
-    def vector(self, f: Formula) -> int:
-        """The truth vector of `f`."""
-        implies = lambda x, y: ~x | y  # noqa: E731
-        return fold(f, self.atom, operator.invert, operator.and_, operator.or_, implies) & self.full
+    def vector(self, f: Formula, atom: Callable[[Atom], int] | None = None) -> int:
+        """The truth vector of `f`, with its atoms' vectors from `atom` if given."""
+        v = fold(f, atom or self.atom, operator.invert, operator.and_, operator.or_, _implies)
+        return v & self.shape.full
 
     def first(self, v: int) -> object | None:
         """The first model whose bit is set in `v`, or None."""
         return self.model(lowest_bit(v)) if v else None
 
     def decide(self, f: Formula) -> Verdict:
-        """Valid up to the bound, or the first countermodel with the
-        truth value of each atom of `f` there."""
-        falsified = self.full ^ self.vector(f)
+        """Valid up to the bound, or the first countermodel with the truth
+        value there of each distinct atom of `f`, read off the vectors of
+        the fold in first-occurrence order."""
+        seen = []  # (atom, vector) of each atom occurrence, in fold order
+        falsified = self.shape.full ^ self.vector(f, lambda a: seen.append((a, self.atom(a))) or seen[-1][1])
         if not falsified:
-            return Valid(self.bound)
+            return Valid(self.shape.bound)
         m = lowest_bit(falsified)
-        trace = tuple((render(a), bool(self.atom(a) >> m & 1)) for a in atoms(f))
-        return Counterexample(self.model(m), trace)
+        trace = {render(a): bool(v >> m & 1) for a, v in seen}
+        return Counterexample(self.model(m), tuple(trace.items()))
 
 
 MAX_TYPE_SETS = 1 << 16  # one bit per type-set: all those of four terms, 8 KiB a vector
@@ -189,18 +207,12 @@ def type_set_atom(
     return full & copula_truth(copula, tuple(regions), existential_import)
 
 
-def monadic_space(
-    terms: tuple[str, ...],
-    start: int,
-    bound: int,
-    synthetic: bool,
-    existential_import: bool,
-    model: Callable[[tuple[str, ...], int, tuple[int, ...]], object],
-) -> ModelSpace:
-    """The type-sets over `terms` with start..bound types, in the order of
+@functools.cache
+def monadic_shape(k: int, start: int, bound: int, synthetic: bool, existential_import: bool,
+                  model: Callable[[tuple[str, ...], int, tuple[int, ...]], object]) -> Shape:
+    """The type-sets over k terms with start..bound types, in the order of
     their first models; `model(terms, size, masks)` builds one."""
-    k = len(terms)
     keys = monadic_keys(k, start, bound)
     atom_vector = functools.partial(type_set_atom, monadic_keys, (k, start, bound), existential_import)
-    model_at = lambda m: model(terms, *_first_model(k, keys[m]))  # noqa: E731
-    return ModelSpace((1 << len(keys)) - 1, bound, terms, synthetic, atom_vector, model_at)
+    witness = lambda terms, m: model(terms, *_first_model(k, keys[m]))  # noqa: E731
+    return Shape((1 << len(keys)) - 1, bound, synthetic, atom_vector, witness)

@@ -35,7 +35,7 @@ from enum import Enum
 from .errors import BoundError, SemanticsError, json_object, string_list
 from .formula import Atom, Formula, holds, term_names
 from .record import Record
-from .search import ModelSpace, Regions, check_family, copula_truth, monadic_space, occupied
+from .search import ModelSpace, Regions, check_family, copula_truth, monadic_shape, occupied
 from .verdicts import Verdict
 
 _INDIVIDUALS = ("u", "v", "w", "x")
@@ -101,12 +101,12 @@ class SyntheticModel(Record):
 
 
 def eval_synthetic(
-    model: SyntheticModel | CopulaStructure,
+    model: Record,
     f: Formula,
     opts: SyntheticOptions = DIRECT_NONEMPTY,
 ) -> bool:
-    """Evaluate a synthetic-only formula under the chosen reading; a
-    derived reading evaluates it on the structure's induced model."""
+    """Evaluate a synthetic-only formula in a `SyntheticModel`, or under a
+    derived reading on the model a `copula.CopulaStructure` induces."""
     direct = opts.reading is Reading.DIRECT
     if direct and not isinstance(model, SyntheticModel):
         raise SemanticsError("direct reading expects a SyntheticModel")
@@ -167,7 +167,8 @@ def synthetic_space(terms: tuple[str, ...], bound: int, opts: SyntheticOptions) 
     """The type-sets of the direct models up to `bound`, each at its first
     model in enumeration order, or a derived reading's image."""
     if opts.reading is Reading.DIRECT:
-        return monadic_space(terms, _universe_sizes(bound, opts).start, bound, True, False, _model)
+        start = _universe_sizes(bound, opts).start
+        return ModelSpace(monadic_shape(len(terms), start, bound, True, False, _model), terms)
     from .copula import derived_space
 
     return derived_space(terms, bound, opts)

@@ -1,5 +1,6 @@
 """The bit-parallel search against the model-by-model oracle in oracles.py."""
 
+import json
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from twosquares.analytic import (
     decide_analytic_validity,
     enumerate_analytic_models,
 )
-from twosquares.copula import enumerate_copula_structures
+from twosquares.copula import derived_shape, enumerate_copula_structures
 from twosquares.errors import BoundError
 from twosquares.formula import (
     And,
@@ -34,7 +35,7 @@ from twosquares.opposition import (
     classify_pair,
     synthetic_square,
 )
-from twosquares.search import monadic_keys, type_set_atom
+from twosquares.search import monadic_keys, monadic_shape, type_set_atom
 from twosquares.synthetic import (
     DIRECT_EMPTY_OK,
     DIRECT_NONEMPTY,
@@ -44,7 +45,7 @@ from twosquares.synthetic import (
     enumerate_synthetic_models,
     synthetic_space,
 )
-from twosquares.verdicts import Valid
+from twosquares.verdicts import Counterexample, Valid
 from oracles import models, scan_classify, scan_decide, verdict_bytes
 
 # (semantics, bounds) for every family, policy and reading
@@ -193,8 +194,15 @@ def chain(k, copula="a"):
     return parse(f"{links} -> T00 {copula} T{k - 1:02}")
 
 
+def table_sizes():
+    """The entries of every table a search builds: type-set keys, per-shape
+    tables, atom vectors and derived shapes."""
+    tables = (monadic_keys, monadic_shape, type_set_atom, derived_shape)
+    return tuple(table.cache_info().currsize for table in tables)
+
+
 def test_bound_guard_comes_before_any_table():
-    before = monadic_keys.cache_info().currsize, type_set_atom.cache_info().currsize
+    before = table_sizes()
     with pytest.raises(BoundError):
         decide_analytic_validity(parse("S a P"), 7)
     with pytest.raises(BoundError):
@@ -210,7 +218,11 @@ def test_bound_guard_comes_before_any_table():
             decide_analytic_validity(chain(k), bound)
     with pytest.raises(BoundError, match="give 8192 type-sets of 8192 bits each, 67108864 bits"):
         decide_synthetic_validity(chain(13, "sa"), 1)
-    assert (monadic_keys.cache_info().currsize, type_set_atom.cache_info().currsize) == before
+    for reading in (Reading.DERIVED_LITERAL, Reading.DERIVED_CHARITABLE):
+        for bound in (0, 4):
+            with pytest.raises(BoundError):
+                decide_synthetic_validity(parse("S sa P"), bound, SyntheticOptions(reading, True))
+    assert table_sizes() == before
 
 
 def test_largest_admitted_shapes_decide():
@@ -220,3 +232,36 @@ def test_largest_admitted_shapes_decide():
     assert decide_analytic_validity(chain(8), 2) == Valid(2)
     assert decide_analytic_validity(chain(11), 1) == Valid(1)
     assert decide_synthetic_validity(chain(12, "sa"), 1) == Valid(1)
+
+
+@pytest.mark.parametrize(
+    "decide, formula",
+    [
+        (lambda f: decide_analytic_validity(f, 3, IMPORT_OFF), "{0} a {1} & {1} a {2} -> {2} a {0}"),
+        (
+            lambda f: decide_synthetic_validity(f, 3, SyntheticOptions(Reading.DERIVED_CHARITABLE)),
+            "{0} sa {1} & {1} sa {2} -> {2} sa {0}",
+        ),
+    ],
+    ids=["monadic", "derived"],
+)
+def test_fresh_term_names_of_a_seen_shape_build_no_table(decide, formula):
+    """A space binds only its term names to its shape's tables: deciding
+    over new names of a shape already seen adds no table entry, and each
+    countermodel is the first one's over the names of its own decision."""
+    names = [("A", "B", "C"), ("Ab", "Cd", "Ef"), ("X1", "Y1", "Z1")]  # each in sorted order
+    first = decide(parse(formula.format(*names[0])))
+    assert isinstance(first, Counterexample)
+    before = table_sizes()
+    for fresh in names[1:]:
+        verdict = decide(parse(formula.format(*fresh)))
+        assert table_sizes() == before
+        rename = dict(zip(names[0], fresh))
+        renamed = json.dumps(first.model.to_dict())
+        for old, new in rename.items():
+            renamed = renamed.replace(f'"{old}"', f'"{new}"')
+        assert json.dumps(verdict.model.to_dict()) == renamed
+        assert verdict.atom_trace == tuple(
+            (" ".join(rename.get(word, word) for word in text.split()), value)
+            for text, value in first.atom_trace
+        )

@@ -6,14 +6,15 @@ from __future__ import annotations
 
 import json
 
-from .analytic import IMPORT_OFF, IMPORT_ON, AnalyticModel
+from .analytic import IMPORT_OFF, IMPORT_ON
 from .cli import _write
 from .errors import SemanticsError
 from .formula import Schema, parse, render, term_names
 from .opposition import (
     AnalyticSemantics, SyntheticSemantics, analytic_square, classify_pair, synthetic_square, verify_square
 )
-from .synthetic import Reading, SyntheticModel, SyntheticOptions
+from .search import Model
+from .synthetic import Reading, SyntheticOptions
 
 
 def _semantics(args):
@@ -28,10 +29,8 @@ def _load_model(path: str, args):
             data = json.load(handle)
         except RecursionError:
             raise SemanticsError(f"model file {path!r} nests too deeply") from None
-    if args.semantics == "analytic":
-        return AnalyticModel.from_dict(data)
-    if Reading(args.reading) is Reading.DIRECT:
-        return SyntheticModel.from_dict(data)
+    if args.semantics == "analytic" or Reading(args.reading) is Reading.DIRECT:
+        return Model.from_dict(data, args.semantics != "analytic")
     from .copula import CopulaStructure
 
     return CopulaStructure.from_dict(data)

@@ -21,8 +21,8 @@ from types import MappingProxyType
 
 from .errors import SemanticsError, json_object, string_list
 from .record import Record
-from .search import ModelSpace, Shape, type_set_atom
-from .synthetic import _INDIVIDUALS, Reading, SyntheticModel, SyntheticOptions, _universe_sizes
+from .search import INDIVIDUALS, Model, ModelSpace, Shape, type_set_atom
+from .synthetic import Reading, SyntheticOptions, _universe_sizes
 
 
 class CopulaStructure(Record):
@@ -100,16 +100,15 @@ def derived_copula(c: CopulaStructure, a: str, b: str, charitable: bool) -> bool
     return all(c.prim(x, a) and c.prim(x, b) for x in u)
 
 
-def induced_model(c: CopulaStructure, charitable: bool) -> SyntheticModel:
+def induced_model(c: CopulaStructure, charitable: bool) -> Model:
     """The direct model a structure induces under a derived reading: x is
     t iff derived_copula(c, x, c.denote[t], charitable), read off the
-    columns of its primitive relation."""
+    columns of its primitive relation, where t's extent is its
+    denotation's column."""
     size, at = len(c.universe), {x: i for i, x in enumerate(c.universe)}
     col = _columns(size, sum(1 << (size * at[y] + at[x]) for y, x in c.is_prim), charitable)
-    facts = frozenset(
-        (x, t) for t, b in c.denote.items() for i, x in enumerate(c.universe) if col[at[b]] >> i & 1
-    )
-    return SyntheticModel(c.universe, facts)
+    extents = sorted((t, col[at[b]]) for t, b in c.denote.items() if col[at[b]])
+    return Model(c.universe, tuple(extents), True)
 
 
 def enumerate_copula_structures(
@@ -121,7 +120,7 @@ def enumerate_copula_structures(
     definition of the order the derived image keeps and the tests' oracle;
     no decision walks it."""
     for size in _universe_sizes(max_u, opts):
-        universe = _INDIVIDUALS[:size]
+        universe = INDIVIDUALS[True][:size]
         pairs = [(a, b) for a in universe for b in universe]
         for prim_mask in range(1 << len(pairs)):
             prim = frozenset(p for i, p in enumerate(pairs) if prim_mask >> i & 1)
@@ -180,7 +179,7 @@ def _derived_scan(k: int, bound: int, charitable: bool) -> Mapping[int, CopulaSt
     product order."""
     witnesses: dict[int, CopulaStructure] = {}
     for size in range(1, bound + 1):
-        universe = _INDIVIDUALS[:size]
+        universe = INDIVIDUALS[True][:size]
         for prim_mask, col in _relations(size, charitable):
             firsts = [b for b in range(size) if col.index(col[b]) == b]
             for choice in itertools.product(firsts, repeat=k):

@@ -40,6 +40,8 @@ class Copula(Enum):
         self.synthetic = len(token) == 2
         self.analytic = not self.synthetic
 
+    __hash__ = object.__hash__  # members are singletons; Enum's hashes the name in Python
+
 
 COPULA_TOKENS: Mapping[str, Copula] = {c.value: c for c in Copula}
 RESERVED_TOKENS = frozenset(COPULA_TOKENS)

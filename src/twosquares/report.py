@@ -98,7 +98,7 @@ def _analytic_section(expect: _Expectations) -> dict:
     )
     subalt = AnalyticSemantics(IMPORT_OFF).decide(parse("S a P -> S i P"), ANALYTIC_SQUARE_BOUND)
     fails_without_import = isinstance(subalt, Counterexample)
-    empty_subject = fails_without_import and not subalt.model.extension("S")
+    empty_subject = fails_without_import and not subalt.model.extent("S")
     expect.add(
         "analytic-subalternation-import-off",
         "a=>i fails without import, empty-subject witness",

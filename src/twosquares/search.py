@@ -1,10 +1,13 @@
-"""One truth table for the copulas, and bounded search over every type-set at once.
+"""One truth table for the copulas, one model record for both monadic
+families, and bounded search over every type-set at once.
 
 Every form quantifies over one monadic relation with one variable, so
 an atom `S c P` is decided by which of its regions hold an individual:
 S and P, S only, P only, neither.  Only `copula_truth` gives the copulas
-a meaning; evaluators and searches differ only in how they produce the
-regions, as bits of one model or as vectors over a space.
+a meaning; the evaluator and the searches differ only in how they produce
+the regions, from two extent masks of one `Model` or as vectors over a
+space.  Both the analytic semantics and the direct synthetic reading read
+their forms over the same `Model`: individuals, and one extent per term.
 
 So a formula's truth in a model depends only on its type-set, the types
 (sets of terms) of its individuals.  A search ranges over type-sets, each
@@ -18,7 +21,8 @@ reading) enumerate models by size n, then by a block index whose bit
 n*(k-1-t)+i says that individual i is in term t.  A model that repeats a
 type follows a smaller one with the same type-set, so ordering the
 type-sets by their first models gives the verdicts and witnesses of a
-model-by-model scan, just as bounded.
+model-by-model scan, just as bounded.  A witness is the term masks of
+that first model plus the names of its terms and individuals.
 """
 
 from __future__ import annotations
@@ -27,10 +31,10 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
-from .errors import BoundError, SemanticsError
-from .formula import Atom, Copula, Formula, fold, render
+from .errors import BoundError, SemanticsError, json_object, string_list
+from .formula import Atom, Copula, Formula, fold, holds, render
 from .record import Record
 from .verdicts import Counterexample, Valid, Verdict
 
@@ -54,12 +58,6 @@ def copula_truth(copula: Copula, regions: Regions, existential_import: bool) -> 
     return ~v if copula in (Copula.E, Copula.O, Copula.SE, Copula.SO) else v
 
 
-def occupied(memberships: Iterable[tuple[int, int]]) -> Regions:
-    """The region bits of one model from each individual's (is S, is P)."""
-    seen = set(memberships)
-    return tuple(int(r in seen) for r in REGIONS)
-
-
 def check_family(copula: Copula, synthetic: bool) -> None:
     """An error unless `copula` belongs to the family of the semantics."""
     if copula.synthetic is not synthetic:
@@ -72,6 +70,107 @@ def check_family(copula: Copula, synthetic: bool) -> None:
 def lowest_bit(v: int) -> int:
     """The index of the lowest set bit of `v` > 0."""
     return (v & -v).bit_length() - 1
+
+
+class Model(Record):
+    """A model of either monadic family: its individuals, each term's extent
+    as a bitmask over them (bit i is `universe[i]`), sorted by term, and the
+    family.  The family picks the codec and how a term the model lacks reads.
+    An analytic model keeps every term, empty ones too, in the `domain`/`ext`
+    format, and lacks no term it is asked about.  A synthetic model keeps
+    only the nonempty extents, as its `universe`/`is` format lists facts, and
+    reads any other term as empty."""
+
+    universe: tuple[str, ...]
+    extents: tuple[tuple[str, int], ...]
+    synthetic: bool
+
+    def extent(self, term: str) -> int:
+        for t, mask in self.extents:
+            if t == term:
+                return mask
+        if self.synthetic:
+            return 0
+        raise SemanticsError(f"term {term!r} has no extent in this model")
+
+    def _members(self, mask: int) -> list[str]:
+        return sorted(x for i, x in enumerate(self.universe) if mask >> i & 1)
+
+    def summary(self) -> str:
+        parts = ["%s={%s}" % ("DU"[self.synthetic], ",".join(self.universe))]
+        parts += ["%s={%s}" % (t, ",".join(self._members(mask))) for t, mask in self.extents]
+        return "; ".join(parts)
+
+    def to_dict(self) -> dict:
+        if self.synthetic:
+            facts = {x: [t for t, mask in self.extents if mask >> i & 1] for i, x in enumerate(self.universe)}
+            return {"universe": list(self.universe), "is": facts}
+        return {"domain": list(self.universe), "ext": {t: self._members(mask) for t, mask in self.extents}}
+
+    @classmethod
+    def from_dict(cls, data: Mapping, synthetic: bool) -> Model:
+        members: dict[str, list[str]] = {}
+        if synthetic:
+            data = json_object(data, "synthetic model", ("universe",))
+            universe = string_list(data["universe"], "universe", distinct=True)
+            for individual, terms in json_object(data.get("is", {}), "is").items():
+                if individual not in universe:
+                    raise SemanticsError(f"individual {individual!r} outside the universe")
+                for t in string_list(terms, f"terms of {individual!r}"):
+                    members.setdefault(t, []).append(individual)
+        else:
+            data = json_object(data, "analytic model", ("domain", "ext"))
+            universe = string_list(data["domain"], "domain", distinct=True)
+            for t, xs in json_object(data["ext"], "ext").items():
+                members[t] = string_list(xs, f"extent of {t!r}")
+            for t, xs in members.items():
+                if not set(xs) <= set(universe):
+                    raise SemanticsError(f"extent of {t!r} leaves the domain")
+        bit = {x: 1 << i for i, x in enumerate(universe)}
+        extents = sorted((t, sum({bit[x] for x in xs})) for t, xs in members.items())
+        return cls(universe, tuple(extents), synthetic)
+
+
+# the individuals of the models a search or an enumeration builds, by family
+INDIVIDUALS = (("1", "2", "3", "4", "5", "6"), ("u", "v", "w", "x"))
+
+
+def build_model(terms: tuple[str, ...], size: int, masks: tuple[int, ...], synthetic: bool) -> Model:
+    """The model of the family over its first `size` individuals in which
+    `terms[t]` has the extent `masks[t]`."""
+    extents = sorted(zip(terms, masks))
+    if synthetic:
+        extents = [e for e in extents if e[1]]
+    return Model(INDIVIDUALS[synthetic][:size], tuple(extents), synthetic)
+
+
+def every_model(terms: tuple[str, ...], sizes: range, synthetic: bool) -> Iterator[Model]:
+    """Every model of the family over `terms` with a size in `sizes`: by size,
+    then by the extent masks in product order, the first term varying slowest."""
+    for size in sizes:
+        for masks in itertools.product(range(1 << size), repeat=len(terms)):
+            yield build_model(terms, size, masks, synthetic)
+
+
+def evaluate(
+    model: Model, f: Formula, synthetic: bool, existential_import: bool,
+    extent: Callable[[str], int] | None = None,
+) -> bool:
+    """The truth of `f`, a formula of the family `synthetic`, in `model`, a
+    model of that family, with each term's extent from `extent` if given."""
+    if not isinstance(model, Model) or model.synthetic is not synthetic:
+        raise SemanticsError(("analytic semantics expects an analytic model",
+                              "synthetic semantics expects a synthetic model")[synthetic])
+    extent = extent or model.extent
+    full = (1 << len(model.universe)) - 1
+
+    def atom(a: Atom) -> bool:
+        check_family(a.copula, synthetic)
+        x, y = extent(a.subject), extent(a.predicate)
+        regions = (int(x & y != 0), int(x & ~y != 0), int(y & ~x != 0), int(x | y != full))
+        return bool(copula_truth(a.copula, regions, existential_import) & 1)
+
+    return holds(f, atom)
 
 
 class Shape(Record):
@@ -208,11 +307,10 @@ def type_set_atom(
 
 
 @functools.cache
-def monadic_shape(k: int, start: int, bound: int, synthetic: bool, existential_import: bool,
-                  model: Callable[[tuple[str, ...], int, tuple[int, ...]], object]) -> Shape:
+def monadic_shape(k: int, start: int, bound: int, synthetic: bool, existential_import: bool) -> Shape:
     """The type-sets over k terms with start..bound types, in the order of
-    their first models; `model(terms, size, masks)` builds one."""
+    their first models, each a witness of the family."""
     keys = monadic_keys(k, start, bound)
     atom_vector = functools.partial(type_set_atom, monadic_keys, (k, start, bound), existential_import)
-    witness = lambda terms, m: model(terms, *_first_model(k, keys[m]))  # noqa: E731
+    witness = lambda terms, m: build_model(terms, *_first_model(k, keys[m]), synthetic)  # noqa: E731
     return Shape((1 << len(keys)) - 1, bound, synthetic, atom_vector, witness)

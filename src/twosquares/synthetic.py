@@ -14,7 +14,10 @@ implemented literally and the resulting behaviour is surfaced in
 reports rather than repaired.
 
 Three readings of "A is S" are supported.  Direct treats it as a
-primitive relation given by the model.  The two Derived readings produce
+primitive relation given by the model: a `search.Model` record of the
+synthetic family, which keeps each term's nonempty extent, is read and
+written in the `universe`/`is` format, and reads a term it lacks as
+empty.  The two Derived readings produce
 that relation with the composite copula definition over a structure with
 a primitive relation between individuals plus a denotation for each
 term: the structure induces the direct model in which x is t iff the
@@ -28,18 +31,16 @@ preferred; they exist to probe the composite definition, and load from
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from enum import Enum
 
-from .errors import BoundError, SemanticsError, json_object, string_list
-from .formula import Atom, Formula, holds, term_names
+from .errors import BoundError, SemanticsError
+from .formula import Formula, term_names
 from .record import Record
-from .search import ModelSpace, Regions, check_family, copula_truth, monadic_shape, occupied
+from .search import INDIVIDUALS, Model, ModelSpace, evaluate, every_model, monadic_shape
 from .verdicts import Verdict
 
-_INDIVIDUALS = ("u", "v", "w", "x")
-MAX_UNIVERSE_DIRECT = 4
+MAX_UNIVERSE_DIRECT = len(INDIVIDUALS[True])
 MAX_UNIVERSE_DERIVED = 3
 
 
@@ -61,75 +62,30 @@ DIRECT_NONEMPTY = SyntheticOptions()
 DIRECT_EMPTY_OK = SyntheticOptions(allow_empty_universe=True)
 
 
-class SyntheticModel(Record):
-    """Finite universe plus the set of true (individual, term) facts."""
-
-    universe: tuple[str, ...]
-    facts: frozenset[tuple[str, str]]
-
-    def holds(self, individual: str, term: str) -> bool:
-        return (individual, term) in self.facts
-
-    def regions(self, s: str, p: str) -> Regions:
-        """Which regions of the terms s and p hold an individual."""
-        return occupied((self.holds(x, s), self.holds(x, p)) for x in self.universe)
-
-    def summary(self) -> str:
-        parts = ["U={%s}" % ",".join(self.universe)]
-        for term in sorted({t for _, t in self.facts}):
-            members = sorted(a for a, t in self.facts if t == term)
-            parts.append("%s={%s}" % (term, ",".join(members)))
-        return "; ".join(parts)
-
-    def to_dict(self) -> dict:
-        return {
-            "universe": list(self.universe),
-            "is": {a: sorted(t for b, t in self.facts if b == a) for a in self.universe},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> SyntheticModel:
-        data = json_object(data, "synthetic model", ("universe",))
-        universe = string_list(data["universe"], "universe", distinct=True)
-        facts = set()
-        for individual, terms in json_object(data.get("is", {}), "is").items():
-            if individual not in universe:
-                raise SemanticsError(f"individual {individual!r} outside the universe")
-            for t in string_list(terms, f"terms of {individual!r}"):
-                facts.add((individual, t))
-        return cls(universe, frozenset(facts))
-
-
 def eval_synthetic(
     model: Record,
     f: Formula,
     opts: SyntheticOptions = DIRECT_NONEMPTY,
 ) -> bool:
-    """Evaluate a synthetic-only formula in a `SyntheticModel`, or under a
+    """Evaluate a synthetic-only formula in a synthetic `Model`, or under a
     derived reading on the model a `copula.CopulaStructure` induces."""
-    direct = opts.reading is Reading.DIRECT
-    if direct and not isinstance(model, SyntheticModel):
-        raise SemanticsError("direct reading expects a SyntheticModel")
-    if not direct:
+    derived = opts.reading is not Reading.DIRECT
+    if derived:
         from .copula import CopulaStructure, induced_model
 
         if not isinstance(model, CopulaStructure):
             raise SemanticsError("derived readings expect a CopulaStructure")
     if not model.universe and not opts.allow_empty_universe:
         raise SemanticsError("empty universe disallowed by the evaluation options")
-    if not direct:
-        denotation = model.denotation
-        model = induced_model(model, opts.reading is Reading.DERIVED_CHARITABLE)
+    if not derived:
+        return evaluate(model, f, True, False)
+    induced = induced_model(model, opts.reading is Reading.DERIVED_CHARITABLE)
 
-    def atom(g: Atom) -> bool:
-        check_family(g.copula, True)
-        if not direct:
-            # a term without a denotation is an error, not an empty term
-            denotation(g.subject)
-            denotation(g.predicate)
-        return bool(copula_truth(g.copula, model.regions(g.subject, g.predicate), False) & 1)
+    def extent(term: str) -> int:
+        model.denotation(term)  # a term without a denotation is an error, not an empty term
+        return induced.extent(term)
 
-    return holds(f, atom)
+    return evaluate(induced, f, True, False, extent)
 
 
 def _universe_sizes(max_u: int, opts: SyntheticOptions) -> range:
@@ -144,23 +100,13 @@ def _universe_sizes(max_u: int, opts: SyntheticOptions) -> range:
     return range(low, max_u + 1)
 
 
-def _model(terms: tuple[str, ...], size: int, masks: tuple[int, ...]) -> SyntheticModel:
-    universe = _INDIVIDUALS[:size]
-    facts = frozenset(
-        (universe[i], t) for k, t in enumerate(terms) for i in range(size) if masks[k] >> i & 1
-    )
-    return SyntheticModel(universe, facts)
-
-
 def enumerate_synthetic_models(
     terms: tuple[str, ...], max_u: int, opts: SyntheticOptions = DIRECT_NONEMPTY
-) -> Iterator[SyntheticModel]:
+) -> Iterator[Model]:
     """All models with |U| <= max_u, smallest universe first, then
     lexicographic fact assignments; the empty universe comes first when
     allowed."""
-    for size in _universe_sizes(max_u, opts):
-        for masks in itertools.product(range(1 << size), repeat=len(terms)):
-            yield _model(terms, size, masks)
+    yield from every_model(terms, _universe_sizes(max_u, opts), True)
 
 
 def synthetic_space(terms: tuple[str, ...], bound: int, opts: SyntheticOptions) -> ModelSpace:
@@ -168,7 +114,7 @@ def synthetic_space(terms: tuple[str, ...], bound: int, opts: SyntheticOptions) 
     model in enumeration order, or a derived reading's image."""
     if opts.reading is Reading.DIRECT:
         start = _universe_sizes(bound, opts).start
-        return ModelSpace(monadic_shape(len(terms), start, bound, True, False, _model), terms)
+        return ModelSpace(monadic_shape(len(terms), start, bound, True, False), terms)
     from .copula import derived_space
 
     return derived_space(terms, bound, opts)

@@ -84,10 +84,15 @@ def derived_image(terms, bound, opts):
     return tuple(space.model(m) for m in range(space.full.bit_length()))
 
 
+def facts(model):
+    """The (individual, term) pairs of a monadic model: x is t."""
+    return {(x, t) for t, mask in model.extents for i, x in enumerate(model.universe) if mask >> i & 1}
+
+
 def type_set(model):
     """The set of term-types the individuals of `model` realize."""
     types = {x: set() for x in model.universe}
-    for x, t in model.facts:
+    for x, t in facts(model):
         types[x].add(t)
     return frozenset(frozenset(ts) for ts in types.values())
 

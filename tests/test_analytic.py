@@ -3,18 +3,24 @@ import pytest
 from twosquares.analytic import (
     IMPORT_OFF,
     IMPORT_ON,
-    AnalyticModel,
     decide_analytic_validity,
     enumerate_analytic_models,
     eval_analytic,
 )
 from twosquares.errors import BoundError, SemanticsError
 from twosquares.formula import parse
+from twosquares.search import Model
 from twosquares.verdicts import Counterexample, Valid
 
 
 def model(domain, **ext):
-    return AnalyticModel(tuple(domain), {t: frozenset(m) for t, m in ext.items()})
+    bit = {x: 1 << i for i, x in enumerate(domain)}
+    return Model(tuple(domain), tuple(sorted((t, sum(bit[x] for x in m)) for t, m in ext.items())), False)
+
+
+def members(m, term):
+    """The names of the individuals in the extent of `term`."""
+    return frozenset(x for i, x in enumerate(m.universe) if m.extent(term) >> i & 1)
 
 
 # Independent oracle: each form by direct set comprehension over the
@@ -46,7 +52,7 @@ def test_eval_matches_the_set_oracle_on_every_small_model():
             for s in ("P", "S"):
                 for p in ("P", "S"):
                     for copula, oracle in oracles.items():
-                        expected = oracle(m.ext[s], m.ext[p], policy.existential_import)
+                        expected = oracle(members(m, s), members(m, p), policy.existential_import)
                         assert eval_analytic(m, parse(f"{s} {copula} {p}"), policy) == expected
 
 
@@ -73,15 +79,23 @@ def test_rejects_synthetic_copula_and_unknown_term():
     m = model("1", S="1", P="1")
     with pytest.raises(SemanticsError):
         eval_analytic(m, parse("S sa P"))
-    with pytest.raises(SemanticsError):
+    with pytest.raises(SemanticsError, match="^term 'Q' has no extent in this model$"):
         eval_analytic(m, parse("S a Q"))
+
+
+def test_rejects_a_synthetic_model():
+    # a synthetic model would read the unknown Q as empty and make the atom false
+    synthetic = Model(("u",), (("S", 1),), True)
+    for text in ("S a P", "S a Q"):
+        with pytest.raises(SemanticsError, match="^analytic semantics expects an analytic model$"):
+            eval_analytic(synthetic, parse(text))
 
 
 def test_enumeration_counts():
     # sum over domain sizes d of 2^(d * terms)
     assert len(list(enumerate_analytic_models(("S",), 1))) == 3
     assert len(list(enumerate_analytic_models(("P", "S"), 2))) == 21
-    assert list(enumerate_analytic_models((), 0)) == [AnalyticModel((), {})]
+    assert list(enumerate_analytic_models((), 0)) == [Model((), (), False)]
 
 
 def test_enumeration_bound_guard():
@@ -103,7 +117,7 @@ def test_subalternation_valid_with_import():
 def test_subalternation_fails_without_import():
     verdict = decide_analytic_validity(parse("S a P -> S i P"), 3, IMPORT_OFF)
     assert isinstance(verdict, Counterexample)
-    assert verdict.model.extension("S") == frozenset()
+    assert verdict.model.extent("S") == 0
     # the countermodel really falsifies the formula
     assert eval_analytic(verdict.model, parse("S a P -> S i P"), IMPORT_OFF) is False
 
@@ -153,9 +167,9 @@ def test_model_json_round_trip():
     m = model("12", S="1", P="12")
     data = m.to_dict()
     assert data == {"domain": ["1", "2"], "ext": {"P": ["1", "2"], "S": ["1"]}}
-    assert AnalyticModel.from_dict(data) == m
+    assert Model.from_dict(data, False) == m
 
 
 def test_model_from_dict_rejects_stray_members():
     with pytest.raises(SemanticsError):
-        AnalyticModel.from_dict({"domain": ["1"], "ext": {"S": ["9"]}})
+        Model.from_dict({"domain": ["1"], "ext": {"S": ["9"]}}, False)

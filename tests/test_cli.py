@@ -84,9 +84,10 @@ HANDLERS = ("analytic", "commands", "opposition")  # what the handlers in `comma
 # the lines of the modules a default `verify-paper --json` loads (3094 when it
 # also loaded the derived readings, the proof-script reader and writer and the
 # other commands' handlers, 2722 while the package re-exported its modules'
-# names, 2658 before the one-call lexer and the per-shape space tables); a
-# deliberate change to that path updates it here
-VERIFY_PAPER_LINES = 2686
+# names, 2658 before the one-call lexer and the per-shape space tables, 2686
+# while each monadic family had its own model class); a deliberate change to
+# that path updates it here
+VERIFY_PAPER_LINES = 2674
 
 
 @pytest.mark.parametrize(
@@ -466,11 +467,19 @@ def test_eval_short_circuits_before_unknown_terms(
         ({"universe": ["u"], "isPrim": [], "denote": {"S": "w", "P": "u"}},
          ("--reading", "derived"), "denotation of 'S' outside the universe"),
         ({"universe": ["u"], "is": {"w": ["S"]}}, (), "individual 'w' outside the universe"),
+        ({"domain": ["1"], "ext": [["S", "1"]]}, ("--semantics", "analytic"),
+         "ext must be a JSON object"),
+        ({"domain": ["1"], "ext": {"S": "1"}}, ("--semantics", "analytic"),
+         "extent of 'S' must be a list of strings"),
+        ({"domain": ["1", "1"], "ext": {}}, ("--semantics", "analytic"), "domain repeats an entry"),
+        ({"domain": ["1"], "ext": {"P": ["1"], "S": ["2"]}}, ("--semantics", "analytic"),
+         "extent of 'S' leaves the domain"),
     ],
     ids=["json-list", "deeply-nested", "missing-domain", "terms-as-string",
          "duplicate-individual", "prim-entry-not-a-pair", "prim-entry-of-three",
          "prim-pair-outside-universe", "denotation-outside-universe",
-         "individual-outside-universe"],
+         "individual-outside-universe", "ext-not-an-object", "extent-not-a-list",
+         "duplicate-domain-entry", "extent-outside-domain"],
 )
 def test_eval_rejects_malformed_model_files(capsys, tmp_path, model, options, message):
     path = tmp_path / "model.json"

@@ -20,12 +20,12 @@ from twosquares.opposition import (
     synthetic_square,
     verify_square,
 )
+from twosquares.search import Model
 from twosquares.synthetic import (
     DIRECT_EMPTY_OK,
     DIRECT_NONEMPTY,
     MAX_UNIVERSE_DERIVED,
     Reading,
-    SyntheticModel,
     SyntheticOptions,
     decide_synthetic_validity,
     eval_synthetic,
@@ -199,7 +199,7 @@ def test_run_catalog_inconclusive_below_witness_size():
 
 
 def _countermodel(universe):
-    return Counterexample(SyntheticModel(tuple(universe), frozenset()), ())
+    return Counterexample(Model(tuple(universe), (), True), ())
 
 
 @pytest.mark.parametrize(

@@ -9,11 +9,10 @@ import pickle
 
 import pytest
 
-from twosquares.analytic import AnalyticModel
 from twosquares.formula import Atom, Copula, Schema, parse
 from twosquares.record import Record
+from twosquares.search import Model
 from twosquares.starb import FiniteBooleanAlgebra, UltraElement
-from twosquares.synthetic import SyntheticModel
 from twosquares.verdicts import Counterexample, Valid
 
 
@@ -151,26 +150,21 @@ def test_package_records_hash_as_the_tuple_of_their_fields():
     f = parse("S a P -> S i P")
     alg = FiniteBooleanAlgebra(2)
     assert alg.top  # cached properties stay out of the hash
-    analytic = AnalyticModel(("1",), {"S": frozenset({"1"}), "P": frozenset()})
-    synthetic = SyntheticModel(("u",), frozenset({("u", "S")}))
+    analytic = Model(("1",), (("P", 0), ("S", 1)), False)
+    synthetic = Model(("u",), (("S", 1),), True)
     cases = (
         (Atom("S", Copula.A, "P"), ("S", Copula.A, "P")),
         (Schema(f, ("P", "S")), (f, ("P", "S"))),
         (Valid(3), (3,)),
         (Counterexample(synthetic, (("S sa P", False),)), (synthetic, (("S sa P", False),))),
-        (synthetic, (("u",), frozenset({("u", "S")}))),
+        (analytic, (("1",), (("P", 0), ("S", 1)), False)),
+        (synthetic, (("u",), (("S", 1),), True)),
         (alg, (2,)),
         (UltraElement(alg, 1, 2), (alg, 1, 2)),
     )
     for record, fields in cases:
         assert hash(record) == hash(fields), record
         assert pickle.loads(pickle.dumps(record)) == record
-    # an extent map is a dict, so the model hashes as its fields would: not at all
-    assert pickle.loads(pickle.dumps(analytic)) == analytic
-    with pytest.raises(TypeError):
-        hash(analytic)
-    with pytest.raises(TypeError):
-        hash((analytic.domain, analytic.ext))
 
 
 # --- methods built on first use -------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from twosquares.analytic import (
     IMPORT_OFF,
     IMPORT_ON,
-    AnalyticModel,
     analytic_space,
     decide_analytic_validity,
     enumerate_analytic_models,
@@ -35,7 +34,7 @@ from twosquares.opposition import (
     classify_pair,
     synthetic_square,
 )
-from twosquares.search import monadic_keys, monadic_shape, type_set_atom
+from twosquares.search import Model, monadic_keys, monadic_shape, type_set_atom
 from twosquares.synthetic import (
     DIRECT_EMPTY_OK,
     DIRECT_NONEMPTY,
@@ -148,11 +147,22 @@ def test_bound_0_without_the_empty_universe_is_refused(reading, enumerate_models
         next(enumerate_models(("P", "S"), 0, opts))
 
 
+def test_every_small_model_reads_back_from_its_file():
+    """Both families' models up to two individuals, empty extents and the
+    empty models included, come back equal from their files, with the same
+    summary and hash."""
+    models = [*enumerate_analytic_models(("P", "S"), 2),
+              *enumerate_synthetic_models(("P", "S"), 2, DIRECT_EMPTY_OK)]
+    assert models[0] == Model((), (("P", 0), ("S", 0)), False) and Model((), (), True) in models
+    for m in models:
+        twin = Model.from_dict(json.loads(json.dumps(m.to_dict())), m.synthetic)
+        assert (twin, twin.summary(), hash(twin)) == (m, m.summary(), hash(m))
+    assert len(set(models)) == len({m.summary() for m in models}) == len(models) == 42
+
+
 def type_set_of(model, terms):
     """The set of term-types the individuals of a monadic model realize."""
-    if isinstance(model, AnalyticModel):
-        return frozenset(frozenset(t for t in terms if x in model.ext[t]) for x in model.domain)
-    return frozenset(frozenset(t for t in terms if model.holds(x, t)) for x in model.universe)
+    return frozenset(frozenset(t for t in terms if model.extent(t) >> i & 1) for i in range(len(model.universe)))
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from twosquares import copula, synthetic
-from twosquares.analytic import AnalyticModel
 from twosquares.copula import (
     CopulaStructure,
     derived_copula,
@@ -17,11 +16,11 @@ from twosquares.copula import (
 from twosquares.errors import BoundError, SemanticsError
 from twosquares.formula import parse
 from twosquares.opposition import SyntheticSemantics, synthetic_square, verify_square
+from twosquares.search import Model
 from twosquares.synthetic import (
     DIRECT_EMPTY_OK,
     DIRECT_NONEMPTY,
     Reading,
-    SyntheticModel,
     SyntheticOptions,
     decide_synthetic_validity,
     enumerate_synthetic_models,
@@ -29,15 +28,21 @@ from twosquares.synthetic import (
 )
 from twosquares.verdicts import Counterexample, Valid
 
-from oracles import derived_image, derived_scan, induced_models, structure_walk
+from oracles import derived_image, derived_scan, facts, induced_models, structure_walk
 
 DERIVED = SyntheticOptions(Reading.DERIVED_LITERAL)
 CHARITABLE = SyntheticOptions(Reading.DERIVED_CHARITABLE)
 
 
 def model(universe, **terms):
-    facts = {(a, t) for t, members in terms.items() for a in members}
-    return SyntheticModel(tuple(universe), frozenset(facts))
+    bit = {x: 1 << i for i, x in enumerate(universe)}
+    extents = sorted((t, sum(bit[x] for x in members)) for t, members in terms.items() if members)
+    return Model(tuple(universe), tuple(extents), True)
+
+
+def holds(m, x, t):
+    """Whether the individual `x` of `m` is `t`."""
+    return dict(m.extents).get(t, 0) >> m.universe.index(x) & 1 == 1
 
 
 # Independent oracle: the unexpanded quantifier forms.  The a- and i-forms
@@ -45,13 +50,13 @@ def model(universe, **terms):
 # (their unexpanded shape), so comparing against the implementation's
 # expanded forms is a genuine dual-route check.
 def oracle_sa(m, s, p):
-    return any(m.holds(a, s) for a in m.universe) or all(
-        m.holds(a, p) and m.holds(a, s) for a in m.universe
+    return any(holds(m, a, s) for a in m.universe) or all(
+        holds(m, a, p) and holds(m, a, s) for a in m.universe
     )
 
 
 def oracle_si(m, s, p):
-    return all(m.holds(a, p) and not m.holds(a, s) for a in m.universe)
+    return all(holds(m, a, p) and not holds(m, a, s) for a in m.universe)
 
 
 def oracle_so(m, s, p):
@@ -92,10 +97,17 @@ def test_rejects_analytic_copula_and_model_mismatch():
         eval_synthetic(m, parse("S a P"))
     with pytest.raises(SemanticsError):
         eval_synthetic(m, parse("S sa P"), DERIVED)
-    analytic = AnalyticModel(("u",), {"S": frozenset({"u"}), "P": frozenset()})
+    analytic = Model(("u",), (("P", 0), ("S", 1)), False)
     for other in (structure("u", set(), S="u", P="u"), analytic):
-        with pytest.raises(SemanticsError, match="^direct reading expects a SyntheticModel$"):
+        with pytest.raises(SemanticsError, match="^synthetic semantics expects a synthetic model$"):
             eval_synthetic(other, parse("S sa P"))
+
+
+def test_unknown_terms_read_as_empty():
+    # the analytic family would refuse Q; here `S sa Q` holds by its first disjunct
+    m = model("u", S="u")
+    assert eval_synthetic(m, parse("S sa Q")) is True
+    assert eval_synthetic(m, parse("Q sa S")) is False
 
 
 def test_expanded_forms_match_unexpanded_oracle_everywhere():
@@ -206,7 +218,7 @@ def test_induced_model_matches_derived_copula(terms):
             expected = {
                 (x, t) for t in terms for x in c.universe if (x, c.denote[t]) in is_b[relation]
             }
-            assert m.facts == expected, c
+            assert facts(m) == expected, c
 
 
 # --- the derived image -------------------------------------------------------
@@ -350,7 +362,7 @@ def test_model_json_round_trip():
     m = model("uv", P="uv", M="u")
     data = m.to_dict()
     assert data == {"universe": ["u", "v"], "is": {"u": ["M", "P"], "v": ["P"]}}
-    assert SyntheticModel.from_dict(data) == m
+    assert Model.from_dict(data, True) == m
 
 
 def test_structure_json_round_trip():

@@ -8,7 +8,8 @@ six relations of the conventional square hold at once.
 
 Models are `search.Model` records of the analytic family: a domain and
 an extent for every term, empty ones included, read and written in the
-`domain`/`ext` format; a term a model lacks is an error.
+`domain`/`ext` format; a term a model lacks is an error.  The import
+convention is one bool, `IMPORT_ON` or `IMPORT_OFF`.
 """
 
 from __future__ import annotations
@@ -17,27 +18,15 @@ from collections.abc import Iterator
 
 from .errors import BoundError
 from .formula import Formula, term_names
-from .record import Record
-from .search import INDIVIDUALS, Model, ModelSpace, evaluate, every_model, monadic_shape
-from .verdicts import Verdict
+from .search import INDIVIDUALS, Model, ModelSpace, Verdict, evaluate, every_model, monadic_shape
 
 MAX_DOMAIN = len(INDIVIDUALS[False])
+IMPORT_ON, IMPORT_OFF = True, False
 
 
-class ImportPolicy(Record):
-    existential_import: bool = True
-
-    def label(self) -> str:
-        return "on" if self.existential_import else "off"
-
-
-IMPORT_ON = ImportPolicy(True)
-IMPORT_OFF = ImportPolicy(False)
-
-
-def eval_analytic(model: Model, f: Formula, policy: ImportPolicy = IMPORT_ON) -> bool:
-    """Evaluate an analytic-only formula in an analytic `Model` under `policy`."""
-    return evaluate(model, f, False, policy.existential_import)
+def eval_analytic(model: Model, f: Formula, existential_import: bool = IMPORT_ON) -> bool:
+    """Evaluate an analytic-only formula in an analytic `Model`, with or without import."""
+    return evaluate(model, f, False, existential_import)
 
 
 def _check_domain_bound(max_domain: int) -> None:
@@ -53,12 +42,12 @@ def enumerate_analytic_models(terms: tuple[str, ...], max_domain: int) -> Iterat
     yield from every_model(terms, range(max_domain + 1), False)
 
 
-def analytic_space(terms: tuple[str, ...], bound: int, policy: ImportPolicy) -> ModelSpace:
+def analytic_space(terms: tuple[str, ...], bound: int, existential_import: bool) -> ModelSpace:
     """The type-sets of `enumerate_analytic_models(terms, bound)`, each at its first model."""
     _check_domain_bound(bound)
-    return ModelSpace(monadic_shape(len(terms), 0, bound, False, policy.existential_import), terms)
+    return ModelSpace(monadic_shape(len(terms), 0, bound, False, existential_import), terms)
 
 
-def decide_analytic_validity(f: Formula, bound: int, policy: ImportPolicy = IMPORT_ON) -> Verdict:
+def decide_analytic_validity(f: Formula, bound: int, existential_import: bool = IMPORT_ON) -> Verdict:
     """Valid up to `bound`, or the first (minimal) countermodel."""
-    return analytic_space(term_names(f), bound, policy).decide(f)
+    return analytic_space(term_names(f), bound, existential_import).decide(f)

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 
-from .analytic import IMPORT_OFF, IMPORT_ON
 from .cli import _write
 from .errors import SemanticsError
 from .formula import Schema, parse, render, term_names
@@ -19,7 +18,7 @@ from .synthetic import Reading, SyntheticOptions
 
 def _semantics(args):
     if args.semantics == "analytic":
-        return AnalyticSemantics(IMPORT_ON if args.existential_import == "on" else IMPORT_OFF)
+        return AnalyticSemantics(args.existential_import == "on")
     return SyntheticSemantics(SyntheticOptions(Reading(args.reading), args.allow_empty))
 
 
@@ -80,9 +79,7 @@ def _square_report(args):
 def run_square(args) -> int:
     report = _square_report(args)
     if args.json:
-        from .diagram import square_dict
-
-        _write(json.dumps(square_dict(report), indent=2) + "\n", args.out)
+        _write(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
     else:
         lines = [f"{report.name} square ({report.semantics_label}, bound {report.bound})"]
         for pv in report.pairs:

@@ -21,8 +21,8 @@ from types import MappingProxyType
 
 from .errors import SemanticsError, json_object, string_list
 from .record import Record
-from .search import INDIVIDUALS, Model, ModelSpace, Shape, type_set_atom
-from .synthetic import Reading, SyntheticOptions, _universe_sizes
+from .search import INDIVIDUALS, Model, Shape, type_set_atom
+from .synthetic import SyntheticOptions, _universe_sizes
 
 
 class CopulaStructure(Record):
@@ -198,16 +198,9 @@ def _named(c: CopulaStructure, terms: tuple[str, ...]) -> CopulaStructure:
     return CopulaStructure(c.universe, c.is_prim, {terms[t]: x for t, x in c.denote.items()})
 
 
-def derived_space(terms: tuple[str, ...], bound: int, opts: SyntheticOptions) -> ModelSpace:
-    """A derived reading's image over `terms` up to `bound`, or a bound error.
-    Allowing the empty universe changes nothing, as no structure is empty."""
-    _universe_sizes(bound, opts)
-    return ModelSpace(derived_shape(len(terms), bound, opts.reading is Reading.DERIVED_CHARITABLE), terms)
-
-
 @functools.cache
 def derived_shape(k: int, bound: int, charitable: bool) -> Shape:
-    """The shape of `derived_space` over k terms."""
+    """A derived reading's image over k terms up to `bound`, in order of first appearance."""
     image = tuple(_derived_scan(k, bound, charitable).values())
     atom_vector = functools.partial(type_set_atom, _derived_scan, (k, bound, charitable), False)
     witness = lambda terms, m: _named(image[m], terms)  # noqa: E731

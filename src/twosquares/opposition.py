@@ -22,16 +22,10 @@ import functools
 from collections.abc import Callable, Mapping
 from enum import Enum
 
-from .analytic import (
-    IMPORT_ON,
-    ImportPolicy,
-    analytic_space,
-    decide_analytic_validity,
-    eval_analytic,
-)
+from .analytic import IMPORT_ON, analytic_space, decide_analytic_validity, eval_analytic
 from .formula import Formula, Schema, render, schema_of
 from .record import Record
-from .search import ModelSpace
+from .search import Counterexample, ModelSpace, Valid, Verdict
 from .synthetic import (
     DIRECT_NONEMPTY,
     SyntheticOptions,
@@ -39,23 +33,22 @@ from .synthetic import (
     eval_synthetic,
     synthetic_space,
 )
-from .verdicts import Counterexample, Valid, Verdict
 
 
 class AnalyticSemantics(Record):
-    policy: ImportPolicy = IMPORT_ON
+    existential_import: bool = IMPORT_ON
 
     def label(self) -> str:
-        return f"analytic(import={self.policy.label()})"
+        return f"analytic(import={'on' if self.existential_import else 'off'})"
 
     def space(self, terms: tuple[str, ...], bound: int) -> ModelSpace:
-        return analytic_space(terms, bound, self.policy)
+        return analytic_space(terms, bound, self.existential_import)
 
     def evaluate(self, model: object, f: Formula) -> bool:
-        return eval_analytic(model, f, self.policy)
+        return eval_analytic(model, f, self.existential_import)
 
     def decide(self, f: Formula, bound: int) -> Verdict:
-        return decide_analytic_validity(f, bound, self.policy)
+        return decide_analytic_validity(f, bound, self.existential_import)
 
 
 class SyntheticSemantics(Record):
@@ -174,6 +167,27 @@ class SquareReport(Record):
     @property
     def passed(self) -> bool:
         return all(p.ok for p in self.pairs)
+
+    def to_dict(self) -> dict:
+        """The square as JSON data, as `square --json` and the report give it."""
+        pairs = [
+            {
+                "corners": f"{pv.first}-{pv.second}",
+                "expected": pv.expected.value,
+                "actual": pv.relation.kind.value,
+                "ok": pv.ok,
+                "witnesses": {name: model.to_dict() for name, model in pv.relation.witnesses().items()},
+            }
+            for pv in self.pairs
+        ]
+        return {
+            "name": self.name,
+            "semantics": self.semantics_label,
+            "bound": self.bound,
+            "corners": dict(self.corner_text),
+            "pairs": pairs,
+            "pass": self.passed,
+        }
 
 
 def verify_square(spec: SquareSpec, semantics: Semantics, bound: int) -> SquareReport:

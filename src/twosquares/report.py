@@ -17,7 +17,6 @@ import json
 
 from . import __version__
 from .analytic import IMPORT_OFF, IMPORT_ON
-from .diagram import square_dict
 from .errors import BoundError, TwoSquaresError
 from .formula import parse, render
 from .opposition import (
@@ -35,8 +34,8 @@ from .proofs import (
     bundled_theorem_derivations,
     check_proves,
 )
+from .search import Counterexample, Valid, Verdict
 from .starb import (
-    MAX_ATOMS,
     ONE,
     FiniteBooleanAlgebra,
     all_elements,
@@ -47,8 +46,7 @@ from .starb import (
     matrix_neg,
     verify_two_squares,
 )
-from .synthetic import DIRECT_EMPTY_OK, DIRECT_NONEMPTY, MAX_UNIVERSE_DIRECT, SyntheticOptions
-from .verdicts import Counterexample, Valid, Verdict
+from .synthetic import DIRECT_EMPTY_OK, DIRECT_NONEMPTY, MAX_UNIVERSE_DIRECT
 
 ANALYTIC_SQUARE_BOUND = 4  # the conventional-square claim is about |D| <= 4
 
@@ -105,7 +103,7 @@ def _analytic_section(expect: _Expectations) -> dict:
         fails_without_import and empty_subject,
     )
     return {
-        "square": square_dict(report),
+        "square": report.to_dict(),
         "subalternation_without_import": {
             "formula": "S a P -> S i P",
             **_verdict_dict(subalt),
@@ -121,15 +119,15 @@ def _synthetic_square_section(expect: _Expectations, model_bound: int) -> dict:
         f"synthetic square holds, direct reading, 1 <= |U| <= {model_bound}",
         report.passed,
     )
-    return square_dict(report)
+    return report.to_dict()
 
 
-def _catalog_row(result: CatalogResult, options: SyntheticOptions) -> dict:
+def _catalog_row(result: CatalogResult, semantics_label: str) -> dict:
     row = {
         "id": result.entry.id,
         "schema": render(result.entry.schema.formula),
         "source": result.entry.source,
-        "semantics": SyntheticSemantics(options).label(),
+        "semantics": semantics_label,
         "expected": result.entry.expected(),
         **_verdict_dict(result.verdict),
         "met": result.status,
@@ -149,7 +147,8 @@ def _catalog_section(
             result.status,
         )
     t19 = next(r.entry for r in results if r.entry.id == "T19")
-    boundary = check_entry(t19, model_bound, SyntheticSemantics(DIRECT_EMPTY_OK).decide)
+    empty_ok = SyntheticSemantics(DIRECT_EMPTY_OK)
+    boundary = check_entry(t19, model_bound, empty_ok.decide)
     boundary_failed = (
         isinstance(boundary.verdict, Counterexample)
         and len(boundary.verdict.model.universe) == 0
@@ -159,15 +158,17 @@ def _catalog_section(
         "admitting the empty universe breaks a-i contrariety (T19) with witness U = {}",
         boundary_failed,
     )
+    label = SyntheticSemantics(DIRECT_NONEMPTY).label()
     return {
         "bound": model_bound,
-        "entries": [_catalog_row(r, DIRECT_NONEMPTY) for r in results],
-        "empty_universe_boundary": _catalog_row(boundary, DIRECT_EMPTY_OK),
+        "entries": [_catalog_row(r, label) for r in results],
+        "empty_universe_boundary": _catalog_row(boundary, empty_ok.label()),
     }
 
 
-def _case_section(expect: _Expectations, atom_count: int) -> dict:
-    counts, violations, standard_ok = case_analysis(FiniteBooleanAlgebra(atom_count))
+def _case_section(expect: _Expectations, algebra: FiniteBooleanAlgebra) -> dict:
+    atom_count = algebra.atom_count
+    counts, violations, standard_ok = case_analysis(algebra)
     expect.add(
         "case-sweep",
         f"cases 1-12 conclusions hold for every hypothesis-satisfying element ({atom_count} atoms)",
@@ -229,8 +230,8 @@ def _matrix_section(expect: _Expectations, atom_count: int) -> dict:
     return {"atom_count": atom_count, "elements": 4**atom_count, **checks}
 
 
-def _bridge_section(expect: _Expectations, atom_count: int) -> dict:
-    tables = bridge_tables(FiniteBooleanAlgebra(atom_count))
+def _bridge_section(expect: _Expectations, algebra: FiniteBooleanAlgebra) -> dict:
+    tables = bridge_tables(algebra)
     strict_nonstandard, strict_top = tables[0], tables[4]  # the primary column, strict
     expect.add(
         "bridge-strict-nonstandard-atom",
@@ -247,7 +248,7 @@ def _bridge_section(expect: _Expectations, atom_count: int) -> dict:
         "the a-form atom is satisfied when the generator is *1",
         strict_top["satisfied"]["sa"],
     )
-    return {"atom_count": atom_count, "tables": tables}
+    return {"atom_count": algebra.atom_count, "tables": tables}
 
 
 def _derivations_section(expect: _Expectations, results: tuple[CatalogResult, ...]) -> dict:
@@ -296,8 +297,7 @@ def run_verify_paper(model_bound: int = 3, atom_count: int = 2) -> dict:
     """
     if not 1 <= model_bound <= MAX_UNIVERSE_DIRECT:
         raise BoundError(f"model bound {model_bound} outside 1..{MAX_UNIVERSE_DIRECT}")
-    if not 1 <= atom_count <= MAX_ATOMS:
-        raise BoundError(f"atom count {atom_count} outside 1..{MAX_ATOMS}")
+    algebra = FiniteBooleanAlgebra(atom_count)  # or the atom count's bound error
     expect = _Expectations()
     sections: dict = {}
     # one catalog run for both sections; an error is not cached, so each gets its marker
@@ -306,10 +306,10 @@ def run_verify_paper(model_bound: int = 3, atom_count: int = 2) -> dict:
         ("analytic_square", lambda: _analytic_section(expect)),
         ("synthetic_square", lambda: _synthetic_square_section(expect, model_bound)),
         ("theorem_catalog", lambda: _catalog_section(expect, model_bound, catalog())),
-        ("case_sweep", lambda: _case_section(expect, atom_count)),
+        ("case_sweep", lambda: _case_section(expect, algebra)),
         ("proposition1", lambda: _proposition1_section(expect, atom_count)),
         ("matrix_properties", lambda: _matrix_section(expect, atom_count)),
-        ("bridge_models", lambda: _bridge_section(expect, atom_count)),
+        ("bridge_models", lambda: _bridge_section(expect, algebra)),
         ("derivations", lambda: _derivations_section(expect, catalog())),
     )
     for name, build in builders:

@@ -1,5 +1,6 @@
 """One truth table for the copulas, one model record for both monadic
-families, and bounded search over every type-set at once.
+families, and bounded search over every type-set at once, ending in a
+verdict: valid up to the bound, or the first counterexample.
 
 Every form quantifies over one monadic relation with one variable, so
 an atom `S c P` is decided by which of its regions hold an individual:
@@ -36,7 +37,6 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from .errors import BoundError, SemanticsError, json_object, string_list
 from .formula import Atom, Copula, Formula, fold, holds, render
 from .record import Record
-from .verdicts import Counterexample, Valid, Verdict
 
 # The regions S and P, S only, P only and neither, by (is S, is P).
 REGIONS = ((1, 1), (1, 0), (0, 1), (0, 0))
@@ -187,6 +187,28 @@ class Shape(Record):
 
 
 _implies = lambda x, y: ~x | y  # noqa: E731
+
+
+class Valid(Record):
+    """True in every model up to `bound`, checked on one model per type-set; no unbounded claim."""
+
+    bound: int
+
+    def describe(self) -> str:
+        return f"valid up to bound {self.bound}"
+
+
+class Counterexample(Record):
+    """First falsifying model in enumeration order, with per-atom truth values."""
+
+    model: object
+    atom_trace: tuple[tuple[str, bool], ...]
+
+    def describe(self) -> str:
+        return f"counterexample ({self.model.summary()})"
+
+
+Verdict = Valid | Counterexample
 
 
 class ModelSpace(Record):

@@ -37,8 +37,7 @@ from enum import Enum
 from .errors import BoundError, SemanticsError
 from .formula import Formula, term_names
 from .record import Record
-from .search import INDIVIDUALS, Model, ModelSpace, evaluate, every_model, monadic_shape
-from .verdicts import Verdict
+from .search import INDIVIDUALS, Model, ModelSpace, Verdict, evaluate, every_model, monadic_shape
 
 MAX_UNIVERSE_DIRECT = len(INDIVIDUALS[True])
 MAX_UNIVERSE_DERIVED = 3
@@ -111,13 +110,14 @@ def enumerate_synthetic_models(
 
 def synthetic_space(terms: tuple[str, ...], bound: int, opts: SyntheticOptions) -> ModelSpace:
     """The type-sets of the direct models up to `bound`, each at its first
-    model in enumeration order, or a derived reading's image."""
+    model in enumeration order, or a derived reading's image, where
+    allowing the empty universe changes nothing: no structure is empty."""
+    start = _universe_sizes(bound, opts).start
     if opts.reading is Reading.DIRECT:
-        start = _universe_sizes(bound, opts).start
         return ModelSpace(monadic_shape(len(terms), start, bound, True, False), terms)
-    from .copula import derived_space
+    from .copula import derived_shape
 
-    return derived_space(terms, bound, opts)
+    return ModelSpace(derived_shape(len(terms), bound, opts.reading is Reading.DERIVED_CHARITABLE), terms)
 
 
 def decide_synthetic_validity(

@@ -56,6 +56,7 @@ from twosquares.formula import (
     term_names,
 )
 from twosquares.opposition import AnalyticSemantics, OppositionRelation, RelationKind
+from twosquares.search import Counterexample, Valid
 from twosquares.starb import CaseOutcome, FiniteBooleanAlgebra
 from twosquares.synthetic import (
     MAX_UNIVERSE_DERIVED,
@@ -64,7 +65,6 @@ from twosquares.synthetic import (
     enumerate_synthetic_models,
     synthetic_space,
 )
-from twosquares.verdicts import Counterexample, Valid
 
 
 def models(semantics, terms, bound):

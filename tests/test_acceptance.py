@@ -27,6 +27,7 @@ from twosquares.proofs import (
     check_proves,
 )
 from twosquares.report import run_verify_paper
+from twosquares.search import Counterexample, Valid
 from twosquares.starb import (
     FiniteBooleanAlgebra,
     all_elements,
@@ -45,7 +46,6 @@ from twosquares.synthetic import (
     DIRECT_NONEMPTY,
     enumerate_synthetic_models,
 )
-from twosquares.verdicts import Counterexample, Valid
 
 
 class _Criterion:

@@ -9,8 +9,7 @@ from twosquares.analytic import (
 )
 from twosquares.errors import BoundError, SemanticsError
 from twosquares.formula import parse
-from twosquares.search import Model
-from twosquares.verdicts import Counterexample, Valid
+from twosquares.search import Counterexample, Model, Valid
 
 
 def model(domain, **ext):
@@ -47,13 +46,13 @@ def oracle_o(s, p, existential_import):
 
 def test_eval_matches_the_set_oracle_on_every_small_model():
     oracles = {"a": oracle_a, "e": oracle_e, "i": oracle_i, "o": oracle_o}
-    for policy in (IMPORT_ON, IMPORT_OFF):
+    for existential_import in (IMPORT_ON, IMPORT_OFF):
         for m in enumerate_analytic_models(("P", "S"), 3):
             for s in ("P", "S"):
                 for p in ("P", "S"):
                     for copula, oracle in oracles.items():
-                        expected = oracle(members(m, s), members(m, p), policy.existential_import)
-                        assert eval_analytic(m, parse(f"{s} {copula} {p}"), policy) == expected
+                        expected = oracle(members(m, s), members(m, p), existential_import)
+                        assert eval_analytic(m, parse(f"{s} {copula} {p}"), existential_import) == expected
 
 
 def test_atom_truth_subset():
@@ -141,10 +140,10 @@ def test_decision_rejects_a_synthetic_copula():
 
 def test_duality_on_every_model():
     a, e, i, o = (parse(f"S {c} P") for c in "aeio")
-    for policy in (IMPORT_ON, IMPORT_OFF):
+    for existential_import in (IMPORT_ON, IMPORT_OFF):
         for m in enumerate_analytic_models(("P", "S"), 3):
-            assert eval_analytic(m, o, policy) == (not eval_analytic(m, a, policy))
-            assert eval_analytic(m, i, policy) == (not eval_analytic(m, e, policy))
+            assert eval_analytic(m, o, existential_import) == (not eval_analytic(m, a, existential_import))
+            assert eval_analytic(m, i, existential_import) == (not eval_analytic(m, e, existential_import))
 
 
 def test_conventional_square_profile_up_to_four():

@@ -1,4 +1,5 @@
 import functools
+import json
 
 import pytest
 
@@ -20,7 +21,7 @@ from twosquares.opposition import (
     synthetic_square,
     verify_square,
 )
-from twosquares.search import Model
+from twosquares.search import Counterexample, Model, Valid
 from twosquares.synthetic import (
     DIRECT_EMPTY_OK,
     DIRECT_NONEMPTY,
@@ -30,7 +31,6 @@ from twosquares.synthetic import (
     decide_synthetic_validity,
     eval_synthetic,
 )
-from twosquares.verdicts import Counterexample, Valid
 
 from oracles import (
     derived_image,
@@ -154,6 +154,30 @@ def test_synthetic_square_fails_with_empty_universe_admitted():
     assert not contrariety.ok
     assert contrariety.relation.both_true is not None
     assert contrariety.relation.both_true.universe == ()
+
+
+def test_square_report_renders_its_own_json():
+    report = verify_square(synthetic_square(), SyntheticSemantics(DIRECT_EMPTY_OK), 3)
+    data = json.loads(json.dumps(report.to_dict()))
+    assert {k: v for k, v in data.items() if k != "pairs"} == {
+        "name": "synthetic",
+        "semantics": "synthetic(direct, empty-allowed)",
+        "bound": 3,
+        "corners": {"a": "S sa P", "e": "S se P", "i": "S si P", "o": "S so P"},
+        "pass": False,
+    }
+    assert [row["corners"] for row in data["pairs"]] == [f"{p.first}-{p.second}" for p in report.pairs]
+    for row, pv in zip(data["pairs"], report.pairs):
+        assert (row["expected"], row["actual"], row["ok"]) == (
+            pv.expected.value,
+            pv.relation.kind.value,
+            pv.ok,
+        )
+        witnesses = pv.relation.witnesses()
+        assert row["witnesses"].keys() == witnesses.keys()
+        for name, model in witnesses.items():
+            assert Model.from_dict(row["witnesses"][name], True) == model
+    assert any(row["witnesses"] for row in data["pairs"])
 
 
 def test_catalog_ids_and_sources():

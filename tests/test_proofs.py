@@ -21,7 +21,7 @@ from twosquares.proofs import (
     is_tautology,
 )
 from twosquares.proofscript import bundled_theorem_scripts, format_script, parse_script
-from twosquares.verdicts import Valid
+from twosquares.search import Valid
 
 from oracles import row_by_row_tautology
 

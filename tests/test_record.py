@@ -11,9 +11,8 @@ import pytest
 
 from twosquares.formula import Atom, Copula, Schema, parse
 from twosquares.record import Record
-from twosquares.search import Model
+from twosquares.search import Counterexample, Model, Valid
 from twosquares.starb import FiniteBooleanAlgebra, UltraElement
-from twosquares.verdicts import Counterexample, Valid
 
 
 def _classes(namespace, base, decorate):

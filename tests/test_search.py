@@ -34,7 +34,7 @@ from twosquares.opposition import (
     classify_pair,
     synthetic_square,
 )
-from twosquares.search import Model, monadic_keys, monadic_shape, type_set_atom
+from twosquares.search import Counterexample, Model, Valid, monadic_keys, monadic_shape, type_set_atom
 from twosquares.synthetic import (
     DIRECT_EMPTY_OK,
     DIRECT_NONEMPTY,
@@ -44,12 +44,11 @@ from twosquares.synthetic import (
     enumerate_synthetic_models,
     synthetic_space,
 )
-from twosquares.verdicts import Counterexample, Valid
 from oracles import models, scan_classify, scan_decide, verdict_bytes
 
 # (semantics, bounds) for every family, policy and reading
 CASES = [
-    *[(AnalyticSemantics(policy), (0, 1, 2, 3, 4)) for policy in (IMPORT_ON, IMPORT_OFF)],
+    *[(AnalyticSemantics(existential_import), (0, 1, 2, 3, 4)) for existential_import in (IMPORT_ON, IMPORT_OFF)],
     (SyntheticSemantics(DIRECT_NONEMPTY), (1, 2, 3, 4)),
     (SyntheticSemantics(DIRECT_EMPTY_OK), (0, 1, 2, 3, 4)),
     *[

@@ -16,7 +16,7 @@ from twosquares.copula import (
 from twosquares.errors import BoundError, SemanticsError
 from twosquares.formula import parse
 from twosquares.opposition import SyntheticSemantics, synthetic_square, verify_square
-from twosquares.search import Model
+from twosquares.search import Counterexample, Model, Valid
 from twosquares.synthetic import (
     DIRECT_EMPTY_OK,
     DIRECT_NONEMPTY,
@@ -26,7 +26,6 @@ from twosquares.synthetic import (
     enumerate_synthetic_models,
     eval_synthetic,
 )
-from twosquares.verdicts import Counterexample, Valid
 
 from oracles import derived_image, derived_scan, facts, induced_models, structure_walk
 

@@ -14,7 +14,7 @@ import sys
 from types import SimpleNamespace
 
 from .errors import TwoSquaresError
-from .synthetic import Reading
+from .synthetic import MAX_UNIVERSE_DIRECT, Reading
 
 
 def _write(text: str, out: str | None) -> None:
@@ -71,7 +71,7 @@ _COMMANDS = {
         ("--axioms", "axioms", str, "a5,a6,a7,a8,def",
          "comma list from a5,a6,a7,a8,def (default: all)"), *_OUTPUT)),
     "verify-paper": (_cmd_verify_paper, "run the full verification suite", (), (
-        ("--bound", "bound", int, 3, "synthetic model bound (1..4)"),
+        ("--bound", "bound", int, 3, f"synthetic model bound (1..{MAX_UNIVERSE_DIRECT})"),
         ("--atoms", "atoms", int, 2, "algebra atom count (1..4)"), *_OUTPUT)),
 }
 

@@ -8,8 +8,8 @@ a model realize, so derived decisions range over the derived image:
 the first structure of each realized type-set.  It is computed from
 bitmask columns: one pass over the relations of each universe size and
 reading, shared by every term count, keeps the relations with new
-columns, and only the distinct columns are chosen as denotations.  Only
-the witnesses themselves are built as structures.
+columns, and only the distinct columns are chosen as denotations.  Its
+shape keeps type-set keys, and builds only the witnesses a search reports.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Iterator, Mapping
-from types import MappingProxyType
 
 from .errors import SemanticsError, json_object, string_list
 from .record import Record
-from .search import INDIVIDUALS, Model, Shape, type_set_atom
+from .search import INDIVIDUALS, Model, Shape
 from .synthetic import SyntheticOptions, _universe_sizes
 
 
@@ -164,12 +163,11 @@ def _relations(size: int, charitable: bool) -> tuple[tuple[int, tuple[int, ...]]
 
 
 @functools.cache
-def _derived_scan(k: int, bound: int, charitable: bool) -> Mapping[int, CopulaStructure]:
-    """The derived image over the term positions 0..k-1 as term names, by
-    type-set key: the first structure, in enumeration order, of each
-    type-set the induced models realize, in order of first appearance.  As
-    a form's truth depends only on the type-set, searching the image gives
-    the verdicts and witnesses of a full scan.
+def derived_shape(k: int, bound: int, charitable: bool) -> Shape:
+    """The derived image over k terms up to `bound`: the first structure, in
+    enumeration order, of each type-set the induced models realize, in order
+    of first appearance.  As a form's truth depends only on the type-set,
+    searching the image gives the verdicts and witnesses of a full scan.
 
     Walks the structures in `enumerate_copula_structures` order without
     building them, over `_relations` only.  A denotation choice d gives
@@ -177,31 +175,23 @@ def _derived_scan(k: int, bound: int, charitable: bool) -> Mapping[int, CopulaSt
     2^k-bit key.  Only the first individual of each distinct column is
     chosen: a later one repeats the key of a choice that comes earlier in
     product order."""
-    witnesses: dict[int, CopulaStructure] = {}
+    image: dict[int, tuple[int, int, tuple[int, ...]]] = {}  # key -> (size, prim_mask, choice)
     for size in range(1, bound + 1):
-        universe = INDIVIDUALS[True][:size]
         for prim_mask, col in _relations(size, charitable):
             firsts = [b for b in range(size) if col.index(col[b]) == b]
             for choice in itertools.product(firsts, repeat=k):
                 key = 0
                 for x in range(size):
                     key |= 1 << sum((col[b] >> x & 1) << t for t, b in enumerate(choice))
-                if key not in witnesses:
-                    pairs = itertools.product(universe, universe)
-                    prim = frozenset(p for i, p in enumerate(pairs) if prim_mask >> i & 1)
-                    denote = {t: universe[b] for t, b in enumerate(choice)}
-                    witnesses[key] = CopulaStructure(universe, prim, denote)
-    return MappingProxyType(witnesses)
+                if key not in image:
+                    image[key] = (size, prim_mask, choice)
+    structures = tuple(image.values())
 
+    def witness(terms: tuple[str, ...], m: int) -> CopulaStructure:
+        size, prim_mask, choice = structures[m]
+        universe = INDIVIDUALS[True][:size]
+        pairs = itertools.product(universe, universe)
+        prim = frozenset(p for i, p in enumerate(pairs) if prim_mask >> i & 1)
+        return CopulaStructure(universe, prim, {terms[t]: universe[b] for t, b in enumerate(choice)})
 
-def _named(c: CopulaStructure, terms: tuple[str, ...]) -> CopulaStructure:
-    return CopulaStructure(c.universe, c.is_prim, {terms[t]: x for t, x in c.denote.items()})
-
-
-@functools.cache
-def derived_shape(k: int, bound: int, charitable: bool) -> Shape:
-    """A derived reading's image over k terms up to `bound`, in order of first appearance."""
-    image = tuple(_derived_scan(k, bound, charitable).values())
-    atom_vector = functools.partial(type_set_atom, _derived_scan, (k, bound, charitable), False)
-    witness = lambda terms, m: _named(image[m], terms)  # noqa: E731
-    return Shape((1 << len(image)) - 1, bound, True, atom_vector, witness)
+    return Shape(tuple(image), bound, True, False, witness)

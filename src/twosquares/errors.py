@@ -9,10 +9,11 @@ class TwoSquaresError(Exception):
 
 
 class ParseError(TwoSquaresError):
-    """Syntax error with a character offset (a string index, not a byte
-    count) and the set of expected tokens."""
+    """Syntax error: its message, a character offset (a string index, not
+    a byte count) and the set of expected tokens."""
 
     def __init__(self, message: str, position: int, expected: tuple[str, ...] = ()):
+        self.message = message
         self.position = position
         self.expected = tuple(expected)
         detail = f"{message} at offset {position}"

@@ -131,7 +131,8 @@ class ProofCheckResult(Record):
                     ", ".join(self.refuted_axioms_used)
                 )
             return "ok" + note
-        return f"rejected at line {self.line}: {self.reason}"
+        where = "" if self.line is None else f" at line {self.line}"
+        return f"rejected{where}: {self.reason}"
 
 
 def _fault(line: DerivationLine, earlier: Mapping[int, Formula], ax: AxiomSet) -> str | None:

@@ -55,7 +55,11 @@ def parse_script(text: str) -> Derivation:
         if not dot or not num_text.strip().isdigit():
             raise ParseError(f"line {lineno}: expected 'n. <formula> ; <rule>'", 0)
         index = int(num_text.strip())
-        formula = parse(formula_text.strip())
+        try:
+            formula = parse(formula_text.strip())
+        except ParseError as exc:  # its offset counts from the formula: count it from the line
+            at = len(raw) - len(raw.lstrip()) + len(head) - len(formula_text.lstrip())
+            raise ParseError(f"line {lineno}: {exc.message}", at + exc.position, exc.expected) from None
         lines.append(DerivationLine(index, formula, _parse_justification(just_text, lineno)))
     return Derivation(tuple(lines))
 

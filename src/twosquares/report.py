@@ -17,7 +17,7 @@ import json
 
 from . import __version__
 from .analytic import IMPORT_OFF, IMPORT_ON
-from .errors import BoundError, TwoSquaresError
+from .errors import TwoSquaresError
 from .formula import parse, render
 from .opposition import (
     AnalyticSemantics,
@@ -46,7 +46,7 @@ from .starb import (
     matrix_neg,
     verify_two_squares,
 )
-from .synthetic import DIRECT_EMPTY_OK, DIRECT_NONEMPTY, MAX_UNIVERSE_DIRECT
+from .synthetic import DIRECT_EMPTY_OK, DIRECT_NONEMPTY, _universe_sizes
 
 ANALYTIC_SQUARE_BOUND = 4  # the conventional-square claim is about |D| <= 4
 
@@ -295,8 +295,7 @@ def run_verify_paper(model_bound: int = 3, atom_count: int = 2) -> dict:
     `starb`).  Section failures are recorded in the expectation
     table; the report's "pass" is true iff every expectation is met.
     """
-    if not 1 <= model_bound <= MAX_UNIVERSE_DIRECT:
-        raise BoundError(f"model bound {model_bound} outside 1..{MAX_UNIVERSE_DIRECT}")
+    _universe_sizes(model_bound, DIRECT_NONEMPTY)  # or the model bound's error
     algebra = FiniteBooleanAlgebra(atom_count)  # or the atom count's bound error
     expect = _Expectations()
     sections: dict = {}

@@ -16,6 +16,7 @@ a 2^k-bit key with bit ty set iff type ty is realized; bit t of ty is
 term position t.  An atom's vector has bit m set iff it holds at the m-th
 type-set, a formula's is a fold of `~ & |` over its atoms' vectors, and
 only the witness at the lowest set bit of a vector is built as a model.
+A `Shape` keeps the keys and the vectors computed from them.
 
 The monadic families (the analytic semantics and the direct synthetic
 reading) enumerate models by size n, then by a block index whose bit
@@ -174,16 +175,48 @@ def evaluate(
 
 
 class Shape(Record):
-    """What a search depends on apart from its term names, built once per
-    shape: `full` has one set bit per type-set, `atom_vector(s, p, copula)`
-    is an atom's truth vector by term positions, and `witness(terms, m)`
-    builds the model of the m-th type-set over `terms`."""
+    """What a search depends on apart from its term names: its type-sets as
+    2^k-bit `keys` in order, their bound, the family and its import setting,
+    and `witness(terms, m)`, the model of the m-th type-set over `terms`.
+    `full` (one set bit per type-set) and the type and atom vectors are
+    computed from `keys` on first use and kept on the shape."""
 
-    full: int
+    keys: tuple[int, ...]
     bound: int
     synthetic: bool
-    atom_vector: Callable[[int, int, Copula], int]
+    existential_import: bool
     witness: Callable[[tuple[str, ...], int], object]
+
+    full = functools.cached_property(lambda self: (1 << len(self.keys)) - 1)
+    _atoms = functools.cached_property(lambda self: {})  # the atom vectors built, by (s, p, copula)
+
+    @functools.cached_property
+    def _type_vectors(self) -> dict[int, int]:
+        """Each type's vector: bit m is set iff the m-th type-set has it."""
+        members: dict[int, list[int]] = {}
+        for m, key in enumerate(self.keys):
+            while key:
+                members.setdefault(lowest_bit(key), []).append(m)
+                key &= key - 1
+        vectors = {}
+        for ty, ms in members.items():
+            bits = bytearray(ms[-1] // 8 + 1)
+            for m in ms:
+                bits[m >> 3] |= 1 << (m & 7)
+            vectors[ty] = int.from_bytes(bits, "little")
+        return vectors
+
+    def atom_vector(self, s: int, p: int, copula: Copula) -> int:
+        """Truth of `s copula p` (term positions) over the type-sets: a region
+        is occupied in those with a type of its membership of s and p."""
+        v = self._atoms.get((s, p, copula))
+        if v is None:
+            regions = [0, 0, 0, 0]
+            for ty, members in self._type_vectors.items():
+                regions[REGIONS.index((ty >> s & 1, ty >> p & 1))] |= members
+            v = self.full & copula_truth(copula, tuple(regions), self.existential_import)
+            self._atoms[s, p, copula] = v
+        return v
 
 
 _implies = lambda x, y: ~x | y  # noqa: E731
@@ -299,40 +332,9 @@ def _first_model(k: int, key: int) -> tuple[int, tuple[int, ...]]:
 
 
 @functools.cache
-def _type_vectors(keys_of: Callable, shape: tuple) -> dict[int, int]:
-    """Each type's vector over the type-sets `keys_of(*shape)`: bit m is set iff the m-th has it."""
-    members: dict[int, list[int]] = {}
-    for m, key in enumerate(keys_of(*shape)):
-        while key:
-            members.setdefault(lowest_bit(key), []).append(m)
-            key &= key - 1
-    vectors = {}
-    for ty, ms in members.items():
-        bits = bytearray(ms[-1] // 8 + 1)
-        for m in ms:
-            bits[m >> 3] |= 1 << (m & 7)
-        vectors[ty] = int.from_bytes(bits, "little")
-    return vectors
-
-
-@functools.cache
-def type_set_atom(
-    keys_of: Callable, shape: tuple, existential_import: bool, s: int, p: int, copula: Copula
-) -> int:
-    """Truth of `s copula p` (term positions) over the type-sets `keys_of(*shape)`:
-    a region is occupied in those with a type of its membership of s and p."""
-    regions = [0, 0, 0, 0]
-    for ty, v in _type_vectors(keys_of, shape).items():
-        regions[REGIONS.index((ty >> s & 1, ty >> p & 1))] |= v
-    full = (1 << len(keys_of(*shape))) - 1
-    return full & copula_truth(copula, tuple(regions), existential_import)
-
-
-@functools.cache
 def monadic_shape(k: int, start: int, bound: int, synthetic: bool, existential_import: bool) -> Shape:
     """The type-sets over k terms with start..bound types, in the order of
     their first models, each a witness of the family."""
     keys = monadic_keys(k, start, bound)
-    atom_vector = functools.partial(type_set_atom, monadic_keys, (k, start, bound), existential_import)
     witness = lambda terms, m: build_model(terms, *_first_model(k, keys[m]), synthetic)  # noqa: E731
-    return Shape((1 << len(keys)) - 1, bound, synthetic, atom_vector, witness)
+    return Shape(keys, bound, synthetic, existential_import, witness)

@@ -21,7 +21,8 @@ from twosquares.cli import main, parse_args
 from twosquares.errors import BoundError
 from twosquares.formula import _MAX_DEPTH, Copula
 from twosquares.proofscript import bundled_theorem_scripts
-from twosquares.synthetic import DIRECT_EMPTY_OK, DIRECT_NONEMPTY, Reading
+from twosquares.starb import MAX_ATOMS
+from twosquares.synthetic import DIRECT_EMPTY_OK, DIRECT_NONEMPTY, MAX_UNIVERSE_DIRECT, Reading
 
 
 def run(capsys, *argv):
@@ -83,7 +84,7 @@ IMPORTED = ("cli", "errors", "formula", "record", "search", "synthetic")
 HANDLERS = ("analytic", "commands", "opposition")  # what the handlers in `commands` load
 # the lines of the modules a default `verify-paper --json` loads, so that code
 # added to that path shows; a deliberate change to the path updates it here
-VERIFY_PAPER_LINES = 2604
+VERIFY_PAPER_LINES = 2607
 
 
 @pytest.mark.parametrize(
@@ -349,8 +350,8 @@ def test_verify_paper_bad_bound_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "option, value, message",
     [
-        ("--bound", "0", "model bound 0 outside 1..4"),
-        ("--bound", "5", "model bound 5 outside 1..4"),
+        ("--bound", "0", "universe bound 0 outside 1..4 for direct"),
+        ("--bound", "5", "universe bound 5 outside 1..4 for direct"),
         ("--atoms", "0", "atom count 0 outside 1..4"),
         ("--atoms", "5", "atom count 5 outside 1..4"),
     ],
@@ -886,7 +887,8 @@ def test_help_names_the_commands_positionals_choices_and_help_strings(capsys, co
         "square": ["--reading", "--json", "write output to FILE instead of stdout"],
         "diagram": ["--semantics", "--out OUT"],
         "prove": ["script", "comma list from a5,a6,a7,a8,def (default: all)"],
-        "verify-paper": ["synthetic model bound (1..4)", "algebra atom count (1..4)"],
+        "verify-paper": [f"synthetic model bound (1..{MAX_UNIVERSE_DIRECT})",
+                         f"algebra atom count (1..{MAX_ATOMS})"],
     }[command]
     assert all(word in out for word in expected), out
 

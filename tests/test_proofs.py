@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -271,15 +273,19 @@ def test_script_round_trip():
         ("1. S sa P -> S se P ; axiom5 S P", "line 1: expected NAME:=TERM, got 'S' at offset 0"),
         ("1. S sa P -> S se P ; axiom5 S:=S", "line 1: axiom5 needs bindings for S, P at offset 0"),
         ("1. S sa P ; modus 1 2", "line 1: unknown rule 'modus' at offset 0"),
+        # a formula's offset counts from the start of its line
+        ("1. S sa P ; taut\n\n2. S x P ; taut",
+         "line 3: unexpected token 'x' at offset 5 (expected: a, e, i, o, sa, se, si, so)"),
     ],
     ids=["no-separator", "no-dot", "bad-number", "empty-rule", "mp-one-line", "mp-not-a-number",
-         "def-one-term", "binding-without-assignment", "binding-missing", "unknown-rule"],
+         "def-one-term", "binding-without-assignment", "binding-missing", "unknown-rule",
+         "bad-formula"],
 )
 def test_parse_script_rejects_malformed_lines(script, message):
     with pytest.raises(ParseError) as exc:
         parse_script(script)
     assert str(exc.value) == message
-    assert exc.value.position == 0
+    assert f" at offset {exc.value.position}" in message
 
 
 def test_prove_reports_a_malformed_script_as_an_input_error(capsys, tmp_path):
@@ -289,6 +295,16 @@ def test_prove_reports_a_malformed_script_as_an_input_error(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: line 1: missing ';' justification separator at offset 0\n"
+
+
+def test_prove_names_no_line_for_an_empty_script(capsys, tmp_path):
+    path = tmp_path / "empty.proof"
+    path.write_text("# only a comment\n\n")
+    assert main(["prove", str(path)]) == 1
+    assert capsys.readouterr().out == "rejected: empty derivation\n"
+    assert main(["prove", str(path), "--json"]) == 1
+    detail = {"ok": False, "detail": "rejected: empty derivation", "conclusion": None}
+    assert json.loads(capsys.readouterr().out) == detail
 
 
 def test_three_line_derivation_from_the_o_definition():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from twosquares import analytic, copula, search, synthetic
 from twosquares.analytic import (
     IMPORT_OFF,
     IMPORT_ON,
@@ -34,7 +35,7 @@ from twosquares.opposition import (
     classify_pair,
     synthetic_square,
 )
-from twosquares.search import Counterexample, Model, Valid, monadic_keys, monadic_shape, type_set_atom
+from twosquares.search import Counterexample, Model, Valid, monadic_keys, monadic_shape
 from twosquares.synthetic import (
     DIRECT_EMPTY_OK,
     DIRECT_NONEMPTY,
@@ -203,11 +204,27 @@ def chain(k, copula="a"):
     return parse(f"{links} -> T00 {copula} T{k - 1:02}")
 
 
-def table_sizes():
-    """The entries of every table a search builds: type-set keys, per-shape
-    tables, atom vectors and derived shapes."""
-    tables = (monadic_keys, monadic_shape, type_set_atom, derived_shape)
-    return tuple(table.cache_info().currsize for table in tables)
+def table_sizes(*shapes):
+    """The entries of every table a search builds: type-set keys, monadic and
+    derived shapes, and the atom vectors `shapes` hold."""
+    tables = (monadic_keys, monadic_shape, derived_shape)
+    return (*(table.cache_info().currsize for table in tables), sum(len(s._atoms) for s in shapes))
+
+
+def test_the_shapes_hold_the_search_tables():
+    """A search's type and atom vectors live on its shape: the decision
+    path's only module-level caches are the type-set keys with their first
+    models, the shapes of each kind, and the derived relation passes."""
+    cached = {
+        f"{module.__name__.rpartition('.')[2]}.{name}"
+        for module in (analytic, copula, search, synthetic)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info") and value.__module__ == module.__name__
+    }
+    assert cached == {
+        "search.monadic_keys", "search._first_model", "search.monadic_shape",
+        "copula._relations", "copula.derived_shape",
+    }
 
 
 def test_bound_guard_comes_before_any_table():
@@ -244,27 +261,31 @@ def test_largest_admitted_shapes_decide():
 
 
 @pytest.mark.parametrize(
-    "decide, formula",
+    "space, formula",
     [
-        (lambda f: decide_analytic_validity(f, 3, IMPORT_OFF), "{0} a {1} & {1} a {2} -> {2} a {0}"),
+        (lambda terms: analytic_space(terms, 3, IMPORT_OFF), "{0} a {1} & {1} a {2} -> {2} a {0}"),
         (
-            lambda f: decide_synthetic_validity(f, 3, SyntheticOptions(Reading.DERIVED_CHARITABLE)),
+            lambda terms: synthetic_space(terms, 3, SyntheticOptions(Reading.DERIVED_CHARITABLE)),
             "{0} sa {1} & {1} sa {2} -> {2} sa {0}",
         ),
     ],
     ids=["monadic", "derived"],
 )
-def test_fresh_term_names_of_a_seen_shape_build_no_table(decide, formula):
+def test_fresh_term_names_of_a_seen_shape_build_no_table(space, formula):
     """A space binds only its term names to its shape's tables: deciding
-    over new names of a shape already seen adds no table entry, and each
-    countermodel is the first one's over the names of its own decision."""
+    over new names of a shape already seen adds no table entry, nor an atom
+    vector to the shape, and each countermodel is the first one's over the
+    names of its own decision."""
     names = [("A", "B", "C"), ("Ab", "Cd", "Ef"), ("X1", "Y1", "Z1")]  # each in sorted order
-    first = decide(parse(formula.format(*names[0])))
+    first = space(names[0]).decide(parse(formula.format(*names[0])))
     assert isinstance(first, Counterexample)
-    before = table_sizes()
+    shape = space(names[0]).shape
+    before = table_sizes(shape)
+    assert before[-1] >= 3  # the three atoms' vectors at least, held by the shape
     for fresh in names[1:]:
-        verdict = decide(parse(formula.format(*fresh)))
-        assert table_sizes() == before
+        assert space(fresh).shape is shape
+        verdict = space(fresh).decide(parse(formula.format(*fresh)))
+        assert table_sizes(shape) == before
         rename = dict(zip(names[0], fresh))
         renamed = json.dumps(first.model.to_dict())
         for old, new in rename.items():

@@ -254,7 +254,6 @@ def test_derived_decisions_do_not_enumerate_structures(monkeypatch):
 
 def clear_derived_caches():
     copula.derived_shape.cache_clear()
-    copula._derived_scan.cache_clear()
     copula._relations.cache_clear()
 
 
@@ -267,7 +266,7 @@ def test_one_relation_pass_per_universe_size(opts):
         decide_synthetic_validity(parse("S sa P"), 2, opts)
         # two term counts at bound 3 and one at bound 2 share the passes of sizes 1-3
         assert copula._relations.cache_info().misses == 3
-        assert copula._derived_scan.cache_info().misses == 3
+        assert copula.derived_shape.cache_info().misses == 3
     finally:
         clear_derived_caches()
 
@@ -281,7 +280,6 @@ def test_allowing_the_empty_universe_shares_the_derived_scan(reading):
             decide_synthetic_validity(f, 3, SyntheticOptions(reading, empty)) for empty in (False, True)
         ]
         assert verdicts[0] == verdicts[1]
-        assert copula._derived_scan.cache_info().misses == 1
         # the second decision reuses the first one's shape
         assert copula.derived_shape.cache_info()[:2] == (1, 1)
     finally:

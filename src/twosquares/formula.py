@@ -1,4 +1,5 @@
-"""Syllogistic formula language: AST, parser, printer, schema instantiation.
+"""Syllogistic formula language: AST, parser, printer, schema instantiation,
+and `truth_vector`, the one evaluator of a formula as an int of bits.
 
 Surface grammar (exact)::
 
@@ -129,6 +130,21 @@ def fold(
         return op(walk(g.left), walk(g.right))
 
     return walk(f)
+
+
+def truth_vector(f: Formula, atom: Callable[[Atom], int]) -> int:
+    """The truth of `f` as an int of bits, with `atom` giving each atom's; `x -> y`
+    is `~x | y`, and every operand is evaluated, left to right."""
+    node = type(f)
+    if node is Atom:
+        return atom(f)
+    if node is Not:
+        return ~truth_vector(f.operand, atom)
+    if node is And:
+        return truth_vector(f.left, atom) & truth_vector(f.right, atom)
+    if node is Or:
+        return truth_vector(f.left, atom) | truth_vector(f.right, atom)
+    return ~truth_vector(f.left, atom) | truth_vector(f.right, atom)
 
 
 def term_names(f: Formula) -> tuple[str, ...]:
@@ -348,10 +364,15 @@ def render(f: Formula) -> str:
     return _render(f, 0)
 
 
+def atom_text(a: Atom) -> str:
+    """`a` as the parser reads it, from the copula's plain `_value_` (`value` is an Enum property)."""
+    return f"{a.subject} {a.copula._value_} {a.predicate}"
+
+
 def _render(f: Formula, minimum: int) -> str:
     """`f`, parenthesized when it binds less tightly than `minimum`."""
     if isinstance(f, Atom):
-        return f"{f.subject} {f.copula.value} {f.predicate}"
+        return atom_text(f)
     if isinstance(f, Not):
         text, strength = "~" + _render(f.operand, _NOT_STRENGTH), _NOT_STRENGTH
     else:

@@ -10,11 +10,10 @@ modus ponens.  Proof scripts are read and written by `proofscript`.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Mapping
 
 from .errors import BoundError
-from .formula import Formula, Implies, Schema, atoms, fold, instantiate, parse
+from .formula import Formula, Implies, Schema, atoms, instantiate, parse, truth_vector
 from .opposition import catalog_entries
 from .record import Record
 
@@ -48,8 +47,8 @@ SOURCES = frozenset(_SOURCE_OF.values())
 def is_tautology(f: Formula) -> bool:
     """Truth-table check treating distinct atoms as opaque letters.
 
-    The whole table is one fold over big-int columns: bit r of letter k's
-    column is its value in row r, bit k of r.
+    The whole table is one `truth_vector` over big-int columns: bit r of
+    letter k's column is its value in row r, bit k of r.
     """
     letters = atoms(f)
     if len(letters) > MAX_TAUTOLOGY_ATOMS:
@@ -60,8 +59,7 @@ def is_tautology(f: Formula) -> bool:
         half = 1 << k
         # `half` zero rows then `half` one rows, repeated down the table
         column[letter] = full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
-    implies = lambda x, y: ~x | y  # noqa: E731
-    table = fold(f, column.__getitem__, operator.invert, operator.and_, operator.or_, implies)
+    table = truth_vector(f, column.__getitem__)
     return table & full == full
 
 

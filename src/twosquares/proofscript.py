@@ -16,6 +16,8 @@ and lines starting with `#` are ignored.
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError
 from .formula import parse, render
 from .proofs import (
@@ -48,49 +50,52 @@ def parse_script(text: str) -> Derivation:
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        lead = len(raw) - len(raw.lstrip())  # the offset of `stripped` in the line
         head, sep, just_text = stripped.partition(";")
         if not sep:
-            raise ParseError(f"line {lineno}: missing ';' justification separator", 0)
+            raise ParseError(f"line {lineno}: missing ';' justification separator", lead + len(stripped))
         num_text, dot, formula_text = head.partition(".")
         if not dot or not num_text.strip().isdigit():
-            raise ParseError(f"line {lineno}: expected 'n. <formula> ; <rule>'", 0)
+            raise ParseError(f"line {lineno}: expected 'n. <formula> ; <rule>'", lead)
         index = int(num_text.strip())
         try:
             formula = parse(formula_text.strip())
         except ParseError as exc:  # its offset counts from the formula: count it from the line
-            at = len(raw) - len(raw.lstrip()) + len(head) - len(formula_text.lstrip())
+            at = lead + len(head) - len(formula_text.lstrip())
             raise ParseError(f"line {lineno}: {exc.message}", at + exc.position, exc.expected) from None
-        lines.append(DerivationLine(index, formula, _parse_justification(just_text, lineno)))
+        lines.append(DerivationLine(index, formula, _parse_justification(just_text, lineno, lead + len(head) + 1)))
     return Derivation(tuple(lines))
 
 
-def _parse_justification(text: str, lineno: int) -> Justification:
-    words = text.split()
+def _parse_justification(text: str, lineno: int, at: int) -> Justification:
+    """The justification `text`, which starts at offset `at` of line `lineno`.
+    An error's offset is that of the argument it quotes, else of the rule."""
+    words = [(at + m.start(), m[0]) for m in re.finditer(r"\S+", text)]
     if not words:
-        raise ParseError(f"line {lineno}: empty justification", 0)
-    rule, args = words[0], words[1:]
+        raise ParseError(f"line {lineno}: empty justification", at)
+    (rule_at, rule), args = words[0], [w for _, w in words[1:]]
     if rule == "taut":
         return Tautology()
     if rule == "mp":
         if len(args) != 2 or not all(w.isdigit() for w in args):
-            raise ParseError(f"line {lineno}: mp needs two line numbers", 0)
+            raise ParseError(f"line {lineno}: mp needs two line numbers", rule_at)
         return ModusPonens(int(args[0]), int(args[1]))
     if rule in ("def-o", "def-e"):
         if len(args) != 2:
-            raise ParseError(f"line {lineno}: {rule} needs two term arguments", 0)
+            raise ParseError(f"line {lineno}: {rule} needs two term arguments", rule_at)
         return AxiomInstance(rule, (("X", args[0]), ("Y", args[1])))
     if rule in SCHEMAS:
         binding = {}
-        for arg in args:
+        for arg_at, arg in words[1:]:
             name, sep, value = arg.partition(":=")
             if not sep:
-                raise ParseError(f"line {lineno}: expected NAME:=TERM, got {arg!r}", 0)
+                raise ParseError(f"line {lineno}: expected NAME:=TERM, got {arg!r}", arg_at)
             binding[name] = value
         order = SCHEMAS[rule].metavars
         if set(binding) != set(order):
-            raise ParseError(f"line {lineno}: {rule} needs bindings for {', '.join(order)}", 0)
+            raise ParseError(f"line {lineno}: {rule} needs bindings for {', '.join(order)}", rule_at)
         return AxiomInstance(rule, tuple((m, binding[m]) for m in order))
-    raise ParseError(f"line {lineno}: unknown rule {rule!r}", 0)
+    raise ParseError(f"line {lineno}: unknown rule {rule!r}", rule_at)
 
 
 def bundled_theorem_scripts() -> dict[str, str]:

@@ -14,7 +14,7 @@ So a formula's truth in a model depends only on its type-set, the types
 (sets of terms) of its individuals.  A search ranges over type-sets, each
 a 2^k-bit key with bit ty set iff type ty is realized; bit t of ty is
 term position t.  An atom's vector has bit m set iff it holds at the m-th
-type-set, a formula's is a fold of `~ & |` over its atoms' vectors, and
+type-set, a formula's is the `truth_vector` of its atoms' vectors, and
 only the witness at the lowest set bit of a vector is built as a model.
 A `Shape` keeps the keys and the vectors computed from them.
 
@@ -36,7 +36,7 @@ import operator
 from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from .errors import BoundError, SemanticsError, json_object, string_list
-from .formula import Atom, Copula, Formula, fold, holds, render
+from .formula import Atom, Copula, Formula, atom_text, holds, truth_vector
 from .record import Record
 
 # The regions S and P, S only, P only and neither, by (is S, is P).
@@ -207,19 +207,13 @@ class Shape(Record):
         return vectors
 
     def atom_vector(self, s: int, p: int, copula: Copula) -> int:
-        """Truth of `s copula p` (term positions) over the type-sets: a region
-        is occupied in those with a type of its membership of s and p."""
-        v = self._atoms.get((s, p, copula))
-        if v is None:
-            regions = [0, 0, 0, 0]
-            for ty, members in self._type_vectors.items():
-                regions[REGIONS.index((ty >> s & 1, ty >> p & 1))] |= members
-            v = self.full & copula_truth(copula, tuple(regions), self.existential_import)
-            self._atoms[s, p, copula] = v
+        """Truth of `s copula p` (term positions) over the type-sets, kept in `_atoms`:
+        a region is occupied in those with a type of its membership of s and p."""
+        regions = [0, 0, 0, 0]
+        for ty, members in self._type_vectors.items():
+            regions[REGIONS.index((ty >> s & 1, ty >> p & 1))] |= members
+        v = self._atoms[s, p, copula] = self.full & copula_truth(copula, tuple(regions), self.existential_import)
         return v
-
-
-_implies = lambda x, y: ~x | y  # noqa: E731
 
 
 class Valid(Record):
@@ -257,20 +251,28 @@ class ModelSpace(Record):
         """The witness of the type-set at index `m`."""
         return self.shape.witness(self.terms, m)
 
-    def atom(self, a: Atom) -> int:
-        """The truth vector of `a`, an atom of the space's family over `terms`."""
-        check_family(a.copula, self.shape.synthetic)
-        try:
-            s, p = self.terms.index(a.subject), self.terms.index(a.predicate)
-        except ValueError:
-            t = a.predicate if a.subject in self.terms else a.subject
-            raise SemanticsError(f"term {t!r} is not among the searched terms") from None
-        return self.shape.atom_vector(s, p, a.copula)
+    def vector(self, f: Formula, seen: list[tuple[Atom, int]] | None = None) -> int:
+        """The truth vector of `f`, a formula of the space's family over `terms`;
+        each atom occurrence is appended to `seen`, if given, with its vector."""
+        shape, terms = self.shape, self.terms
+        synthetic, vectors = shape.synthetic, shape._atoms
 
-    def vector(self, f: Formula, atom: Callable[[Atom], int] | None = None) -> int:
-        """The truth vector of `f`, with its atoms' vectors from `atom` if given."""
-        v = fold(f, atom or self.atom, operator.invert, operator.and_, operator.or_, _implies)
-        return v & self.shape.full
+        def atom(a: Atom) -> int:
+            if a.copula.synthetic is not synthetic:
+                check_family(a.copula, synthetic)
+            try:
+                key = terms.index(a.subject), terms.index(a.predicate), a.copula
+            except ValueError:
+                t = a.predicate if a.subject in terms else a.subject
+                raise SemanticsError(f"term {t!r} is not among the searched terms") from None
+            v = vectors.get(key)
+            if v is None:
+                v = shape.atom_vector(*key)
+            if seen is not None:
+                seen.append((a, v))
+            return v
+
+        return truth_vector(f, atom) & shape.full
 
     def first(self, v: int) -> object | None:
         """The first model whose bit is set in `v`, or None."""
@@ -279,13 +281,13 @@ class ModelSpace(Record):
     def decide(self, f: Formula) -> Verdict:
         """Valid up to the bound, or the first countermodel with the truth
         value there of each distinct atom of `f`, read off the vectors of
-        the fold in first-occurrence order."""
-        seen = []  # (atom, vector) of each atom occurrence, in fold order
-        falsified = self.shape.full ^ self.vector(f, lambda a: seen.append((a, self.atom(a))) or seen[-1][1])
+        the walk in first-occurrence order."""
+        seen = []
+        falsified = self.shape.full ^ self.vector(f, seen)
         if not falsified:
             return Valid(self.shape.bound)
         m = lowest_bit(falsified)
-        trace = {render(a): bool(v >> m & 1) for a, v in seen}
+        trace = {atom_text(a): bool(v >> m & 1) for a, v in seen}
         return Counterexample(self.model(m), tuple(trace.items()))
 
 

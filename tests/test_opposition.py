@@ -68,10 +68,11 @@ def test_classify_rejects_copula_family_mismatch():
 
 
 def test_classify_rejects_terms_outside_the_metavariables():
-    # Q is in the formula but is no metavariable, so no model gives it a meaning.
-    for semantics, text in ((SYNTHETIC, "S sa P & S sa Q"), (ANALYTIC, "S a P & S a Q")):
+    # Q is in the formula but is no metavariable, so no model gives it a meaning;
+    # the error names it as a predicate and as a subject.
+    for semantics, text in ((SYNTHETIC, "S sa P & S sa Q"), (ANALYTIC, "S a P & Q a S")):
         phi = Schema(parse(text), ("S", "P"))
-        with pytest.raises(SemanticsError):
+        with pytest.raises(SemanticsError, match="^term 'Q' is not among the searched terms$"):
             classify_pair(phi, schema_of(text.split(" & ")[0]), semantics, 2)
 
 

@@ -77,6 +77,19 @@ def test_tautology_table_matches_row_by_row(f):
     assert is_tautology(f) == row_by_row_tautology(f)
 
 
+def test_tautology_table_matches_row_by_row_to_depth_two():
+    # every formula of depth at most 2 over two letters, nested `->` among them,
+    # which the drawn formulas can miss
+    formulas = [Atom("X0", Copula.SA, "Y"), Atom("X1", Copula.SA, "Y")]
+    for _ in range(2):
+        formulas += [Not(f) for f in formulas] + [
+            node(f, g) for node in (And, Or, Implies) for f in formulas for g in formulas
+        ]
+    verdicts = [is_tautology(f) for f in formulas]
+    assert verdicts == [row_by_row_tautology(f) for f in formulas]
+    assert len(formulas) == 800 and 0 < sum(verdicts) < 800
+
+
 def test_axiom_set_requires_a_source():
     with pytest.raises(ValueError):
         AxiomSet(frozenset())
@@ -263,23 +276,24 @@ def test_script_round_trip():
 @pytest.mark.parametrize(
     "script, message",
     [
-        ("1. S sa P -> S se P", "line 1: missing ';' justification separator at offset 0"),
+        ("1. S sa P -> S se P", "line 1: missing ';' justification separator at offset 19"),
         ("# comment\n\n1 S sa P ; taut", "line 3: expected 'n. <formula> ; <rule>' at offset 0"),
-        ("x. S sa P ; taut", "line 1: expected 'n. <formula> ; <rule>' at offset 0"),
-        ("1. S sa P ;  ", "line 1: empty justification at offset 0"),
-        ("1. S sa P ; taut\n2. S sa P ; mp 1", "line 2: mp needs two line numbers at offset 0"),
-        ("1. S sa P ; mp 1 x", "line 1: mp needs two line numbers at offset 0"),
-        ("1. S so P ; def-o S", "line 1: def-o needs two term arguments at offset 0"),
-        ("1. S sa P -> S se P ; axiom5 S P", "line 1: expected NAME:=TERM, got 'S' at offset 0"),
-        ("1. S sa P -> S se P ; axiom5 S:=S", "line 1: axiom5 needs bindings for S, P at offset 0"),
-        ("1. S sa P ; modus 1 2", "line 1: unknown rule 'modus' at offset 0"),
+        ("  x. S sa P ; taut", "line 1: expected 'n. <formula> ; <rule>' at offset 2"),
+        ("1. S sa P ;  ", "line 1: empty justification at offset 11"),
+        ("1. S sa P ; taut\n2. S sa P ; mp 1", "line 2: mp needs two line numbers at offset 12"),
+        ("1. S sa P ; mp 1 x", "line 1: mp needs two line numbers at offset 12"),
+        ("  1. S sa P ;\tmp 1", "line 1: mp needs two line numbers at offset 14"),
+        ("1. S so P ; def-o S", "line 1: def-o needs two term arguments at offset 12"),
+        ("1. S sa P -> S se P ; axiom5 S P", "line 1: expected NAME:=TERM, got 'S' at offset 29"),
+        ("1. S sa P -> S se P ; axiom5 S:=S", "line 1: axiom5 needs bindings for S, P at offset 22"),
+        ("1. S sa P ; modus 1 2", "line 1: unknown rule 'modus' at offset 12"),
         # a formula's offset counts from the start of its line
         ("1. S sa P ; taut\n\n2. S x P ; taut",
          "line 3: unexpected token 'x' at offset 5 (expected: a, e, i, o, sa, se, si, so)"),
     ],
     ids=["no-separator", "no-dot", "bad-number", "empty-rule", "mp-one-line", "mp-not-a-number",
-         "def-one-term", "binding-without-assignment", "binding-missing", "unknown-rule",
-         "bad-formula"],
+         "mp-indented", "def-one-term", "binding-without-assignment", "binding-missing",
+         "unknown-rule", "bad-formula"],
 )
 def test_parse_script_rejects_malformed_lines(script, message):
     with pytest.raises(ParseError) as exc:
@@ -294,7 +308,7 @@ def test_prove_reports_a_malformed_script_as_an_input_error(capsys, tmp_path):
     assert main(["prove", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line 1: missing ';' justification separator at offset 0\n"
+    assert captured.err == "error: line 1: missing ';' justification separator at offset 19\n"
 
 
 def test_prove_names_no_line_for_an_empty_script(capsys, tmp_path):

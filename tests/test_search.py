@@ -14,7 +14,7 @@ from twosquares.analytic import (
     enumerate_analytic_models,
 )
 from twosquares.copula import derived_shape, enumerate_copula_structures
-from twosquares.errors import BoundError
+from twosquares.errors import BoundError, SemanticsError
 from twosquares.formula import (
     And,
     Atom,
@@ -125,6 +125,22 @@ def test_decisions_and_classifications_match_the_oracle(semantics, bounds):
             assert relation_bytes(classify_pair(phi, psi, semantics, bound)) == relation_bytes(
                 expected
             ), (left, right, bound)
+
+
+@pytest.mark.parametrize("semantics", [s for s, _ in CASES], ids=[s.label() for s, _ in CASES])
+def test_a_mixed_formula_fails_at_its_first_foreign_atom(semantics):
+    # Every atom is read, left to right, even after a valid disjunct: the
+    # error names the first atom of the other family, in a decision and in a
+    # classification alike.
+    synthetic = isinstance(semantics, SyntheticSemantics)
+    own, first, second = ("sa", "a", "e") if synthetic else ("a", "si", "so")
+    f = parse(f"(S {own} P | ~(S {own} P)) | S {first} P & P {second} S")
+    family = ("analytic", "synthetic")
+    message = f"^{family[not synthetic]} copula '{first}' under {family[synthetic]} semantics$"
+    with pytest.raises(SemanticsError, match=message):
+        semantics.decide(f, 2)
+    with pytest.raises(SemanticsError, match=message):
+        classify_pair(Schema(parse(f"S {own} P"), ("P", "S")), Schema(f, ("P", "S")), semantics, 2)
 
 
 @pytest.mark.parametrize(

@@ -129,7 +129,7 @@ def test_expanded_forms_match_unexpanded_oracle_everywhere():
                     for m, model in enumerate(models):
                         truth = oracle(model, s, p)
                         assert eval_synthetic(model, atom, DIRECT_EMPTY_OK) == truth
-                        assert space is None or bool(space.atom(atom) >> m & 1) == truth
+                        assert space is None or bool(space.vector(atom) >> m & 1) == truth
 
 
 def test_definitional_negations_hold_bit_for_bit_direct():

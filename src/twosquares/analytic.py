@@ -8,8 +8,9 @@ six relations of the conventional square hold at once.
 
 Models are `search.Model` records of the analytic family: a domain and
 an extent for every term, empty ones included, read and written in the
-`domain`/`ext` format; a term a model lacks is an error.  The import
-convention is one bool, `IMPORT_ON` or `IMPORT_OFF`.
+`domain`/`ext` format; a term a model lacks is an error.  The semantics
+is an `AnalyticSemantics` record of one bool, `IMPORT_ON` or `IMPORT_OFF`,
+with the five methods of `synthetic.SyntheticOptions`.
 """
 
 from __future__ import annotations
@@ -18,10 +19,35 @@ from collections.abc import Iterator
 
 from .errors import BoundError
 from .formula import Formula, term_names
+from .record import Record
 from .search import INDIVIDUALS, Model, ModelSpace, Verdict, evaluate, every_model, monadic_shape
 
 MAX_DOMAIN = len(INDIVIDUALS[False])
 IMPORT_ON, IMPORT_OFF = True, False
+
+
+class AnalyticSemantics(Record):
+    existential_import: bool = IMPORT_ON
+
+    def label(self) -> str:
+        return f"analytic(import={'on' if self.existential_import else 'off'})"
+
+    def sizes(self, bound: int) -> range:
+        """The domain sizes up to `bound`, or an error past the cap."""
+        if not 0 <= bound <= MAX_DOMAIN:
+            raise BoundError(f"domain bound {bound} outside 0..{MAX_DOMAIN}")
+        return range(bound + 1)
+
+    def space(self, terms: tuple[str, ...], bound: int) -> ModelSpace:
+        """The type-sets of `enumerate_analytic_models(terms, bound)`, each at its first model."""
+        self.sizes(bound)
+        return ModelSpace(monadic_shape(len(terms), 0, bound, False, self.existential_import), terms)
+
+    def evaluate(self, model: Model, f: Formula) -> bool:
+        return eval_analytic(model, f, self.existential_import)
+
+    def decide(self, f: Formula, bound: int) -> Verdict:
+        return decide_analytic_validity(f, bound, self.existential_import)
 
 
 def eval_analytic(model: Model, f: Formula, existential_import: bool = IMPORT_ON) -> bool:
@@ -29,25 +55,13 @@ def eval_analytic(model: Model, f: Formula, existential_import: bool = IMPORT_ON
     return evaluate(model, f, False, existential_import)
 
 
-def _check_domain_bound(max_domain: int) -> None:
-    if not 0 <= max_domain <= MAX_DOMAIN:
-        raise BoundError(f"domain bound {max_domain} outside 0..{MAX_DOMAIN}")
-
-
 def enumerate_analytic_models(terms: tuple[str, ...], max_domain: int) -> Iterator[Model]:
     """All models with |domain| <= max_domain, smallest domain first, then
     lexicographic extension assignments (subset bitmasks ascending, the
     first term varying slowest)."""
-    _check_domain_bound(max_domain)
-    yield from every_model(terms, range(max_domain + 1), False)
-
-
-def analytic_space(terms: tuple[str, ...], bound: int, existential_import: bool) -> ModelSpace:
-    """The type-sets of `enumerate_analytic_models(terms, bound)`, each at its first model."""
-    _check_domain_bound(bound)
-    return ModelSpace(monadic_shape(len(terms), 0, bound, False, existential_import), terms)
+    yield from every_model(terms, AnalyticSemantics().sizes(max_domain), False)
 
 
 def decide_analytic_validity(f: Formula, bound: int, existential_import: bool = IMPORT_ON) -> Verdict:
     """Valid up to `bound`, or the first (minimal) countermodel."""
-    return analytic_space(term_names(f), bound, existential_import).decide(f)
+    return AnalyticSemantics(existential_import).space(term_names(f), bound).decide(f)

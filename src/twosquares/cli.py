@@ -209,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         return args
     try:
         return _COMMANDS[args.command][0](args)
-    except (TwoSquaresError, ValueError, OSError) as exc:
+    except (TwoSquaresError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import json
 
+from .analytic import AnalyticSemantics
 from .cli import _write
-from .errors import SemanticsError
+from .errors import InputError, SemanticsError
 from .formula import Schema, parse, render, term_names
-from .opposition import (
-    AnalyticSemantics, SyntheticSemantics, analytic_square, classify_pair, synthetic_square, verify_square
-)
+from .opposition import analytic_square, classify_pair, synthetic_square, verify_square
 from .search import Model
 from .synthetic import Reading, SyntheticOptions
 
@@ -19,7 +18,7 @@ from .synthetic import Reading, SyntheticOptions
 def _semantics(args):
     if args.semantics == "analytic":
         return AnalyticSemantics(args.existential_import == "on")
-    return SyntheticSemantics(SyntheticOptions(Reading(args.reading), args.allow_empty))
+    return SyntheticOptions(Reading(args.reading), args.allow_empty)
 
 
 def _load_model(path: str, args):
@@ -28,6 +27,8 @@ def _load_model(path: str, args):
             data = json.load(handle)
         except RecursionError:
             raise SemanticsError(f"model file {path!r} nests too deeply") from None
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer past `int`'s digit limit
+            raise SemanticsError(f"model file {path!r} is not UTF-8 JSON: {exc}") from None
     if args.semantics == "analytic" or Reading(args.reading) is Reading.DIRECT:
         return Model.from_dict(data, args.semantics != "analytic")
     from .copula import CopulaStructure
@@ -106,7 +107,10 @@ def run_prove(args) -> int:
     from .proofscript import parse_script
 
     with open(args.script, encoding="utf-8") as handle:
-        derivation = parse_script(handle.read())
+        try:
+            derivation = parse_script(handle.read())
+        except UnicodeDecodeError:
+            raise InputError(f"proof script {args.script!r} is not UTF-8") from None
     axioms = AxiomSet(frozenset(w.strip() for w in args.axioms.split(",") if w.strip()))
     result = check_derivation(derivation, axioms)
     conclusion = derivation.conclusion

@@ -21,7 +21,7 @@ from collections.abc import Iterator, Mapping
 from .errors import SemanticsError, json_object, string_list
 from .record import Record
 from .search import INDIVIDUALS, Model, Shape
-from .synthetic import SyntheticOptions, _universe_sizes
+from .synthetic import SyntheticOptions
 
 
 class CopulaStructure(Record):
@@ -118,7 +118,7 @@ def enumerate_copula_structures(
     universe is allowed, as denotations need a target.  This is the
     definition of the order the derived image keeps and the tests' oracle;
     no decision walks it."""
-    for size in _universe_sizes(max_u, opts):
+    for size in opts.sizes(max_u):
         universe = INDIVIDUALS[True][:size]
         pairs = [(a, b) for a in universe for b in universe]
         for prim_mask in range(1 << len(pairs)):

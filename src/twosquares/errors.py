@@ -22,6 +22,10 @@ class ParseError(TwoSquaresError):
         super().__init__(detail)
 
 
+class InputError(TwoSquaresError, ValueError):
+    """A malformed schema, schema pair, square or axiom set, or a file that is not UTF-8."""
+
+
 class InstantiationError(TwoSquaresError):
     """Schema instantiation failed: missing binding or reserved target."""
 

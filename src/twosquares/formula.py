@@ -23,7 +23,7 @@ import re
 from collections.abc import Callable, Mapping
 from enum import Enum
 
-from .errors import InstantiationError, ParseError
+from .errors import InputError, InstantiationError, ParseError
 from .record import Record
 
 
@@ -171,11 +171,11 @@ class Schema(Record):
 
     def __post_init__(self) -> None:
         if len(set(self.metavars)) != len(self.metavars):
-            raise ValueError("duplicate metavariable")
+            raise InputError("duplicate metavariable")
         present = set(term_names(self.formula))
         missing = [m for m in self.metavars if m not in present]
         if missing:
-            raise ValueError(f"metavariables do not occur in formula: {missing}")
+            raise InputError(f"metavariables do not occur in formula: {missing}")
 
 
 def instantiate(schema: Schema, binding: Mapping[str, str]) -> Formula:

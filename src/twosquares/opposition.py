@@ -13,7 +13,9 @@ second-only are possible.  The mapping is
 
 so every relation claim is falsifiable by a concrete witness model.
 Verdicts are always relative to the bound; no unbounded validity is
-claimed.
+claimed.  Under a semantics, an `analytic.AnalyticSemantics` or a
+`synthetic.SyntheticOptions` record, this module only classifies,
+verifies squares and runs the catalog.
 """
 
 from __future__ import annotations
@@ -22,52 +24,20 @@ import functools
 from collections.abc import Callable, Mapping
 from enum import Enum
 
-from .analytic import IMPORT_ON, analytic_space, decide_analytic_validity, eval_analytic
+from .analytic import AnalyticSemantics
+from .errors import InputError
 from .formula import Formula, Schema, render, schema_of
 from .record import Record
-from .search import Counterexample, ModelSpace, Valid, Verdict
-from .synthetic import (
-    DIRECT_NONEMPTY,
-    SyntheticOptions,
-    decide_synthetic_validity,
-    eval_synthetic,
-    synthetic_space,
-)
+from .search import Counterexample, Valid, Verdict
+from .synthetic import DIRECT_NONEMPTY, SyntheticOptions
+
+Semantics = AnalyticSemantics | SyntheticOptions
 
 
-class AnalyticSemantics(Record):
-    existential_import: bool = IMPORT_ON
-
-    def label(self) -> str:
-        return f"analytic(import={'on' if self.existential_import else 'off'})"
-
-    def space(self, terms: tuple[str, ...], bound: int) -> ModelSpace:
-        return analytic_space(terms, bound, self.existential_import)
-
-    def evaluate(self, model: object, f: Formula) -> bool:
-        return eval_analytic(model, f, self.existential_import)
-
-    def decide(self, f: Formula, bound: int) -> Verdict:
-        return decide_analytic_validity(f, bound, self.existential_import)
-
-
-class SyntheticSemantics(Record):
-    options: SyntheticOptions = DIRECT_NONEMPTY
-
-    def label(self) -> str:
-        return f"synthetic({self.options.label()})"
-
-    def space(self, terms: tuple[str, ...], bound: int) -> ModelSpace:
-        return synthetic_space(terms, bound, self.options)
-
-    def evaluate(self, model: object, f: Formula) -> bool:
-        return eval_synthetic(model, f, self.options)
-
-    def decide(self, f: Formula, bound: int) -> Verdict:
-        return decide_synthetic_validity(f, bound, self.options)
-
-
-Semantics = AnalyticSemantics | SyntheticSemantics
+def SyntheticSemantics(options: SyntheticOptions = DIRECT_NONEMPTY) -> SyntheticOptions:
+    """`options`, which are the synthetic semantics.  It exists only because
+    `perfbench/drive.py` calls it; ROADMAP item 15's benchmark change deletes it."""
+    return options
 
 
 class RelationKind(Enum):
@@ -106,7 +76,7 @@ def classify_pair(
     two metavariables by exhaustive search at the bound: each category's
     witness is the first model in search order that shows it."""
     if set(phi.metavars) != set(psi.metavars) or len(phi.metavars) != 2:
-        raise ValueError("schemas must share the same two metavariables")
+        raise InputError("schemas must share the same two metavariables")
     space = semantics.space(tuple(sorted(phi.metavars)), bound)
     p, q = space.vector(phi.formula), space.vector(psi.formula)
     both_true = space.first(p & q)
@@ -143,7 +113,7 @@ class SquareSpec(Record):
     def __post_init__(self) -> None:
         pairs = {frozenset((a, b)) for a, b, _ in self.expected}
         if len(pairs) != 6 or len(self.expected) != 6:
-            raise ValueError("a square needs exactly the six corner pairs")
+            raise InputError("a square needs exactly the six corner pairs")
 
 
 class PairVerdict(Record):
@@ -324,5 +294,5 @@ def run_catalog(
     whether it met the entry's recorded expectation (which is stated for
     the default nonempty direct reading).  Each distinct formula is
     decided once: T13 and A5 are the same formula and share a verdict."""
-    decide = functools.cache(SyntheticSemantics(options).decide)
+    decide = functools.cache(options.decide)
     return tuple(check_entry(entry, bound, decide) for entry in catalog_entries())

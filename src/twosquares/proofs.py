@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .errors import BoundError
+from .errors import BoundError, InputError
 from .formula import Formula, Implies, Schema, atoms, instantiate, parse, truth_vector
 from .opposition import catalog_entries
 from .record import Record
@@ -71,9 +71,9 @@ class AxiomSet(Record):
     def __post_init__(self) -> None:
         unknown = self.sources - SOURCES
         if unknown:
-            raise ValueError(f"unknown axiom source(s): {', '.join(sorted(unknown))}")
+            raise InputError(f"unknown axiom source(s): {', '.join(sorted(unknown))}")
         if not self.sources:
-            raise ValueError("at least one rule source must be enabled")
+            raise InputError("at least one rule source must be enabled")
 
     def allows(self, schema_id: str) -> bool:
         return _SOURCE_OF.get(schema_id) in self.sources

@@ -55,9 +55,9 @@ def parse_script(text: str) -> Derivation:
         if not sep:
             raise ParseError(f"line {lineno}: missing ';' justification separator", lead + len(stripped))
         num_text, dot, formula_text = head.partition(".")
-        if not dot or not num_text.strip().isdigit():
+        index = _number(num_text.strip())
+        if not dot or index is None:
             raise ParseError(f"line {lineno}: expected 'n. <formula> ; <rule>'", lead)
-        index = int(num_text.strip())
         try:
             formula = parse(formula_text.strip())
         except ParseError as exc:  # its offset counts from the formula: count it from the line
@@ -65,6 +65,14 @@ def parse_script(text: str) -> Derivation:
             raise ParseError(f"line {lineno}: {exc.message}", at + exc.position, exc.expected) from None
         lines.append(DerivationLine(index, formula, _parse_justification(just_text, lineno, lead + len(head) + 1)))
     return Derivation(tuple(lines))
+
+
+def _number(word: str) -> int | None:
+    """`word` as a line number if it is decimal digits that `int` reads, else None."""
+    try:
+        return int(word) if word.isdecimal() else None
+    except ValueError:  # past the interpreter's limit on digits
+        return None
 
 
 def _parse_justification(text: str, lineno: int, at: int) -> Justification:
@@ -77,9 +85,10 @@ def _parse_justification(text: str, lineno: int, at: int) -> Justification:
     if rule == "taut":
         return Tautology()
     if rule == "mp":
-        if len(args) != 2 or not all(w.isdigit() for w in args):
+        numbers = [_number(w) for w in args]
+        if len(numbers) != 2 or None in numbers:
             raise ParseError(f"line {lineno}: mp needs two line numbers", rule_at)
-        return ModusPonens(int(args[0]), int(args[1]))
+        return ModusPonens(*numbers)
     if rule in ("def-o", "def-e"):
         if len(args) != 2:
             raise ParseError(f"line {lineno}: {rule} needs two term arguments", rule_at)

@@ -16,13 +16,11 @@ import functools
 import json
 
 from . import __version__
-from .analytic import IMPORT_OFF, IMPORT_ON
+from .analytic import IMPORT_OFF, IMPORT_ON, AnalyticSemantics
 from .errors import TwoSquaresError
 from .formula import parse, render
 from .opposition import (
-    AnalyticSemantics,
     CatalogResult,
-    SyntheticSemantics,
     analytic_square,
     check_entry,
     run_catalog,
@@ -46,7 +44,7 @@ from .starb import (
     matrix_neg,
     verify_two_squares,
 )
-from .synthetic import DIRECT_EMPTY_OK, DIRECT_NONEMPTY, _universe_sizes
+from .synthetic import DIRECT_EMPTY_OK, DIRECT_NONEMPTY
 
 ANALYTIC_SQUARE_BOUND = 4  # the conventional-square claim is about |D| <= 4
 
@@ -113,7 +111,7 @@ def _analytic_section(expect: _Expectations) -> dict:
 
 
 def _synthetic_square_section(expect: _Expectations, model_bound: int) -> dict:
-    report = verify_square(synthetic_square(), SyntheticSemantics(DIRECT_NONEMPTY), model_bound)
+    report = verify_square(synthetic_square(), DIRECT_NONEMPTY, model_bound)
     expect.add(
         "synthetic-square",
         f"synthetic square holds, direct reading, 1 <= |U| <= {model_bound}",
@@ -147,8 +145,7 @@ def _catalog_section(
             result.status,
         )
     t19 = next(r.entry for r in results if r.entry.id == "T19")
-    empty_ok = SyntheticSemantics(DIRECT_EMPTY_OK)
-    boundary = check_entry(t19, model_bound, empty_ok.decide)
+    boundary = check_entry(t19, model_bound, DIRECT_EMPTY_OK.decide)
     boundary_failed = (
         isinstance(boundary.verdict, Counterexample)
         and len(boundary.verdict.model.universe) == 0
@@ -158,11 +155,10 @@ def _catalog_section(
         "admitting the empty universe breaks a-i contrariety (T19) with witness U = {}",
         boundary_failed,
     )
-    label = SyntheticSemantics(DIRECT_NONEMPTY).label()
     return {
         "bound": model_bound,
-        "entries": [_catalog_row(r, label) for r in results],
-        "empty_universe_boundary": _catalog_row(boundary, empty_ok.label()),
+        "entries": [_catalog_row(r, DIRECT_NONEMPTY.label()) for r in results],
+        "empty_universe_boundary": _catalog_row(boundary, DIRECT_EMPTY_OK.label()),
     }
 
 
@@ -295,7 +291,7 @@ def run_verify_paper(model_bound: int = 3, atom_count: int = 2) -> dict:
     `starb`).  Section failures are recorded in the expectation
     table; the report's "pass" is true iff every expectation is met.
     """
-    _universe_sizes(model_bound, DIRECT_NONEMPTY)  # or the model bound's error
+    DIRECT_NONEMPTY.sizes(model_bound)  # or the model bound's error
     algebra = FiniteBooleanAlgebra(atom_count)  # or the atom count's bound error
     expect = _Expectations()
     sections: dict = {}

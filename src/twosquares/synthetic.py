@@ -27,6 +27,10 @@ evaluated on that model.  The readings differ in the last conjunct
 it to forall C. (C prim a -> C prim b)).  Neither derived reading is
 preferred; they exist to probe the composite definition, and load from
 `copula` at their first use.
+
+The semantics is a `SyntheticOptions` record of a reading and whether
+the empty universe is allowed: its `label`, `sizes`, `space`, `evaluate`
+and `decide` are those of `analytic.AnalyticSemantics`.
 """
 
 from __future__ import annotations
@@ -54,7 +58,35 @@ class SyntheticOptions(Record):
     allow_empty_universe: bool = False
 
     def label(self) -> str:
-        return f"{self.reading.value}, {'empty-allowed' if self.allow_empty_universe else 'nonempty'}"
+        return f"synthetic({self.reading.value}, {'empty-allowed' if self.allow_empty_universe else 'nonempty'})"
+
+    def sizes(self, bound: int) -> range:
+        """The universe sizes up to `bound`, or an error if none or past the
+        reading's cap.  Only the direct reading has an empty model: a copula
+        structure needs an individual to denote its terms."""
+        direct = self.reading is Reading.DIRECT
+        low = 0 if self.allow_empty_universe and direct else 1
+        cap = MAX_UNIVERSE_DIRECT if direct else MAX_UNIVERSE_DERIVED
+        if not low <= bound <= cap:
+            raise BoundError(f"universe bound {bound} outside {low}..{cap} for {self.reading.value}")
+        return range(low, bound + 1)
+
+    def space(self, terms: tuple[str, ...], bound: int) -> ModelSpace:
+        """The type-sets of the direct models up to `bound`, each at its first
+        model in enumeration order, or a derived reading's image, where
+        allowing the empty universe changes nothing: no structure is empty."""
+        start = self.sizes(bound).start
+        if self.reading is Reading.DIRECT:
+            return ModelSpace(monadic_shape(len(terms), start, bound, True, False), terms)
+        from .copula import derived_shape
+
+        return ModelSpace(derived_shape(len(terms), bound, self.reading is Reading.DERIVED_CHARITABLE), terms)
+
+    def evaluate(self, model: Record, f: Formula) -> bool:
+        return eval_synthetic(model, f, self)
+
+    def decide(self, f: Formula, bound: int) -> Verdict:
+        return decide_synthetic_validity(f, bound, self)
 
 
 DIRECT_NONEMPTY = SyntheticOptions()
@@ -87,44 +119,20 @@ def eval_synthetic(
     return evaluate(induced, f, True, False, extent)
 
 
-def _universe_sizes(max_u: int, opts: SyntheticOptions) -> range:
-    """The universe sizes up to `max_u`, or an error if none or past the
-    reading's cap.  Only the direct reading has an empty model: a copula
-    structure needs an individual to denote its terms."""
-    direct = opts.reading is Reading.DIRECT
-    low = 0 if opts.allow_empty_universe and direct else 1
-    cap = MAX_UNIVERSE_DIRECT if direct else MAX_UNIVERSE_DERIVED
-    if not low <= max_u <= cap:
-        raise BoundError(f"universe bound {max_u} outside {low}..{cap} for {opts.reading.value}")
-    return range(low, max_u + 1)
-
-
 def enumerate_synthetic_models(
     terms: tuple[str, ...], max_u: int, opts: SyntheticOptions = DIRECT_NONEMPTY
 ) -> Iterator[Model]:
     """All models with |U| <= max_u, smallest universe first, then
     lexicographic fact assignments; the empty universe comes first when
     allowed."""
-    yield from every_model(terms, _universe_sizes(max_u, opts), True)
-
-
-def synthetic_space(terms: tuple[str, ...], bound: int, opts: SyntheticOptions) -> ModelSpace:
-    """The type-sets of the direct models up to `bound`, each at its first
-    model in enumeration order, or a derived reading's image, where
-    allowing the empty universe changes nothing: no structure is empty."""
-    start = _universe_sizes(bound, opts).start
-    if opts.reading is Reading.DIRECT:
-        return ModelSpace(monadic_shape(len(terms), start, bound, True, False), terms)
-    from .copula import derived_shape
-
-    return ModelSpace(derived_shape(len(terms), bound, opts.reading is Reading.DERIVED_CHARITABLE), terms)
+    yield from every_model(terms, opts.sizes(max_u), True)
 
 
 def decide_synthetic_validity(
     f: Formula, bound: int, opts: SyntheticOptions = DIRECT_NONEMPTY
 ) -> Verdict:
     """Valid up to `bound`, or the first (minimal) countermodel."""
-    return synthetic_space(term_names(f), bound, opts).decide(f)
+    return opts.space(term_names(f), bound).decide(f)
 
 
 def __getattr__(name: str) -> object:

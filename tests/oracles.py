@@ -37,7 +37,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from twosquares.analytic import enumerate_analytic_models
+from twosquares.analytic import AnalyticSemantics, enumerate_analytic_models
 from twosquares.copula import enumerate_copula_structures, induced_model
 from twosquares.errors import ParseError
 from twosquares.formula import (
@@ -55,7 +55,7 @@ from twosquares.formula import (
     render,
     term_names,
 )
-from twosquares.opposition import AnalyticSemantics, OppositionRelation, RelationKind
+from twosquares.opposition import OppositionRelation, RelationKind
 from twosquares.search import Counterexample, Valid
 from twosquares.starb import CaseOutcome, FiniteBooleanAlgebra
 from twosquares.synthetic import (
@@ -63,7 +63,6 @@ from twosquares.synthetic import (
     Reading,
     SyntheticOptions,
     enumerate_synthetic_models,
-    synthetic_space,
 )
 
 
@@ -71,16 +70,15 @@ def models(semantics, terms, bound):
     """The models a search under `semantics` ranges over."""
     if isinstance(semantics, AnalyticSemantics):
         return enumerate_analytic_models(terms, bound)
-    opts = semantics.options
-    if opts.reading is Reading.DIRECT:
-        return enumerate_synthetic_models(terms, bound, opts)
-    return derived_image(terms, bound, opts)
+    if semantics.reading is Reading.DIRECT:
+        return enumerate_synthetic_models(terms, bound, semantics)
+    return derived_image(terms, bound, semantics)
 
 
 def derived_image(terms, bound, opts):
     """The structures a derived reading's search ranges over, in order:
     the first structure of each type-set its induced models realize."""
-    space = synthetic_space(terms, bound, opts)
+    space = opts.space(terms, bound)
     return tuple(space.model(m) for m in range(space.full.bit_length()))
 
 

@@ -6,12 +6,10 @@ import subprocess
 import sys
 import time
 
-from twosquares.analytic import IMPORT_OFF, IMPORT_ON
+from twosquares.analytic import IMPORT_OFF, IMPORT_ON, AnalyticSemantics
 from twosquares.formula import Not, parse
 from twosquares.opposition import (
-    AnalyticSemantics,
     RelationKind,
-    SyntheticSemantics,
     analytic_square,
     catalog_entries,
     run_catalog,
@@ -73,7 +71,7 @@ def test_criterion_1_synthetic_square():
     with _Criterion(1, "synthetic square over 84 direct models, 1 <= |U| <= 3", 1.0):
         models = list(enumerate_synthetic_models(("P", "S"), 3, DIRECT_NONEMPTY))
         assert len(models) == 4 + 16 + 64
-        report = verify_square(synthetic_square(), SyntheticSemantics(DIRECT_NONEMPTY), 3)
+        report = verify_square(synthetic_square(), DIRECT_NONEMPTY, 3)
         got = {(p.first, p.second): p.relation.kind for p in report.pairs}
         assert got == {
             ("a", "i"): RelationKind.CONTRARY,
@@ -189,7 +187,7 @@ def test_criterion_8_proof_kernel():
         }
         derivations = bundled_theorem_derivations()
         assert len(derivations) == 20
-        semantics = SyntheticSemantics(DIRECT_NONEMPTY)
+        semantics = DIRECT_NONEMPTY
         for tid, derivation in derivations.items():
             assert check_proves(derivation, targets[tid], AXIOM5_WITH_DEFINITIONS).ok, tid
             assert semantics.decide(targets[tid], 3) == Valid(3), tid

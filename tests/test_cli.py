@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twosquares import opposition, report
+from twosquares import analytic, commands, report, synthetic
 from oracles import build_parser
 from twosquares.cli import main, parse_args
-from twosquares.errors import BoundError
+from twosquares.errors import BoundError, InputError
 from twosquares.formula import _MAX_DEPTH, Copula
 from twosquares.proofscript import bundled_theorem_scripts
 from twosquares.starb import MAX_ATOMS
@@ -84,7 +84,7 @@ IMPORTED = ("cli", "errors", "formula", "record", "search", "synthetic")
 HANDLERS = ("analytic", "commands", "opposition")  # what the handlers in `commands` load
 # the lines of the modules a default `verify-paper --json` loads, so that code
 # added to that path shows; a deliberate change to the path updates it here
-VERIFY_PAPER_LINES = 2628
+VERIFY_PAPER_LINES = 2620
 
 
 @pytest.mark.parametrize(
@@ -388,8 +388,8 @@ def test_verify_paper_decides_each_claim_once(monkeypatch, bound, atoms):
     # the analytic subalternation; the derivation rows reuse the
     # catalog's verdicts
     decisions = Counter()
-    synthetic_decide = opposition.decide_synthetic_validity
-    analytic_decide = opposition.decide_analytic_validity
+    synthetic_decide = synthetic.decide_synthetic_validity
+    analytic_decide = analytic.decide_analytic_validity
 
     def count_synthetic(f, bound, opts):
         decisions[opts] += 1
@@ -399,8 +399,8 @@ def test_verify_paper_decides_each_claim_once(monkeypatch, bound, atoms):
         decisions["analytic"] += 1
         return analytic_decide(f, bound, existential_import)
 
-    monkeypatch.setattr(opposition, "decide_synthetic_validity", count_synthetic)
-    monkeypatch.setattr(opposition, "decide_analytic_validity", count_analytic)
+    monkeypatch.setattr(synthetic, "decide_synthetic_validity", count_synthetic)
+    monkeypatch.setattr(analytic, "decide_analytic_validity", count_analytic)
     assert report.run_verify_paper(bound, atoms)["pass"]
     assert decisions == {DIRECT_NONEMPTY: 23, DIRECT_EMPTY_OK: 1, "analytic": 1}
 
@@ -510,6 +510,41 @@ def test_eval_rejects_malformed_model_files(capsys, tmp_path, model, options, me
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        (("eval", "S sa P", "--model"), b'{"universe": ["\xff"]}', "model file {!r} is not UTF-8 JSON: "
+         "'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
+        (("eval", "S sa P", "--model"), b"",
+         "model file {!r} is not UTF-8 JSON: Expecting value: line 1 column 1 (char 0)"),
+        (("prove",), b"1. S sa P ; taut\n\xff", "proof script {!r} is not UTF-8"),
+    ],
+    ids=["model-not-utf8", "model-not-json", "script-not-utf8"],
+)
+def test_an_unreadable_input_file_is_named_in_its_error(capsys, tmp_path, command, data, message):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert run(capsys, *command, str(path)) == (2, "", f"error: {message.format(str(path))}\n")
+
+
+@pytest.mark.parametrize("error", [InputError("bad input"), OSError("no disk")], ids=["package", "os"])
+def test_exit_2_reports_an_error_of_the_package_or_the_system(capsys, monkeypatch, error):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(commands, "run_square", fail)
+    assert run(capsys, "square") == (2, "", f"error: {error}\n")
+
+
+def test_any_other_error_escapes_as_a_fault(monkeypatch):
+    def fail(args):
+        raise ValueError("a fault, not an input error")
+
+    monkeypatch.setattr(commands, "run_square", fail)
+    with pytest.raises(ValueError, match="^a fault, not an input error$"):
+        main(["square"])
 
 
 KINDS = ["(", "~", "&", "|", "->"]
@@ -657,23 +692,30 @@ SEMANTICS_FLAGS = st.builds(
     st.sampled_from(["analytic", "synthetic"]), st.sampled_from(["on", "off"]),
     st.sampled_from([r.value for r in Reading]), st.booleans(), st.booleans(),
 )
+MODEL_FILES = st.one_of(
+    MODELS.map(lambda model: json.dumps(model).encode()),
+    MODELS.map(lambda model: b"\xff" + json.dumps(model).encode()),  # not UTF-8
+    st.binary(max_size=6),
+)
 BOUNDS = st.one_of(st.integers(-1, 5).map(str), st.sampled_from(["x", "", "3.5"]))
+# line numbers: decimal ones, other scripts' decimal digits, digits that are not
+# decimal, and more digits than `int` reads
+NUMBERS = st.one_of(st.integers(0, 3).map(str), st.sampled_from(["\u0661", "\u00b2", "1\u00b2", "9" * 5000]))
 SCRIPTS = st.one_of(
     st.sampled_from(sorted(bundled_theorem_scripts().values())),
-    st.lists(st.builds("{}. {} ; {}".format, st.integers(0, 3), FORMULAS,
-                       st.sampled_from(["taut", "mp 1 2", "def-o S P", "axiom5 S:=S P:=P"])),
-             max_size=3).map("\n".join),
+    st.lists(st.builds("{}. {} ; {}".format, NUMBERS, FORMULAS, st.one_of(
+        st.sampled_from(["taut", "def-o S P", "axiom5 S:=S P:=P"]), st.builds("mp {} {}".format, NUMBERS, NUMBERS)
+    )), max_size=3).map("\n".join),
 )
+SCRIPT_FILES = st.one_of(SCRIPTS.map(str.encode), SCRIPTS.map(lambda text: text.encode() + b"\xff"))
 
 
 @st.composite
-def command_lines(draw, folder):
-    command = draw(st.sampled_from(
-        ["eval", "classify", "square", "diagram", "prove", "verify-paper"]
-    ))
+def command_lines(draw, folder, commands=("eval", "classify", "square", "diagram", "prove", "verify-paper")):
+    command = draw(st.sampled_from(commands))
     if command == "eval":
         model = folder / "model.json"
-        model.write_text(json.dumps(draw(MODELS)))
+        model.write_bytes(draw(MODEL_FILES))
         return ["eval", draw(FORMULAS), "--model", str(model), *draw(SEMANTICS_FLAGS)]
     if command == "classify":
         return ["classify", draw(FORMULAS), draw(FORMULAS), "--bound", draw(BOUNDS),
@@ -683,7 +725,7 @@ def command_lines(draw, folder):
         return [command, "--bound", draw(BOUNDS), *flags]
     if command == "prove":
         script = folder / "script.proof"
-        script.write_text(draw(SCRIPTS))
+        script.write_bytes(draw(SCRIPT_FILES))
         axioms = draw(st.sampled_from(["a5,a6,a7,a8,def", "a5,def", "a6", "a9", ""]))
         return ["prove", str(script), "--axioms", axioms]
     return ["verify-paper", "--bound", draw(BOUNDS), "--atoms", draw(st.integers(0, 4).map(str))]
@@ -692,7 +734,20 @@ def command_lines(draw, folder):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_cli_exit_codes_under_fuzzing(tmp_path_factory, data):
-    argv = data.draw(command_lines(tmp_path_factory.mktemp("fuzz")))
+    check_exit_code(data.draw(command_lines(tmp_path_factory.mktemp("fuzz"))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_file_reading_exit_codes_under_fuzzing(tmp_path_factory, data):
+    """The commands that read a file, more often: its bytes, and its line numbers."""
+    check_exit_code(data.draw(command_lines(tmp_path_factory.mktemp("fuzz"), ("eval", "prove"))))
+
+
+def check_exit_code(argv):
+    """`main(argv)` exits 0, 1 or 2 without a traceback; only the commands
+    with an expectation exit 1.  Any exception but the package's errors and
+    `OSError` escapes `main` and fails the caller."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

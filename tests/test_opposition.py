@@ -3,16 +3,14 @@ import json
 
 import pytest
 
-from twosquares import opposition
-from twosquares.analytic import IMPORT_ON
+from twosquares import synthetic
+from twosquares.analytic import IMPORT_ON, AnalyticSemantics
 from twosquares.copula import enumerate_copula_structures
 from twosquares.errors import BoundError, SemanticsError
 from twosquares.formula import Schema, holds, instantiate, parse, render, schema_of, term_names
 from twosquares.opposition import (
-    AnalyticSemantics,
     RelationKind,
     SquareSpec,
-    SyntheticSemantics,
     analytic_square,
     catalog_entries,
     check_entry,
@@ -42,7 +40,7 @@ from oracles import (
 )
 
 ANALYTIC = AnalyticSemantics(IMPORT_ON)
-SYNTHETIC = SyntheticSemantics(DIRECT_NONEMPTY)
+SYNTHETIC = DIRECT_NONEMPTY
 
 
 def test_analytic_a_e_contrary():
@@ -149,7 +147,7 @@ def test_synthetic_square_passes():
 
 
 def test_synthetic_square_fails_with_empty_universe_admitted():
-    report = verify_square(synthetic_square(), SyntheticSemantics(DIRECT_EMPTY_OK), 3)
+    report = verify_square(synthetic_square(), DIRECT_EMPTY_OK, 3)
     assert not report.passed
     contrariety = next(p for p in report.pairs if (p.first, p.second) == ("a", "i"))
     assert not contrariety.ok
@@ -158,7 +156,7 @@ def test_synthetic_square_fails_with_empty_universe_admitted():
 
 
 def test_square_report_renders_its_own_json():
-    report = verify_square(synthetic_square(), SyntheticSemantics(DIRECT_EMPTY_OK), 3)
+    report = verify_square(synthetic_square(), DIRECT_EMPTY_OK, 3)
     data = json.loads(json.dumps(report.to_dict()))
     assert {k: v for k, v in data.items() if k != "pairs"} == {
         "name": "synthetic",
@@ -206,7 +204,7 @@ def test_run_catalog_decides_each_distinct_formula_once(monkeypatch):
         decided.append(f)
         return decide_synthetic_validity(f, bound, opts)
 
-    monkeypatch.setattr(opposition, "decide_synthetic_validity", count)
+    monkeypatch.setattr(synthetic, "decide_synthetic_validity", count)
     results = run_catalog(3)
     assert len(decided) == len(set(decided)) == 23 < len(results) == 24
     by_id = {r.entry.id: r for r in results}
@@ -346,7 +344,6 @@ def full_scan_witnesses(phi, psi, opts, bound):
 @pytest.mark.parametrize("opts", DERIVED_OPTIONS, ids=lambda o: o.label())
 def test_derived_image_decides_like_a_full_scan(opts):
     square = synthetic_square()
-    semantics = SyntheticSemantics(opts)
     for bound in (1, 2, 3):
         for entry in catalog_entries():
             f = entry.schema.formula
@@ -355,7 +352,7 @@ def test_derived_image_decides_like_a_full_scan(opts):
             ), (entry.id, bound)
         for first, second, _ in square.expected:
             phi, psi = square.corners[first], square.corners[second]
-            relation = classify_pair(phi, psi, semantics, bound)
+            relation = classify_pair(phi, psi, opts, bound)
             got = {name: m.to_dict() for name, m in relation.witnesses().items()}
             expected = full_scan_witnesses(phi, psi, opts, bound)
             assert got == {name: m.to_dict() for name, m in expected.items()}, (first, second)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from twosquares.cli import main
 from twosquares.errors import BoundError, ParseError
 from twosquares.formula import And, Atom, Copula, Implies, Not, Or, parse
-from twosquares.opposition import SyntheticSemantics, catalog_entries
+from twosquares.opposition import catalog_entries
 from twosquares.proofs import (
     AXIOM5_WITH_DEFINITIONS,
     AxiomInstance,
@@ -24,6 +25,7 @@ from twosquares.proofs import (
 )
 from twosquares.proofscript import bundled_theorem_scripts, format_script, parse_script
 from twosquares.search import Valid
+from twosquares.synthetic import DIRECT_NONEMPTY
 
 from oracles import row_by_row_tautology
 
@@ -287,19 +289,34 @@ def test_script_round_trip():
         ("1. S sa P -> S se P ; axiom5 S P", "line 1: expected NAME:=TERM, got 'S' at offset 29"),
         ("1. S sa P -> S se P ; axiom5 S:=S", "line 1: axiom5 needs bindings for S, P at offset 22"),
         ("1. S sa P ; modus 1 2", "line 1: unknown rule 'modus' at offset 12"),
+        # a superscript digit is a digit but not a decimal one, which int() reads
+        ("1². S sa P ; taut", "line 1: expected 'n. <formula> ; <rule>' at offset 0"),
+        ("1. S sa P ; mp 1 ²", "line 1: mp needs two line numbers at offset 12"),
         # a formula's offset counts from the start of its line
         ("1. S sa P ; taut\n\n2. S x P ; taut",
          "line 3: unexpected token 'x' at offset 5 (expected: a, e, i, o, sa, se, si, so)"),
     ],
     ids=["no-separator", "no-dot", "bad-number", "empty-rule", "mp-one-line", "mp-not-a-number",
          "mp-indented", "def-one-term", "binding-without-assignment", "binding-missing",
-         "unknown-rule", "bad-formula"],
+         "unknown-rule", "superscript-number", "mp-superscript", "bad-formula"],
 )
 def test_parse_script_rejects_malformed_lines(script, message):
     with pytest.raises(ParseError) as exc:
         parse_script(script)
     assert str(exc.value) == message
     assert f" at offset {exc.value.position}" in message
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="int() reads any number of digits")
+def test_a_line_number_past_the_digit_limit_is_malformed():
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    for script, message in (
+        (f"{digits}. S sa P ; taut", "line 1: expected 'n. <formula> ; <rule>' at offset 0"),
+        (f"1. S sa P ; mp 1 {digits}", "line 1: mp needs two line numbers at offset 12"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_script(script)
+        assert str(exc.value) == message
 
 
 def test_prove_reports_a_malformed_script_as_an_input_error(capsys, tmp_path):
@@ -418,8 +435,7 @@ def test_single_line_mutations_break_every_bundled_derivation():
 
 
 def test_kernel_accepted_formulas_are_model_checked_valid():
-    semantics = SyntheticSemantics()
     targets = _targets()
     for tid, d in bundled_theorem_derivations().items():
         assert check_proves(d, targets[tid], AXIOM5_WITH_DEFINITIONS).ok
-        assert semantics.decide(d.conclusion, 3) == Valid(3), tid
+        assert DIRECT_NONEMPTY.decide(d.conclusion, 3) == Valid(3), tid

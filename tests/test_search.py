@@ -9,7 +9,7 @@ from twosquares import analytic, copula, search, synthetic
 from twosquares.analytic import (
     IMPORT_OFF,
     IMPORT_ON,
-    analytic_space,
+    AnalyticSemantics,
     decide_analytic_validity,
     enumerate_analytic_models,
 )
@@ -28,8 +28,6 @@ from twosquares.formula import (
     term_names,
 )
 from twosquares.opposition import (
-    AnalyticSemantics,
-    SyntheticSemantics,
     analytic_square,
     catalog_entries,
     classify_pair,
@@ -43,17 +41,16 @@ from twosquares.synthetic import (
     SyntheticOptions,
     decide_synthetic_validity,
     enumerate_synthetic_models,
-    synthetic_space,
 )
 from oracles import models, scan_classify, scan_decide, verdict_bytes
 
 # (semantics, bounds) for every family, policy and reading
 CASES = [
     *[(AnalyticSemantics(existential_import), (0, 1, 2, 3, 4)) for existential_import in (IMPORT_ON, IMPORT_OFF)],
-    (SyntheticSemantics(DIRECT_NONEMPTY), (1, 2, 3, 4)),
-    (SyntheticSemantics(DIRECT_EMPTY_OK), (0, 1, 2, 3, 4)),
+    (DIRECT_NONEMPTY, (1, 2, 3, 4)),
+    (DIRECT_EMPTY_OK, (0, 1, 2, 3, 4)),
     *[
-        (SyntheticSemantics(SyntheticOptions(reading, empty)), (1, 2, 3))
+        (SyntheticOptions(reading, empty), (1, 2, 3))
         for reading in (Reading.DERIVED_LITERAL, Reading.DERIVED_CHARITABLE)
         for empty in (False, True)
     ],
@@ -85,12 +82,12 @@ def random_over(rng, names, copulas):
 
 
 def copulas_of(semantics):
-    family = [c for c in Copula if c.synthetic == isinstance(semantics, SyntheticSemantics)]
+    family = [c for c in Copula if c.synthetic == isinstance(semantics, SyntheticOptions)]
     return tuple(family)
 
 
 def square_of(semantics):
-    return synthetic_square() if isinstance(semantics, SyntheticSemantics) else analytic_square()
+    return synthetic_square() if isinstance(semantics, SyntheticOptions) else analytic_square()
 
 
 @pytest.mark.parametrize("semantics, bounds", CASES, ids=[s.label() for s, _ in CASES])
@@ -100,7 +97,7 @@ def test_decisions_and_classifications_match_the_oracle(semantics, bounds):
     square = square_of(semantics)
     for bound in bounds:
         formulas = []
-        if isinstance(semantics, SyntheticSemantics):
+        if isinstance(semantics, SyntheticOptions):
             formulas += [entry.schema.formula for entry in catalog_entries()]
         for k in (1, 2, 3, 4):
             if k == 4 and bound == bounds[-1]:
@@ -132,7 +129,7 @@ def test_a_mixed_formula_fails_at_its_first_foreign_atom(semantics):
     # Every atom is read, left to right, even after a valid disjunct: the
     # error names the first atom of the other family, in a decision and in a
     # classification alike.
-    synthetic = isinstance(semantics, SyntheticSemantics)
+    synthetic = isinstance(semantics, SyntheticOptions)
     own, first, second = ("sa", "a", "e") if synthetic else ("a", "si", "so")
     f = parse(f"(S {own} P | ~(S {own} P)) | S {first} P & P {second} S")
     family = ("analytic", "synthetic")
@@ -158,7 +155,7 @@ def test_bound_0_without_the_empty_universe_is_refused(reading, enumerate_models
     with pytest.raises(BoundError):
         decide_synthetic_validity(parse("S sa P"), 0, opts)
     with pytest.raises(BoundError):
-        classify_pair(square.corners["a"], square.corners["o"], SyntheticSemantics(opts), 0)
+        classify_pair(square.corners["a"], square.corners["o"], opts, 0)
     with pytest.raises(BoundError):
         next(enumerate_models(("P", "S"), 0, opts))
 
@@ -186,15 +183,15 @@ def test_type_sets_come_in_the_order_of_their_first_models(k):
     terms = ("M", "P", "S", "T")[:k]
     for bound in range(3 if k == 4 else 5):
         spaces = [
-            (analytic_space(terms, bound, IMPORT_ON), enumerate_analytic_models(terms, bound)),
+            (AnalyticSemantics(IMPORT_ON).space(terms, bound), enumerate_analytic_models(terms, bound)),
             (
-                synthetic_space(terms, bound, DIRECT_EMPTY_OK),
+                DIRECT_EMPTY_OK.space(terms, bound),
                 enumerate_synthetic_models(terms, bound, DIRECT_EMPTY_OK),
             ),
         ]
         if bound:  # the nonempty direct family starts at size 1
             spaces.append((
-                synthetic_space(terms, bound, DIRECT_NONEMPTY),
+                DIRECT_NONEMPTY.space(terms, bound),
                 enumerate_synthetic_models(terms, bound, DIRECT_NONEMPTY),
             ))
         for space, enumerated in spaces:
@@ -210,8 +207,8 @@ def test_type_set_counts():
     for k, bound, count in ((1, 4, 4), (2, 4, 16), (3, 4, 163), (4, 3, 697), (5, 4, 41449)):
         assert len(monadic_keys(k, 0, bound)) == count
         assert len(monadic_keys(k, 1, bound)) == count - 1
-    assert analytic_space(("P", "S"), 4, IMPORT_ON).full.bit_length() == 16
-    assert synthetic_space(("M", "P", "S"), 4, DIRECT_NONEMPTY).full.bit_length() == 162
+    assert AnalyticSemantics(IMPORT_ON).space(("P", "S"), 4).full.bit_length() == 16
+    assert DIRECT_NONEMPTY.space(("M", "P", "S"), 4).full.bit_length() == 162
 
 
 def chain(k, copula="a"):
@@ -279,9 +276,9 @@ def test_largest_admitted_shapes_decide():
 @pytest.mark.parametrize(
     "space, formula",
     [
-        (lambda terms: analytic_space(terms, 3, IMPORT_OFF), "{0} a {1} & {1} a {2} -> {2} a {0}"),
+        (lambda terms: AnalyticSemantics(IMPORT_OFF).space(terms, 3), "{0} a {1} & {1} a {2} -> {2} a {0}"),
         (
-            lambda terms: synthetic_space(terms, 3, SyntheticOptions(Reading.DERIVED_CHARITABLE)),
+            lambda terms: SyntheticOptions(Reading.DERIVED_CHARITABLE).space(terms, 3),
             "{0} sa {1} & {1} sa {2} -> {2} sa {0}",
         ),
     ],

@@ -15,7 +15,7 @@ from twosquares.copula import (
 )
 from twosquares.errors import BoundError, SemanticsError
 from twosquares.formula import parse
-from twosquares.opposition import SyntheticSemantics, synthetic_square, verify_square
+from twosquares.opposition import synthetic_square, verify_square
 from twosquares.search import Counterexample, Model, Valid
 from twosquares.synthetic import (
     DIRECT_EMPTY_OK,
@@ -120,7 +120,7 @@ def test_expanded_forms_match_unexpanded_oracle_everywhere():
         for terms in (("P", "S"), ("M", "P", "S")):
             image = derived_image(terms, 3, opts)
             induced = [induced_model(c, opts is CHARITABLE) for c in image]
-            inputs.append((terms, induced, synthetic.synthetic_space(terms, 3, opts)))
+            inputs.append((terms, induced, opts.space(terms, 3)))
     for terms, models, space in inputs:
         for s in terms:
             for p in terms:
@@ -247,7 +247,7 @@ def test_derived_decisions_do_not_enumerate_structures(monkeypatch):
         for opts in (DERIVED, CHARITABLE):
             assert derived_image(("M", "P", "S"), 3, opts)
             decide_synthetic_validity(parse("(M sa P & S se M) -> S se P"), 3, opts)
-            assert verify_square(synthetic_square(), SyntheticSemantics(opts), 3).pairs
+            assert verify_square(synthetic_square(), opts, 3).pairs
     finally:
         clear_derived_caches()
 
@@ -261,7 +261,7 @@ def clear_derived_caches():
 def test_one_relation_pass_per_universe_size(opts):
     clear_derived_caches()
     try:
-        verify_square(synthetic_square(), SyntheticSemantics(opts), 3)
+        verify_square(synthetic_square(), opts, 3)
         decide_synthetic_validity(parse("(M sa P & S se M) -> S se P"), 3, opts)
         decide_synthetic_validity(parse("S sa P"), 2, opts)
         # two term counts at bound 3 and one at bound 2 share the passes of sizes 1-3
@@ -285,7 +285,7 @@ def test_allowing_the_empty_universe_shares_the_derived_scan(reading):
     finally:
         clear_derived_caches()
     # the flag still shows in the label
-    label = SyntheticSemantics(SyntheticOptions(reading, True)).label()
+    label = SyntheticOptions(reading, True).label()
     assert label == f"synthetic({reading.value}, empty-allowed)"
 
 

@@ -1,6 +1,9 @@
 """The handlers of `eval`, `classify`, `square`, `diagram` and `prove`,
-which `cli` loads when one of them runs.  Each imports the renderer or
-the prover it uses, so that the others neither compile nor run those."""
+which `cli` loads when one of them runs; only `prove` loads the prover.
+A square's text and DOT writers both sit here: compiling the DOT writer
+costs `square` and `eval` about 1 ms a cold process (medians of 30
+alternating ones, `python -S`, no bytecode cache, shared 2-core host:
+54.1 -> 55.2 and 53.7 -> 54.4 ms), against a module of its own."""
 
 from __future__ import annotations
 
@@ -10,7 +13,14 @@ from .analytic import AnalyticSemantics
 from .cli import _write
 from .errors import InputError, SemanticsError
 from .formula import Schema, parse, render, term_names
-from .opposition import analytic_square, classify_pair, synthetic_square, verify_square
+from .opposition import (
+    PairVerdict,
+    RelationKind,
+    analytic_square,
+    classify_pair,
+    synthetic_square,
+    verify_square,
+)
 from .search import Model
 from .synthetic import Reading, SyntheticOptions
 
@@ -94,11 +104,44 @@ def run_square(args) -> int:
     return 0 if report.passed else 1
 
 
-def run_diagram(args) -> int:
-    from .diagram import emit_diagram
+_EDGE_STYLE = {
+    RelationKind.CONTRARY: 'dir=none, style=dashed',
+    RelationKind.SUBCONTRARY: 'dir=none, style=dotted',
+    RelationKind.CONTRADICTORY: 'dir=both, style=bold',
+    RelationKind.SUBALTERNATION_FORWARD: 'dir=forward, style=solid',
+    RelationKind.SUBALTERNATION_BACKWARD: 'dir=back, style=solid',
+    RelationKind.INDEPENDENT: 'dir=none, style=solid',
+}
 
+
+def _edge(pair: PairVerdict) -> str:
+    label = pair.relation.kind.value
+    style = _EDGE_STYLE[pair.relation.kind]
+    color = ""
+    if not pair.ok:
+        witness = ""
+        for name, model in pair.relation.witnesses().items():
+            witness = f"; witness {name}: {model.summary()}"
+            break
+        label = f"expected {pair.expected.value}, got {pair.relation.kind.value}{witness}"
+        color = ', color=red'
+    return f'  {pair.first} -> {pair.second} [label="{label}", {style}{color}];'
+
+
+def run_diagram(args) -> int:
+    """A byte-stable DOT digraph: four corner nodes, six labeled edges whose
+    style is fixed by the relation kind; failing edges turn red and carry
+    their witness."""
     report = _square_report(args)
-    _write(emit_diagram(report), args.out)
+    lines = [f"digraph {report.name}_square {{"]
+    lines.append(f'  label="{report.name} square of opposition ({report.semantics_label}, bound {report.bound})";')
+    lines.append("  node [shape=plaintext];")
+    for corner in ("a", "i", "e", "o"):
+        lines.append(f'  {corner} [label="{report.corner_text[corner]}"];')
+    for pair in report.pairs:
+        lines.append(_edge(pair))
+    lines.append("}")
+    _write("\n".join(lines) + "\n", args.out)
     return 0 if report.passed else 1
 
 

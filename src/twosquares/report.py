@@ -5,9 +5,10 @@ squares: the conventional square under Venn semantics, the synthetic
 square and claim catalog under the direct reading, the twelve-case
 sweep, the two-square classification and matrix properties on the
 nonstandard carrier, the bridge satisfaction tables, and the bundled
-derivations.  The result is a plain dict that serializes byte-stably:
-all iteration is over explicitly ordered data, and no timestamps or
-environment details are recorded.
+derivations.  Their modules decide each check and write each verdict and
+square as JSON; this one arranges the rows.  The result is a plain dict
+that serializes byte-stably: all iteration is over explicitly ordered
+data, and no timestamps or environment details are recorded.
 """
 
 from __future__ import annotations
@@ -32,16 +33,12 @@ from .proofs import (
     bundled_theorem_derivations,
     check_proves,
 )
-from .search import Counterexample, Valid, Verdict
+from .search import Counterexample, Valid
 from .starb import (
-    ONE,
     FiniteBooleanAlgebra,
-    all_elements,
     bridge_tables,
     case_analysis,
-    leq,
-    matrix_imp,
-    matrix_neg,
+    matrix_properties,
     verify_two_squares,
 )
 from .synthetic import DIRECT_EMPTY_OK, DIRECT_NONEMPTY
@@ -58,17 +55,6 @@ _NOTES = (
     "finite atom count: the n-atom carrier is the n-th direct power of the one-atom "
     "carrier, which decides them",
 )
-
-
-def _verdict_dict(verdict: Verdict) -> dict:
-    if isinstance(verdict, Valid):
-        return {"status": verdict.describe()}
-    return {
-        "status": "counterexample",
-        "witness": verdict.model.to_dict(),
-        "witness_summary": verdict.model.summary(),
-        "atom_values": {atom: value for atom, value in verdict.atom_trace},
-    }
 
 
 class _Expectations:
@@ -104,7 +90,7 @@ def _analytic_section(expect: _Expectations) -> dict:
         "square": report.to_dict(),
         "subalternation_without_import": {
             "formula": "S a P -> S i P",
-            **_verdict_dict(subalt),
+            **subalt.to_dict(),
             "empty_subject_witness": empty_subject,
         },
     }
@@ -127,7 +113,7 @@ def _catalog_row(result: CatalogResult, semantics_label: str) -> dict:
         "source": result.entry.source,
         "semantics": semantics_label,
         "expected": result.entry.expected(),
-        **_verdict_dict(result.verdict),
+        **result.verdict.to_dict(),
         "met": result.status,
     }
     if result.status == "inconclusive" and isinstance(result.verdict, Valid):
@@ -208,19 +194,7 @@ def _proposition1_section(expect: _Expectations, atom_count: int) -> dict:
 
 
 def _matrix_section(expect: _Expectations, atom_count: int) -> dict:
-    # each check is universal Horn, or an equivalence of two conjunctions
-    # over the atoms, so ONE decides it for every atom count (see starb)
-    elems = all_elements(ONE)
-    top = elems[-1]
-    checks = {
-        "double_negation": all(matrix_neg(matrix_neg(x)) == x for x in elems),
-        "imp_top_identity": all(matrix_imp(top, x) == x for x in elems),
-        # *1 is the only designated value, so x = *1 is the only premise.
-        "modus_ponens_preservation": all(y == top for y in elems if matrix_imp(top, y) == top),
-        "designation_order_compatibility": all(
-            (matrix_imp(x, y) == top) == leq(x, y) for x in elems for y in elems
-        ),
-    }
+    checks = matrix_properties()
     for name, ok in checks.items():
         expect.add(f"matrix-{name.replace('_', '-')}", f"matrix logic: {name}", ok)
     return {"atom_count": atom_count, "elements": 4**atom_count, **checks}

@@ -224,6 +224,9 @@ class Valid(Record):
     def describe(self) -> str:
         return f"valid up to bound {self.bound}"
 
+    def to_dict(self) -> dict:
+        return {"status": self.describe()}
+
 
 class Counterexample(Record):
     """First falsifying model in enumeration order, with per-atom truth values."""
@@ -233,6 +236,11 @@ class Counterexample(Record):
 
     def describe(self) -> str:
         return f"counterexample ({self.model.summary()})"
+
+    def to_dict(self) -> dict:
+        m = self.model
+        return {"status": "counterexample", "witness": m.to_dict(), "witness_summary": m.summary(),
+                "atom_values": dict(self.atom_trace)}
 
 
 Verdict = Valid | Counterexample

@@ -36,7 +36,8 @@ products preserve universal Horn sentences (Horn, J. Symbolic Logic 16,
 Horn check holds on every carrier iff it holds on ONE, and a witness on
 ONE lifts to every carrier.  A conjunction of atomic formulas in x holds
 iff it holds at each projection of x: if S satisfies it on ONE, |S|^n
-elements do on n atoms.  The report's carrier results come from ONE.
+elements do on n atoms.  The report's carrier results come from ONE,
+the matrix laws of `matrix_properties` among them.
 """
 
 from __future__ import annotations
@@ -373,6 +374,22 @@ def matrix_eval(f: Formula, valuation: Mapping[Atom, UltraElement]) -> UltraElem
             raise SemanticsError(f"no value bound for atom {a}") from None
 
     return fold(f, atom, matrix_neg, meet, join, matrix_imp)
+
+
+def matrix_properties() -> dict[str, bool]:
+    """The report's four matrix laws.  Each is universal Horn, or an equivalence of
+    two conjunctions over the atoms, so ONE decides it for every atom count."""
+    elems = all_elements(ONE)
+    top = elems[-1]
+    return {
+        "double_negation": all(matrix_neg(matrix_neg(x)) == x for x in elems),
+        "imp_top_identity": all(matrix_imp(top, x) == x for x in elems),
+        # *1 is the only designated value, so x = *1 is the only premise.
+        "modus_ponens_preservation": all(y == top for y in elems if matrix_imp(top, y) == top),
+        "designation_order_compatibility": all(
+            (matrix_imp(x, y) == top) == leq(x, y) for x in elems for y in elems
+        ),
+    }
 
 
 # --- syllogistic bridge models ------------------------------------------------

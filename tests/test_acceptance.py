@@ -25,7 +25,7 @@ from twosquares.proofs import (
     check_proves,
 )
 from twosquares.report import run_verify_paper
-from twosquares.search import Counterexample, Valid
+from twosquares.search import Counterexample, Model, Valid
 from twosquares.starb import (
     FiniteBooleanAlgebra,
     all_elements,
@@ -202,3 +202,29 @@ def test_criterion_9_determinism():
         second = subprocess.run(command, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout  # nonempty report
+
+
+def test_every_report_witness_reads_back_and_falsifies_its_formula():
+    """Every row of a report that carries a witness: the model reads back
+    from its JSON with the same summary, and falsifies the row's formula
+    under the row's semantics with the atom values the row records."""
+    synthetic = {sem.label(): sem for sem in (DIRECT_NONEMPTY, DIRECT_EMPTY_OK)}
+    analytic = AnalyticSemantics(IMPORT_OFF)
+    checked = 0
+    for bound, atoms in ((3, 2), (4, 4), (1, 1)):
+        sections = run_verify_paper(bound, atoms)["sections"]
+        catalog = sections["theorem_catalog"]
+        rows = [(synthetic[row["semantics"]], row["schema"], row)
+                for row in (*catalog["entries"], catalog["empty_universe_boundary"])]
+        subalt = sections["analytic_square"]["subalternation_without_import"]
+        rows.append((analytic, subalt["formula"], subalt))
+        for semantics, text, row in rows:
+            if "witness" not in row:
+                continue
+            model = Model.from_dict(row["witness"], semantics is not analytic)
+            assert row["witness_summary"] == model.summary(), text
+            assert not semantics.evaluate(model, parse(text)), text
+            for atom, value in row["atom_values"].items():
+                assert semantics.evaluate(model, parse(atom)) is value, (text, atom)
+            checked += 1
+    assert checked == 11

@@ -173,6 +173,22 @@ def test_every_small_model_reads_back_from_its_file():
     assert len(set(models)) == len({m.summary() for m in models}) == len(models) == 42
 
 
+def test_a_verdict_writes_its_own_json():
+    """The verdict's part of a report row: the status alone when valid, and
+    the witness in both forms with each atom's value when not."""
+    assert Valid(3).to_dict() == {"status": "valid up to bound 3"}
+    verdict = DIRECT_NONEMPTY.decide(parse("S so P -> P so S"), 3)
+    got = verdict.to_dict()
+    assert list(got) == ["status", "witness", "witness_summary", "atom_values"]
+    assert got == {
+        "status": "counterexample",
+        "witness": verdict.model.to_dict(),
+        "witness_summary": verdict.model.summary(),
+        "atom_values": dict(verdict.atom_trace),
+    }
+    assert list(got["atom_values"]) == ["S so P", "P so S"]
+
+
 def type_set_of(model, terms):
     """The set of term-types the individuals of a monadic model realize."""
     return frozenset(frozenset(t for t in terms if model.extent(t) >> i & 1) for i in range(len(model.universe)))

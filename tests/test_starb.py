@@ -342,7 +342,6 @@ def test_verify_paper_sweeps_no_carrier_past_one_atom(monkeypatch):
         built.append((alg.atom_count, f0, f1))
 
     monkeypatch.setattr(starb, "all_elements", one_atom_only)
-    monkeypatch.setattr("twosquares.report.all_elements", one_atom_only)
     monkeypatch.setattr(UltraElement, "__init__", counted_init)
     result = run_verify_paper(4, 4)
     assert result["pass"]

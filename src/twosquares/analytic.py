@@ -9,8 +9,8 @@ six relations of the conventional square hold at once.
 Models are `search.Model` records of the analytic family: a domain and
 an extent for every term, empty ones included, read and written in the
 `domain`/`ext` format; a term a model lacks is an error.  The semantics
-is an `AnalyticSemantics` record of one bool, `IMPORT_ON` or `IMPORT_OFF`,
-with the five methods of `synthetic.SyntheticOptions`.
+is `WITH_IMPORT` or `WITHOUT_IMPORT`, an `AnalyticSemantics` record of
+one bool with the five methods of `synthetic.SyntheticOptions`.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ class AnalyticSemantics(Record):
         return decide_analytic_validity(f, bound, self.existential_import)
 
 
+WITH_IMPORT, WITHOUT_IMPORT = AnalyticSemantics(IMPORT_ON), AnalyticSemantics(IMPORT_OFF)
+
+
 def eval_analytic(model: Model, f: Formula, existential_import: bool = IMPORT_ON) -> bool:
     """Evaluate an analytic-only formula in an analytic `Model`, with or without import."""
     return evaluate(model, f, False, existential_import)
@@ -59,9 +62,9 @@ def enumerate_analytic_models(terms: tuple[str, ...], max_domain: int) -> Iterat
     """All models with |domain| <= max_domain, smallest domain first, then
     lexicographic extension assignments (subset bitmasks ascending, the
     first term varying slowest)."""
-    yield from every_model(terms, AnalyticSemantics().sizes(max_domain), False)
+    yield from every_model(terms, WITH_IMPORT.sizes(max_domain), False)
 
 
 def decide_analytic_validity(f: Formula, bound: int, existential_import: bool = IMPORT_ON) -> Verdict:
     """Valid up to `bound`, or the first (minimal) countermodel."""
-    return AnalyticSemantics(existential_import).space(term_names(f), bound).decide(f)
+    return (WITH_IMPORT if existential_import else WITHOUT_IMPORT).space(term_names(f), bound).decide(f)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .analytic import AnalyticSemantics
+from .analytic import WITH_IMPORT, WITHOUT_IMPORT
 from .cli import _write
 from .errors import InputError, SemanticsError
 from .formula import Schema, parse, render, term_names
@@ -27,7 +27,7 @@ from .synthetic import Reading, SyntheticOptions
 
 def _semantics(args):
     if args.semantics == "analytic":
-        return AnalyticSemantics(args.existential_import == "on")
+        return WITH_IMPORT if args.existential_import == "on" else WITHOUT_IMPORT
     return SyntheticOptions(Reading(args.reading), args.allow_empty)
 
 

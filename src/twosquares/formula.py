@@ -227,40 +227,37 @@ _BINARY = {"&": (And, 3), "|": (Or, 2), "->": (Implies, 1)}
 _COPULAS = tuple(sorted(COPULA_TOKENS))
 
 # One scan lexes the whole text.  A word, a copula keyword (`s?[aeio]`)
-# and a word, whitespace between the three, is an atom and one token; the
-# parser then reads the formula one token per atom.  Each match skips
-# whitespace and fills one group set: subject (and copula and predicate
-# for an atom candidate), a connective or parenthesis, or the character
-# no token starts with; or none, at the end.  Without the match at the
-# end, trailing whitespace would fail a match at each of its positions,
-# a scan quadratic in its length.
+# and a word, whitespace between the three, is an atom candidate.  Each
+# match skips whitespace and fills one group set: subject (and copula and
+# predicate for an atom candidate), a connective or parenthesis, or the
+# character no token starts with; or none, at the end.  The parser reads
+# the matches in place, one per atom; only an error is lexed word by word.
+# Without the match at the end, trailing whitespace would fail a match at
+# each of its positions, a scan quadratic in its length.
 _TOKEN_RE = re.compile(
     rf"\s*(?:({_WORD})(?:\s+(s?[aeio])\s+({_WORD}))?|(->|[~&|()])|(\S)|\Z)"
 )
 
-# (kind, lexeme, the Atom of an "atom" token or None); kind is "atom",
-# "ident" for a word, the symbol itself, or "eof"
-_Token = tuple[str, str, Atom | None]
+_Token = tuple[str, str]  # kind ("atom", "ident" for a word, the symbol, or "eof"), lexeme
 
 
 def _tokenize(text: str) -> list[_Token]:
-    """The tokens of `text`.  A candidate with a reserved term is three
-    words, as is every other atom that is not well formed; the parser
-    builds no atom from words and reads them only to report the one out
-    of place.  `findall` builds no match objects: `_offsets` scans again
-    for an error's offset."""
+    """The tokens of `text`, for an error, or the error of its first character
+    no token starts with.  A candidate with a reserved term is three words,
+    as is every other atom that is not well formed.  `findall` builds no
+    match objects: `_offsets` scans again for the tokens' offsets."""
     tokens = []
     for subject, copula, predicate, symbol, bad in _TOKEN_RE.findall(text):
         if copula and subject not in RESERVED_TOKENS and predicate not in RESERVED_TOKENS:
-            tokens.append(("atom", subject, Atom(subject, COPULA_TOKENS[copula], predicate)))
+            tokens.append(("atom", subject))
         elif symbol:
-            tokens.append((symbol, symbol, None))
+            tokens.append((symbol, symbol))
         elif subject:
-            tokens += [("ident", word, None) for word in (subject, copula, predicate) if word]
+            tokens += [("ident", word) for word in (subject, copula, predicate) if word]
         elif bad:
             offset = _offsets(text, tokens)[len(tokens)]
             raise ParseError(f"unexpected character {bad!r}", offset, ("term", "~", "("))
-    tokens.append(("eof", "", None))
+    tokens.append(("eof", ""))
     return tokens
 
 
@@ -280,74 +277,86 @@ def _offsets(text: str, tokens: list[_Token]) -> list[int]:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.matches = _TOKEN_RE.findall(text)
         self.i = 0
 
-    def error(self, message: str, at: int, expected: tuple[str, ...]) -> ParseError:
-        return ParseError(message, _offsets(self.text, self.tokens)[at], expected)
+    def error(self, at: int, expected: tuple[str, ...] | None = None) -> ParseError:
+        """The error at match `at`, unless `_tokenize` raises that of a character no
+        token starts with, which comes first.  Each match before `at` is one token, so
+        match `at` is token `at`.  Where an operand should start (`expected` None), it is
+        at the first of subject, copula and predicate out of place: not a word, or a
+        copula keyword but where the copula goes; a well-formed atom is one match."""
+        tokens = _tokenize(self.text)
+        if expected is None:
+            words = zip(tokens[at:], (("term", "~", "("), _COPULAS, ("term",)))
+            for at, ((kind, lexeme), expected) in enumerate(words, at):
+                if kind != "ident" or (lexeme in RESERVED_TOKENS) != (expected is _COPULAS):
+                    break
+        lexeme, offset = tokens[at][1], _offsets(self.text, tokens)[at]
+        if expected == ("end of input",):
+            return ParseError(f"trailing input {lexeme!r}", offset, expected)
+        message = f"unexpected token {lexeme or 'end of input'!r}" if expected else "formula nesting too deep"
+        return ParseError(message, offset, expected)
 
     # `binary` and `unary` take the levels enclosing them and return what
-    # they parsed with the levels it nests; both counts are bounded.
+    # they parsed with the levels it nests; both counts are bounded.  An
+    # atom nests none: `binary` reads one itself, but past the limit
+    # leaves it to `unary`, which raises the nesting error there.
 
     def binary(self, depth: int, minimum: int = 1) -> tuple[Formula, int]:
         """Operands joined by connectives binding at least as tightly as `minimum`."""
-        left, levels = self.unary(depth)
-        while (op := _BINARY.get(self.tokens[self.i][0])) and op[1] >= minimum:
+        matches = self.matches
+        subject, copula, predicate, _, _ = matches[self.i]
+        if copula and depth <= _MAX_DEPTH and subject not in RESERVED_TOKENS and predicate not in RESERVED_TOKENS:
+            self.i += 1
+            left, levels = Atom(subject, COPULA_TOKENS[copula], predicate), 0
+        else:
+            left, levels = self.unary(depth)
+        while (op := _BINARY.get(matches[self.i][3])) and op[1] >= minimum:
             self.i += 1
             node, strength = op
-            if node is Implies:
-                right, nested = self.binary(depth + 1)
-            else:
+            if node is And:  # nothing binds more tightly: the right operand is one unary
+                right, nested = self.unary(depth)
+            elif node is Or:
                 right, nested = self.binary(depth, strength + 1)
-            levels = max(levels, nested)
+            else:
+                right, nested = self.binary(depth + 1)
+            levels = nested if nested > levels else levels
             if levels >= _MAX_DEPTH:
-                raise self.error("formula nesting too deep", self.i, ())
+                raise self.error(self.i, ())
             left, levels = node(left, right), levels + 1
         return left, levels
 
     def unary(self, depth: int) -> tuple[Formula, int]:
-        kind, _, atom = self.tokens[self.i]
+        subject, copula, predicate, symbol, _ = self.matches[self.i]
         if depth > _MAX_DEPTH:
-            raise self.error("formula nesting too deep", self.i, ())
-        if kind == "atom":
+            raise self.error(self.i, ())
+        if copula and subject not in RESERVED_TOKENS and predicate not in RESERVED_TOKENS:
             self.i += 1
-            return atom, 0
-        if kind == "~":
+            return Atom(subject, COPULA_TOKENS[copula], predicate), 0
+        if symbol == "~":
             self.i += 1
             operand, levels = self.unary(depth + 1)
             f = Not(operand)
-        elif kind == "(":
+        elif symbol == "(":
             self.i += 1
             f, levels = self.binary(depth + 1)
-            kind, lexeme, _ = self.tokens[self.i]
-            if kind != ")":
-                raise self.error(f"unexpected token {lexeme or 'end of input'!r}", self.i, (")",))
+            if self.matches[self.i][3] != ")":
+                raise self.error(self.i, (")",))
             self.i += 1
         else:
-            raise self.atom_error()
+            raise self.error(self.i)
         if levels >= _MAX_DEPTH:
-            raise self.error("formula nesting too deep", self.i, ())
+            raise self.error(self.i, ())
         return f, levels + 1
-
-    def atom_error(self) -> ParseError:
-        """The error where an atom should start, at the first of subject,
-        copula and predicate out of place: not a word, or a copula keyword
-        but where the copula goes.  A well-formed atom is one "atom" token,
-        so one of the three always is."""
-        words = zip(self.tokens[self.i:], (("term", "~", "("), _COPULAS, ("term",)))
-        for at, ((kind, lexeme, _), expected) in enumerate(words, self.i):
-            if kind != "ident" or (lexeme in RESERVED_TOKENS) != (expected is _COPULAS):
-                break
-        return self.error(f"unexpected token {lexeme or 'end of input'!r}", at, expected)
 
 
 def parse(text: str) -> Formula:
     """Parse `text` into a Formula, or raise a positioned ParseError."""
     p = _Parser(text)
     f, _ = p.binary(0)
-    kind, lexeme, _ = p.tokens[p.i]
-    if kind != "eof":
-        raise p.error(f"trailing input {lexeme!r}", p.i, ("end of input",))
+    if any(p.matches[p.i]):
+        raise p.error(p.i, ("end of input",))
     return f
 
 

@@ -17,7 +17,7 @@ import functools
 import json
 
 from . import __version__
-from .analytic import IMPORT_OFF, IMPORT_ON, AnalyticSemantics
+from .analytic import WITH_IMPORT, WITHOUT_IMPORT
 from .errors import TwoSquaresError
 from .formula import parse, render
 from .opposition import (
@@ -72,13 +72,13 @@ class _Expectations:
 
 
 def _analytic_section(expect: _Expectations) -> dict:
-    report = verify_square(analytic_square(), AnalyticSemantics(IMPORT_ON), ANALYTIC_SQUARE_BOUND)
+    report = verify_square(analytic_square(), WITH_IMPORT, ANALYTIC_SQUARE_BOUND)
     expect.add(
         "analytic-square",
         f"conventional square holds with import on, |D| <= {ANALYTIC_SQUARE_BOUND}",
         report.passed,
     )
-    subalt = AnalyticSemantics(IMPORT_OFF).decide(parse("S a P -> S i P"), ANALYTIC_SQUARE_BOUND)
+    subalt = WITHOUT_IMPORT.decide(parse("S a P -> S i P"), ANALYTIC_SQUARE_BOUND)
     fails_without_import = isinstance(subalt, Counterexample)
     empty_subject = fails_without_import and not subalt.model.extent("S")
     expect.add(

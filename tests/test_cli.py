@@ -84,7 +84,7 @@ IMPORTED = ("cli", "errors", "formula", "record", "search", "synthetic")
 HANDLERS = ("analytic", "commands", "opposition")  # what the handlers in `commands` load
 # the lines of the modules a default `verify-paper --json` loads, so that code
 # added to that path shows; a deliberate change to the path updates it here
-VERIFY_PAPER_LINES = 2619
+VERIFY_PAPER_LINES = 2631
 
 
 @pytest.mark.parametrize(
@@ -369,6 +369,11 @@ def test_verify_paper_small_bound_marks_a8_inconclusive(capsys):
     code, out, _ = run(capsys, "verify-paper", "--bound", "1", "--atoms", "1")
     assert code == 1  # the A8 expectation cannot be met at bound 1
     assert "[ ?? ] A8" in out
+    # the JSON row, which no golden report holds
+    code, out, _ = run(capsys, "verify-paper", "--json", "--bound", "1", "--atoms", "1")
+    (row,) = [r for r in json.loads(out)["sections"]["theorem_catalog"]["entries"] if r["id"] == "A8"]
+    assert code == 1
+    assert (row["met"], row["status"]) == ("inconclusive", "no counterexample found up to bound 1")
 
 
 def test_catalog_rows_name_the_semantics_they_ran_under(capsys):

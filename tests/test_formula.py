@@ -167,10 +167,15 @@ def _same_as_oracle(text):
 
 # Where the one-scan lexer must fall back to words: no whitespace between
 # words, a misspelled or missing copula, a reserved term, a parenthesis
-# inside an atom, and an error raised at an atom token.
+# inside an atom, and an error raised at an atom token; and a character
+# no token starts with, reported before a parse or nesting error ahead of it.
+_UNEXPECTED_CHARACTER = {") S a P $": 8, "S a P & $": 8, "S a P Q a P $": 12, "~" * 201 + "S a P $": 207}
+
+
 @pytest.mark.parametrize(
     "text",
-    ["Sa P", "S aP", "S ab P", "a a P", "S a a", "S a(P)", "S a P&S a P", "S\ta\nP", "S sa", "(S a P Q a P)"],
+    ["Sa P", "S aP", "S ab P", "a a P", "S a a", "S a(P)", "S a P&S a P", "S\ta\nP", "S sa", "(S a P Q a P)",
+     *_UNEXPECTED_CHARACTER],
 )
 def test_lexer_boundaries_match_oracle(text):
     _same_as_oracle(text)
@@ -183,6 +188,9 @@ def test_lexer_boundary_messages():
     # the atom token `Q a P` is reported by its subject word
     assert _same_as_oracle("(S a P Q a P)")[1] == "unexpected token 'Q' at offset 7 (expected: ))"
     assert _same_as_oracle("S\ta\nP") == Atom("S", Copula.A, "P")
+    for text, offset in _UNEXPECTED_CHARACTER.items():
+        message = f"unexpected character '$' at offset {offset} (expected: term, ~, ()"
+        assert _same_as_oracle(text)[1:3] == (message, offset)
 
 
 _NESTINGS = {
@@ -190,6 +198,9 @@ _NESTINGS = {
     "negations": lambda n: "~" * n + "S a P",
     "conjunctions": lambda n: " & ".join(["S a P"] * (n + 1)),
     "implications": lambda n: " -> ".join(["S a P"] * (n + 1)),
+    "disjunctions": lambda n: " | ".join(["S a P"] * (n + 1)),
+    "disjunct-conjunctions": lambda n: "S a P | " + " & ".join(["S a P"] * n),
+    "negated-conjuncts": lambda n: " & ".join(["~S a P"] * n),
 }
 
 

@@ -10,10 +10,12 @@ Surface grammar (exact)::
     unary   := "~" unary | "(" formula ")" | atom
     atom    := IDENT COP IDENT
     COP     := "a" | "e" | "i" | "o" | "sa" | "se" | "si" | "so"
+    IDENT   := [A-Za-z][A-Za-z0-9_]*
 
 `a e i o` are the analytic copulas, `sa se si so` the synthetic ones.
 Precedence: ~ > & > | > ->, with `->` right-associative.  The copula
-keywords are reserved and cannot be used as term names.
+keywords are reserved and cannot be used as term names.  Blanks (what
+`str.isspace` accepts) separate words, and a symbol needs none around it.
 """
 
 from __future__ import annotations
@@ -47,13 +49,11 @@ class Copula(Enum):
 COPULA_TOKENS: Mapping[str, Copula] = {c.value: c for c in Copula}
 RESERVED_TOKENS = frozenset(COPULA_TOKENS)
 
-# a term identifier or a copula keyword: the lexer's word
-_WORD = r"[A-Za-z][A-Za-z0-9_]*"
-
 
 def is_term_name(name: str) -> bool:
-    """True iff `name` is a legal term identifier (and not a copula keyword)."""
-    return bool(re.fullmatch(_WORD, name)) and name not in RESERVED_TOKENS
+    """True iff `name` is a legal term identifier, an ASCII letter followed by
+    ASCII letters, digits and `_`, and not a copula keyword; the parser's test."""
+    return name.isidentifier() and name.isascii() and name[0] != "_" and name not in RESERVED_TOKENS
 
 
 class Atom(Record):
@@ -190,7 +190,7 @@ def instantiate(schema: Schema, binding: Mapping[str, str]) -> Formula:
             raise InstantiationError(f"no binding for metavariable {m!r}")
     for m in schema.metavars:
         target = binding[m]
-        if not is_term_name(target):
+        if not (isinstance(target, str) and is_term_name(target)):
             raise InstantiationError(f"binding {m!r} to reserved or invalid token {target!r}")
     meta = set(schema.metavars)
 
@@ -226,138 +226,114 @@ _BINARY = {"&": (And, 3), "|": (Or, 2), "->": (Implies, 1)}
 # what an atom's copula word may be, in the order an error lists them
 _COPULAS = tuple(sorted(COPULA_TOKENS))
 
-# One scan lexes the whole text.  A word, a copula keyword (`s?[aeio]`)
-# and a word, whitespace between the three, is an atom candidate.  Each
-# match skips whitespace and fills one group set: subject (and copula and
-# predicate for an atom candidate), a connective or parenthesis, or the
-# character no token starts with; or none, at the end.  The parser reads
-# the matches in place, one per atom; only an error is lexed word by word.
-# Without the match at the end, trailing whitespace would fail a match at
-# each of its positions, a scan quadratic in its length.
-_TOKEN_RE = re.compile(
-    rf"\s*(?:({_WORD})(?:\s+(s?[aeio])\s+({_WORD}))?|(->|[~&|()])|(\S)|\Z)"
-)
-
-_Token = tuple[str, str]  # kind ("atom", "ident" for a word, the symbol, or "eof"), lexeme
+# The lexer splits the text on blanks once a blank is put around each
+# symbol: its words are `->`, `~ & | ( )` and the runs of other characters
+# between them.  A term is a word `is_term_name` accepts, and an atom three
+# words: a term, a `COPULA_TOKENS` key and a term.  Only a failed parse runs
+# a regex, for a character no token starts with, which is reported before
+# any other error; otherwise the failing word is, at the offset `str.find`
+# gives it.
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of `text`, for an error, or the error of its first character
-    no token starts with.  A candidate with a reserved term is three words,
-    as is every other atom that is not well formed.  `findall` builds no
-    match objects: `_offsets` scans again for the tokens' offsets."""
-    tokens = []
-    for subject, copula, predicate, symbol, bad in _TOKEN_RE.findall(text):
-        if copula and subject not in RESERVED_TOKENS and predicate not in RESERVED_TOKENS:
-            tokens.append(("atom", subject))
-        elif symbol:
-            tokens.append((symbol, symbol))
-        elif subject:
-            tokens += [("ident", word) for word in (subject, copula, predicate) if word]
-        elif bad:
-            offset = _offsets(text, tokens)[len(tokens)]
-            raise ParseError(f"unexpected character {bad!r}", offset, ("term", "~", "("))
-    tokens.append(("eof", ""))
-    return tokens
-
-
-def _offsets(text: str, tokens: list[_Token]) -> list[int]:
-    """The offsets in `text` of `tokens`, its tokens, for an error: an
-    atom's is its subject's, the end of input's the length of `text`.
-    Where `tokens` stop at a character no token starts with, its offset
-    follows theirs."""
-    offsets = []
-    for m in _TOKEN_RE.finditer(text):
-        starts = [m.start(g) for g in range(1, 6) if m[g]]
-        atom = len(offsets) < len(tokens) and tokens[len(offsets)][0] == "atom"
-        offsets += starts[:1] if atom else starts
-    return offsets + [len(text)]
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.matches = _TOKEN_RE.findall(text)
-        self.i = 0
-
-    def error(self, at: int, expected: tuple[str, ...] | None = None) -> ParseError:
-        """The error at match `at`, unless `_tokenize` raises that of a character no
-        token starts with, which comes first.  Each match before `at` is one token, so
-        match `at` is token `at`.  Where an operand should start (`expected` None), it is
-        at the first of subject, copula and predicate out of place: not a word, or a
-        copula keyword but where the copula goes; a well-formed atom is one match."""
-        tokens = _tokenize(self.text)
-        if expected is None:
-            words = zip(tokens[at:], (("term", "~", "("), _COPULAS, ("term",)))
-            for at, ((kind, lexeme), expected) in enumerate(words, at):
-                if kind != "ident" or (lexeme in RESERVED_TOKENS) != (expected is _COPULAS):
-                    break
-        lexeme, offset = tokens[at][1], _offsets(self.text, tokens)[at]
-        if expected == ("end of input",):
-            return ParseError(f"trailing input {lexeme!r}", offset, expected)
-        message = f"unexpected token {lexeme or 'end of input'!r}" if expected else "formula nesting too deep"
-        return ParseError(message, offset, expected)
-
-    # `binary` and `unary` take the levels enclosing them and return what
-    # they parsed with the levels it nests; both counts are bounded.  An
-    # atom nests none: `binary` reads one itself, but past the limit
-    # leaves it to `unary`, which raises the nesting error there.
-
-    def binary(self, depth: int, minimum: int = 1) -> tuple[Formula, int]:
-        """Operands joined by connectives binding at least as tightly as `minimum`."""
-        matches = self.matches
-        subject, copula, predicate, _, _ = matches[self.i]
-        if copula and depth <= _MAX_DEPTH and subject not in RESERVED_TOKENS and predicate not in RESERVED_TOKENS:
-            self.i += 1
-            left, levels = Atom(subject, COPULA_TOKENS[copula], predicate), 0
-        else:
-            left, levels = self.unary(depth)
-        while (op := _BINARY.get(matches[self.i][3])) and op[1] >= minimum:
-            self.i += 1
-            node, strength = op
-            if node is And:  # nothing binds more tightly: the right operand is one unary
-                right, nested = self.unary(depth)
-            elif node is Or:
-                right, nested = self.binary(depth, strength + 1)
-            else:
-                right, nested = self.binary(depth + 1)
-            levels = nested if nested > levels else levels
-            if levels >= _MAX_DEPTH:
-                raise self.error(self.i, ())
-            left, levels = node(left, right), levels + 1
-        return left, levels
-
-    def unary(self, depth: int) -> tuple[Formula, int]:
-        subject, copula, predicate, symbol, _ = self.matches[self.i]
-        if depth > _MAX_DEPTH:
-            raise self.error(self.i, ())
-        if copula and subject not in RESERVED_TOKENS and predicate not in RESERVED_TOKENS:
-            self.i += 1
-            return Atom(subject, COPULA_TOKENS[copula], predicate), 0
-        if symbol == "~":
-            self.i += 1
-            operand, levels = self.unary(depth + 1)
-            f = Not(operand)
-        elif symbol == "(":
-            self.i += 1
-            f, levels = self.binary(depth + 1)
-            if self.matches[self.i][3] != ")":
-                raise self.error(self.i, (")",))
-            self.i += 1
-        else:
-            raise self.error(self.i)
-        if levels >= _MAX_DEPTH:
-            raise self.error(self.i, ())
-        return f, levels + 1
+def _words(text: str) -> list[str]:
+    """The words of `text`, in order."""
+    return (
+        text.replace("->", " -> ").replace("~", " ~ ").replace("&", " & ")
+        .replace("|", " | ").replace("(", " ( ").replace(")", " ) ").split()
+    )
 
 
 def parse(text: str) -> Formula:
     """Parse `text` into a Formula, or raise a positioned ParseError."""
-    p = _Parser(text)
-    f, _ = p.binary(0)
-    if any(p.matches[p.i]):
-        raise p.error(p.i, ("end of input",))
+    words = _words(text)
+    words += "", "", ""  # the end of input, and room to read an atom at it
+    f, _, i = _formula(text, words, 0, 0, 1)
+    if words[i]:
+        raise _error(text, i, ("end of input",))
     return f
+
+
+def _formula(text: str, words: list[str], i: int, depth: int, minimum: int) -> tuple[Formula, int, int]:
+    """The formula at word `i` whose connectives bind at least as tightly as
+    `minimum`, a `_BINARY` strength, with `depth` levels enclosing it: the
+    formula, the levels it nests and the index of the word after it.  Both
+    counts are bounded; a nesting error is raised at the word where it is found."""
+    left = None  # the conjunction before an `&`
+    while True:  # one operand, then the `&` before the next
+        start = i
+        while words[i] == "~":
+            i += 1
+        negations = i - start
+        if depth + negations > _MAX_DEPTH:
+            raise _error(text, start + max(0, _MAX_DEPTH + 1 - depth), ())
+        subject = words[i]
+        if subject == "(":
+            f, levels, i = _formula(text, words, i + 1, depth + negations + 1, 1)
+            if words[i] != ")":
+                raise _error(text, i, (")",))
+            i += 1
+            if levels >= _MAX_DEPTH:
+                raise _error(text, i, ())
+            levels += 1
+        else:
+            copula, predicate = COPULA_TOKENS.get(words[i + 1]), words[i + 2]
+            if copula is None or not is_term_name(subject) or not is_term_name(predicate):
+                raise _error(text, i, None)
+            f, levels = Atom(subject, copula, predicate), 0
+            i += 3
+        if negations:
+            if levels + negations > _MAX_DEPTH:
+                raise _error(text, i, ())
+            for _ in range(negations):
+                f = Not(f)
+            levels += negations
+        if left is not None:
+            if left_levels > levels:
+                levels = left_levels
+            if levels >= _MAX_DEPTH:
+                raise _error(text, i, ())
+            f, levels = And(left, f), levels + 1
+        if words[i] != "&":
+            break
+        left, left_levels = f, levels
+        i += 1
+    # nothing binds more tightly than `&`: a connective ahead is `|` or `->`
+    while (op := _BINARY.get(words[i])) and op[1] >= minimum:
+        node, strength = op
+        if node is Implies:  # the one that groups to the right
+            right, nested, i = _formula(text, words, i + 1, depth + 1, strength)
+        else:
+            right, nested, i = _formula(text, words, i + 1, depth, strength + 1)
+        if nested > levels:
+            levels = nested
+        if levels >= _MAX_DEPTH:
+            raise _error(text, i, ())
+        f, levels = node(f, right), levels + 1
+    return f, levels, i
+
+
+def _error(text: str, at: int, expected: tuple[str, ...] | None) -> ParseError:
+    """The error of `text` at its word `at`, unless the text holds a character no
+    token starts with: the first such character is the error.  Where an operand
+    should start (`expected` None), the error is at the first of subject, copula
+    and predicate out of place."""
+    for m in re.finditer(r"[A-Za-z][A-Za-z0-9_]*|->|[~&|()]|(\S)", text):
+        if m[1]:
+            return ParseError(f"unexpected character {m[1]!r}", m.start(), ("term", "~", "("))
+    words = _words(text) + [""]
+    if expected is None:
+        for at, expected in zip(range(at, at + 3), (("term", "~", "("), _COPULAS, ("term",))):
+            if not (words[at] in COPULA_TOKENS if expected is _COPULAS else is_term_name(words[at])):
+                break
+    offset = 0
+    for word in words[:at]:
+        offset = text.find(word, offset) + len(word)
+    word = words[at]
+    offset = text.find(word, offset) if word else len(text)
+    if expected == ("end of input",):
+        return ParseError(f"trailing input {word!r}", offset, expected)
+    message = f"unexpected token {word or 'end of input'!r}" if expected else "formula nesting too deep"
+    return ParseError(message, offset, expected)
 
 
 # --- printing --------------------------------------------------------------

@@ -1,11 +1,14 @@
+import re
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twosquares import formula
 from twosquares.errors import InstantiationError, ParseError
 from twosquares.formula import (
+    RESERVED_TOKENS,
     And,
     Atom,
     Copula,
@@ -21,6 +24,7 @@ from twosquares.formula import (
     schema_of,
     term_names,
 )
+from twosquares.opposition import catalog_entries
 
 from oracles import reference_parse
 
@@ -165,10 +169,10 @@ def _same_as_oracle(text):
     return got
 
 
-# Where the one-scan lexer must fall back to words: no whitespace between
-# words, a misspelled or missing copula, a reserved term, a parenthesis
-# inside an atom, and an error raised at an atom token; and a character
-# no token starts with, reported before a parse or nesting error ahead of it.
+# Lexer boundaries: no whitespace between words, a misspelled or missing
+# copula, a reserved term, a parenthesis inside an atom, and an error raised
+# at a well-formed atom; and a character no token starts with, reported
+# before a parse or nesting error ahead of it.
 _UNEXPECTED_CHARACTER = {") S a P $": 8, "S a P & $": 8, "S a P Q a P $": 12, "~" * 201 + "S a P $": 207}
 
 
@@ -178,6 +182,33 @@ _UNEXPECTED_CHARACTER = {") S a P $": 8, "S a P & $": 8, "S a P Q a P $": 12, "~
      *_UNEXPECTED_CHARACTER],
 )
 def test_lexer_boundaries_match_oracle(text):
+    _same_as_oracle(text)
+
+
+# Non-ASCII identifier characters, a leading `_` or digit, and a long s and
+# a Kelvin sign, which a case-folding match would read as `s` and `K`
+_NEAR_TERMS = ["_S", "1S", "S_1", "\u017f", "\u212a", "\xe9", "S\u0661"]
+
+
+# every blank `str.split` splits on, which the oracle's `\s` must skip alike
+_BLANKS = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+@pytest.mark.parametrize("blank", _BLANKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_every_blank_separates_words_as_in_the_oracle(blank):
+    assert _same_as_oracle(f"{blank}S{blank}a{blank}P{blank}") == Atom("S", Copula.A, "P")
+    _same_as_oracle(f"{blank}~{blank}({blank}S a P{blank}){blank}->{blank}M{blank}sa{blank}P{blank}")
+    _same_as_oracle(f"S{blank}a{blank}P{blank}${blank}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [*(f"{name} a P" for name in _NEAR_TERMS), *(f"S a P{char}" for char in _NEAR_TERMS),
+     *(f"S{char}P a M" for char in ("\u017f", "\u212a", "\xe9", "\u0661")),
+     "-", ">", "-->", "->>", "S a P -", "S a P >", "S a P --> M a P", "S a P ->> M a P", "S a P$", "S a P-",
+     "~-", ")>"],
+)
+def test_words_the_word_test_refuses_match_oracle(text):
     _same_as_oracle(text)
 
 
@@ -211,6 +242,22 @@ def test_nesting_limit_matches_oracle(shape, levels):
     assert isinstance(got, tuple) == (levels > 200)
 
 
+# nestings in an operand, each reaching the limit through two kinds of level,
+# where the depth an operand is read at and the levels it returns part
+_OPERAND_NESTINGS = {
+    "negated-parentheses": lambda n: "~" * (n // 2) + "(" * (n - n // 2) + "S a P" + ")" * (n - n // 2),
+    "disjunct-negations": lambda n: "S a P | " + "~" * n + "S a P",
+    "conjunct-parentheses": lambda n: "S a P & " + "(" * n + "S a P" + ")" * n,
+    "consequent-negations": lambda n: "S a P -> " + "~" * n + "S a P",
+}
+
+
+@pytest.mark.parametrize("levels", [199, 200, 201])
+@pytest.mark.parametrize("shape", sorted(_OPERAND_NESTINGS))
+def test_nesting_in_an_operand_matches_oracle(shape, levels):
+    _same_as_oracle(_OPERAND_NESTINGS[shape](levels))
+
+
 def test_trailing_whitespace_is_scanned_once():
     # a scan retrying a failed match at each trailing position is quadratic:
     # seconds at this length
@@ -227,6 +274,14 @@ def test_is_term_name():
     assert not is_term_name("")
 
 
+def test_is_term_name_is_the_word_pattern():
+    names = [chr(c) for c in range(0x250)] + _NEAR_TERMS
+    names += ["S" + name for name in names] + [name + "S" for name in names]
+    for name in names:
+        expected = bool(re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name)) and name not in RESERVED_TOKENS
+        assert is_term_name(name) == expected, name
+
+
 # --- property tests ---------------------------------------------------------
 
 _terms = st.sampled_from(["S", "P", "M", "X", "Y2", "long_name"])
@@ -234,7 +289,7 @@ _atoms = st.builds(Atom, _terms, st.sampled_from(list(Copula)), _terms)
 
 
 def _formulas(max_depth: int = 6):
-    return st.recursive(
+    kids = st.recursive(
         _atoms,
         lambda kids: st.one_of(
             kids.map(Not),
@@ -244,6 +299,9 @@ def _formulas(max_depth: int = 6):
         ),
         max_leaves=2 ** max_depth,
     )
+    # alone, `st.recursive` puts `->` at the top or on the right of `->` in a
+    # few draws in a hundred; here about two in three and one in three do
+    return st.one_of(kids, st.builds(Implies, kids, kids), st.builds(Implies, kids, st.builds(Implies, kids, kids)))
 
 
 def _paren_pairs(text):
@@ -336,6 +394,42 @@ def test_instantiate_distributes_over_every_depth_two_formula():
 
 
 # --- the parser against the per-word oracle ---------------------------------
+
+
+def _depth_two_texts():
+    """Every formula of depth 2 or less over `S a P` and `M sa P`, each in three
+    spellings: as `render` prints it, and with every blank around a connective
+    removed and doubled."""
+    leaves = [Atom("S", Copula.A, "P"), Atom("M", Copula.SA, "P")]
+    nodes = (And, Or, Implies)
+    shallow = leaves + [Not(a) for a in leaves] + [node(a, b) for node in nodes for a in leaves for b in leaves]
+    deep = leaves + [Not(f) for f in shallow] + [node(f, g) for node in nodes for f in shallow for g in shallow]
+    for f in deep:
+        text = render(f)
+        yield f, text
+        for symbol in ("&", "|", "->"):
+            text = text.replace(f" {symbol} ", symbol)
+        yield f, text
+        yield f, text.replace("&", "  &  ").replace("|", "  |  ").replace("->", "  ->  ")
+
+
+def test_every_depth_two_formula_parses_as_the_oracle():
+    texts = list(_depth_two_texts())
+    assert len(texts) == 3 * (2 + 16 + 3 * 16 * 16)
+    for f, text in texts:
+        assert _same_as_oracle(text) == f, text
+
+
+def test_a_well_formed_parse_never_reaches_the_error_path(monkeypatch):
+    def error(*args):
+        raise AssertionError(f"error path reached: {args}")
+
+    monkeypatch.setattr(formula, "_error", error)
+    for f, text in _depth_two_texts():
+        assert parse(text) == f
+    # the cached catalog was parsed once, perhaps before the patch: parse it again
+    assert catalog_entries.__wrapped__() == catalog_entries()
+
 
 _SPACES = st.sampled_from([" ", "  ", "\t", "\n", "\xa0", "\u2003"])
 _GAPS = st.one_of(st.just(""), _SPACES)

@@ -218,7 +218,7 @@ def test_each_rejection_names_its_line_and_flags_nothing(lines, ax, line, reason
 @pytest.mark.parametrize(
     "binding, prefix",
     [
-        ((("S", 1), ("P", "P")), "bad binding: expected string or bytes-like object"),
+        ((("S", 1), ("P", "P")), "bad binding: binding 'S' to reserved or invalid token 1"),
         ((("S",), ("P", "P")), "bad binding: dictionary update sequence element"),
     ],
     ids=["int-target", "not-a-pair"],

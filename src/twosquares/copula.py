@@ -9,7 +9,8 @@ the first structure of each realized type-set.  It is computed from
 bitmask columns: one pass over the relations of each universe size and
 reading, shared by every term count, keeps the relations with new
 columns, and only the distinct columns are chosen as denotations.  Its
-shape keeps type-set keys, and builds only the witnesses a search reports.
+shape keeps type-set keys, and builds only the witnesses a search
+reports, with `build_structure`, the enumeration's one builder.
 """
 
 from __future__ import annotations
@@ -110,6 +111,18 @@ def induced_model(c: CopulaStructure, charitable: bool) -> Model:
     return Model(c.universe, tuple(extents), True)
 
 
+def build_structure(
+    terms: tuple[str, ...], size: int, prim_mask: int, choice: tuple[int, ...]
+) -> CopulaStructure:
+    """The structure over the first `size` individuals in which the i-th
+    pair, in `itertools.product` order, is primitive iff bit i of
+    `prim_mask` is set, and `terms[t]` denotes individual `choice[t]`."""
+    universe = INDIVIDUALS[True][:size]
+    pairs = itertools.product(universe, universe)
+    prim = frozenset(p for i, p in enumerate(pairs) if prim_mask >> i & 1)
+    return CopulaStructure(universe, prim, {t: universe[b] for t, b in zip(terms, choice)})
+
+
 def enumerate_copula_structures(
     terms: tuple[str, ...], max_u: int, opts: SyntheticOptions
 ) -> Iterator[CopulaStructure]:
@@ -119,13 +132,9 @@ def enumerate_copula_structures(
     definition of the order the derived image keeps and the tests' oracle;
     no decision walks it."""
     for size in opts.sizes(max_u):
-        universe = INDIVIDUALS[True][:size]
-        pairs = [(a, b) for a in universe for b in universe]
-        for prim_mask in range(1 << len(pairs)):
-            prim = frozenset(p for i, p in enumerate(pairs) if prim_mask >> i & 1)
-            for denote_choice in itertools.product(range(size), repeat=len(terms)):
-                denote = {t: universe[denote_choice[k]] for k, t in enumerate(terms)}
-                yield CopulaStructure(universe, prim, denote)
+        for prim_mask in range(1 << size * size):
+            for choice in itertools.product(range(size), repeat=len(terms)):
+                yield build_structure(terms, size, prim_mask, choice)
 
 
 def _columns(size: int, prim_mask: int, charitable: bool) -> tuple[int, ...]:
@@ -186,12 +195,5 @@ def derived_shape(k: int, bound: int, charitable: bool) -> Shape:
                 if key not in image:
                     image[key] = (size, prim_mask, choice)
     structures = tuple(image.values())
-
-    def witness(terms: tuple[str, ...], m: int) -> CopulaStructure:
-        size, prim_mask, choice = structures[m]
-        universe = INDIVIDUALS[True][:size]
-        pairs = itertools.product(universe, universe)
-        prim = frozenset(p for i, p in enumerate(pairs) if prim_mask >> i & 1)
-        return CopulaStructure(universe, prim, {terms[t]: universe[b] for t, b in enumerate(choice)})
-
+    witness = lambda terms, m: build_structure(terms, *structures[m])  # noqa: E731
     return Shape(tuple(image), bound, True, False, witness)

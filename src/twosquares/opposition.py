@@ -15,7 +15,7 @@ so every relation claim is falsifiable by a concrete witness model.
 Verdicts are always relative to the bound; no unbounded validity is
 claimed.  Under a semantics, an `analytic.AnalyticSemantics` or a
 `synthetic.SyntheticOptions` record, this module only classifies,
-verifies squares and runs the catalog.
+verifies squares, and runs the catalog and writes its rows.
 """
 
 from __future__ import annotations
@@ -222,6 +222,21 @@ class CatalogResult(Record):
     entry: CatalogEntry
     verdict: Verdict
     status: str  # "met" | "failed" | "inconclusive"
+
+    def to_dict(self, semantics_label: str) -> dict:
+        """The result as a report row; an inconclusive `Valid` reads as no counterexample found."""
+        row = {
+            "id": self.entry.id,
+            "schema": render(self.entry.schema.formula),
+            "source": self.entry.source,
+            "semantics": semantics_label,
+            "expected": self.entry.expected(),
+            **self.verdict.to_dict(),
+            "met": self.status,
+        }
+        if self.status == "inconclusive":
+            row["status"] = f"no counterexample found up to bound {self.verdict.bound}"
+        return row
 
 
 _THEOREM_TEXTS = (

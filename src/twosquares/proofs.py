@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .errors import BoundError, InputError
+from .errors import BoundError, InputError, InstantiationError
 from .formula import Formula, Implies, Schema, atoms, instantiate, parse, truth_vector
 from .opposition import catalog_entries
 from .record import Record
@@ -29,17 +29,20 @@ def _axiom_schema(f: Formula) -> Schema:
     return Schema(f, tuple(dict.fromkeys(t for a in atoms(f) for t in (a.subject, a.predicate))))
 
 
-SCHEMAS: Mapping[str, Schema] = {
-    **{sid: _axiom_schema(e.schema.formula) for sid, e in _AXIOMS.items()},
+# the definitional schemas, which a proof script binds by position
+DEFINITIONS: Mapping[str, Schema] = {
     "def-o": Schema(parse("(X so Y -> ~(X sa Y)) & (~(X sa Y) -> X so Y)"), ("X", "Y")),
     "def-e": Schema(parse("(X se Y -> ~(X si Y)) & (~(X si Y) -> X se Y)"), ("X", "Y")),
+}
+SCHEMAS: Mapping[str, Schema] = {
+    **{sid: _axiom_schema(e.schema.formula) for sid, e in _AXIOMS.items()},
+    **DEFINITIONS,
 }
 
 # each schema -> the `--axioms` name that admits it
 _SOURCE_OF = {
     **{sid: e.id.lower() for sid, e in _AXIOMS.items()},
-    "def-o": "def",
-    "def-e": "def",
+    **dict.fromkeys(DEFINITIONS, "def"),
 }
 SOURCES = frozenset(_SOURCE_OF.values())
 
@@ -143,8 +146,12 @@ def _fault(line: DerivationLine, earlier: Mapping[int, Formula], ax: AxiomSet) -
         if not ax.allows(j.schema_id):
             return f"schema {j.schema_id!r} disabled in this axiom set"
         try:
-            expected = instantiate(SCHEMAS[j.schema_id], dict(j.binding))
-        except Exception as exc:
+            binding = dict(j.binding)
+        except (TypeError, ValueError) as exc:
+            return f"bad binding: {exc}"
+        try:
+            expected = instantiate(SCHEMAS[j.schema_id], binding)
+        except InstantiationError as exc:
             return f"bad binding: {exc}"
         if expected != line.formula:
             return f"formula is not the stated {j.schema_id} instance"

@@ -9,9 +9,10 @@ Proof script line format (one line per derivation step)::
     n. <formula> ; taut
     n. <formula> ; mp i j        # line i: phi, line j: phi -> psi
 
-Lines must be numbered in strictly increasing order; `mp` may cite
-earlier lines only; the derived formula is the last line.  Blank lines
-and lines starting with `#` are ignored.
+The definitional schemas (`proofs.DEFINITIONS`) bind their terms by
+position, the axioms by name.  Lines must be numbered in strictly increasing
+order; `mp` may cite earlier lines only; the derived formula is the last
+line.  Blank lines and lines starting with `#` are ignored.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import re
 from .errors import ParseError
 from .formula import parse, render
 from .proofs import (
-    SCHEMAS, AxiomInstance, Derivation, DerivationLine, Justification, ModusPonens, Tautology,
-    bundled_theorem_derivations,
+    DEFINITIONS, SCHEMAS, AxiomInstance, Derivation, DerivationLine, Justification, ModusPonens,
+    Tautology, bundled_theorem_derivations,
 )
 
 
@@ -31,10 +32,8 @@ def format_script(d: Derivation) -> str:
     for line in d.lines:
         j = line.justification
         if isinstance(j, AxiomInstance):
-            if j.schema_id.startswith("def-"):
-                just = f"{j.schema_id} " + " ".join(v for _, v in j.binding)
-            else:
-                just = f"{j.schema_id} " + " ".join(f"{m}:={v}" for m, v in j.binding)
+            args = (v if j.schema_id in DEFINITIONS else f"{m}:={v}" for m, v in j.binding)
+            just = " ".join((j.schema_id, *args))
         elif isinstance(j, Tautology):
             just = "taut"
         else:
@@ -89,10 +88,10 @@ def _parse_justification(text: str, lineno: int, at: int) -> Justification:
         if len(numbers) != 2 or None in numbers:
             raise ParseError(f"line {lineno}: mp needs two line numbers", rule_at)
         return ModusPonens(*numbers)
-    if rule in ("def-o", "def-e"):
+    if rule in DEFINITIONS:
         if len(args) != 2:
             raise ParseError(f"line {lineno}: {rule} needs two term arguments", rule_at)
-        return AxiomInstance(rule, (("X", args[0]), ("Y", args[1])))
+        return AxiomInstance(rule, tuple(zip(DEFINITIONS[rule].metavars, args)))
     if rule in SCHEMAS:
         binding = {}
         for arg_at, arg in words[1:]:

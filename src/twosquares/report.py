@@ -5,10 +5,11 @@ squares: the conventional square under Venn semantics, the synthetic
 square and claim catalog under the direct reading, the twelve-case
 sweep, the two-square classification and matrix properties on the
 nonstandard carrier, the bridge satisfaction tables, and the bundled
-derivations.  Their modules decide each check and write each verdict and
-square as JSON; this one arranges the rows.  The result is a plain dict
-that serializes byte-stably: all iteration is over explicitly ordered
-data, and no timestamps or environment details are recorded.
+derivations.  Their modules decide each check and write each verdict,
+square and catalog row as JSON; this one arranges the rows and adds one
+expectation row per check.  The result is a plain dict that serializes
+byte-stably: all iteration is over explicitly ordered data, and no
+timestamps or environment details are recorded.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 from . import __version__
 from .analytic import WITH_IMPORT, WITHOUT_IMPORT
 from .errors import TwoSquaresError
-from .formula import parse, render
+from .formula import parse
 from .opposition import (
     CatalogResult,
     analytic_square,
@@ -57,32 +58,25 @@ _NOTES = (
 )
 
 
-class _Expectations:
-    def __init__(self) -> None:
-        self.rows: list[dict] = []
-
-    def add(self, check_id: str, description: str, status) -> None:
-        if isinstance(status, bool):
-            status = "met" if status else "failed"
-        self.rows.append({"id": check_id, "description": description, "status": status})
-
-    @property
-    def all_met(self) -> bool:
-        return all(row["status"] == "met" for row in self.rows)
+def _expect(rows: list[dict], check_id: str, description: str, status: bool | str) -> None:
+    """Add an expectation row; a bool status reads as met or failed."""
+    if isinstance(status, bool):
+        status = "met" if status else "failed"
+    rows.append({"id": check_id, "description": description, "status": status})
 
 
-def _analytic_section(expect: _Expectations) -> dict:
+def _analytic_section(expectations: list[dict]) -> dict:
     report = verify_square(analytic_square(), WITH_IMPORT, ANALYTIC_SQUARE_BOUND)
-    expect.add(
-        "analytic-square",
+    _expect(
+        expectations, "analytic-square",
         f"conventional square holds with import on, |D| <= {ANALYTIC_SQUARE_BOUND}",
         report.passed,
     )
     subalt = WITHOUT_IMPORT.decide(parse("S a P -> S i P"), ANALYTIC_SQUARE_BOUND)
     fails_without_import = isinstance(subalt, Counterexample)
     empty_subject = fails_without_import and not subalt.model.extent("S")
-    expect.add(
-        "analytic-subalternation-import-off",
+    _expect(
+        expectations, "analytic-subalternation-import-off",
         "a=>i fails without import, empty-subject witness",
         fails_without_import and empty_subject,
     )
@@ -96,68 +90,50 @@ def _analytic_section(expect: _Expectations) -> dict:
     }
 
 
-def _synthetic_square_section(expect: _Expectations, model_bound: int) -> dict:
+def _synthetic_square_section(expectations: list[dict], model_bound: int) -> dict:
     report = verify_square(synthetic_square(), DIRECT_NONEMPTY, model_bound)
-    expect.add(
-        "synthetic-square",
+    _expect(
+        expectations, "synthetic-square",
         f"synthetic square holds, direct reading, 1 <= |U| <= {model_bound}",
         report.passed,
     )
     return report.to_dict()
 
 
-def _catalog_row(result: CatalogResult, semantics_label: str) -> dict:
-    row = {
-        "id": result.entry.id,
-        "schema": render(result.entry.schema.formula),
-        "source": result.entry.source,
-        "semantics": semantics_label,
-        "expected": result.entry.expected(),
-        **result.verdict.to_dict(),
-        "met": result.status,
-    }
-    if result.status == "inconclusive" and isinstance(result.verdict, Valid):
-        row["status"] = f"no counterexample found up to bound {result.verdict.bound}"
-    return row
-
-
 def _catalog_section(
-    expect: _Expectations, model_bound: int, results: tuple[CatalogResult, ...]
+    expectations: list[dict], model_bound: int, results: tuple[CatalogResult, ...]
 ) -> dict:
-    for result in results:
-        expect.add(
-            result.entry.id,
-            f"{render(result.entry.schema.formula)} expected {result.entry.expected()}",
-            result.status,
-        )
+    entries = [r.to_dict(DIRECT_NONEMPTY.label()) for r in results]
+    for row in entries:
+        _expect(expectations, row["id"], f"{row['schema']} expected {row['expected']}", row["met"])
     t19 = next(r.entry for r in results if r.entry.id == "T19")
     boundary = check_entry(t19, model_bound, DIRECT_EMPTY_OK.decide)
     boundary_failed = (
         isinstance(boundary.verdict, Counterexample)
         and len(boundary.verdict.model.universe) == 0
     )
-    expect.add(
-        "catalog-empty-boundary",
+    _expect(
+        expectations, "catalog-empty-boundary",
         "admitting the empty universe breaks a-i contrariety (T19) with witness U = {}",
         boundary_failed,
     )
     return {
         "bound": model_bound,
-        "entries": [_catalog_row(r, DIRECT_NONEMPTY.label()) for r in results],
-        "empty_universe_boundary": _catalog_row(boundary, DIRECT_EMPTY_OK.label()),
+        "entries": entries,
+        "empty_universe_boundary": boundary.to_dict(DIRECT_EMPTY_OK.label()),
     }
 
 
-def _case_section(expect: _Expectations, algebra: FiniteBooleanAlgebra) -> dict:
+def _case_section(expectations: list[dict], algebra: FiniteBooleanAlgebra) -> dict:
     atom_count = algebra.atom_count
     counts, violations, standard_ok = case_analysis(algebra)
-    expect.add(
-        "case-sweep",
+    _expect(
+        expectations, "case-sweep",
         f"cases 1-12 conclusions hold for every hypothesis-satisfying element ({atom_count} atoms)",
         violations == 0,
     )
-    expect.add(
-        "inf-sup-standard",
+    _expect(
+        expectations, "inf-sup-standard",
         "inf(x, x-flip) and sup(x, x-flip) are standard for every x",
         standard_ok,
     )
@@ -170,58 +146,58 @@ def _case_section(expect: _Expectations, algebra: FiniteBooleanAlgebra) -> dict:
     }
 
 
-def _proposition1_section(expect: _Expectations, atom_count: int) -> dict:
+def _proposition1_section(expectations: list[dict], atom_count: int) -> dict:
     rows = [verify_two_squares(FiniteBooleanAlgebra(k)) for k in range(1, atom_count + 1)]
     for row in rows:
-        expect.add(
-            f"proposition1-{row['atom_count']}atom",
+        _expect(
+            expectations, f"proposition1-{row['atom_count']}atom",
             f"two-square sweep passes over the {row['atom_count']}-atom carrier",
             not row["conventional"]["violations"]
             and not row["synthetic"]["violations"]
             and row["hypothesis_equivalences_ok"],
         )
-    expect.add(
-        "prop1-conventional-nonstandard",
+    _expect(
+        expectations, "prop1-conventional-nonstandard",
         "the conventional-square condition is realizable by nonstandard elements",
         all(row["conventional"]["nonstandard_satisfiers"] > 0 for row in rows),
     )
-    expect.add(
-        "prop1-synthetic-standard-only",
+    _expect(
+        expectations, "prop1-synthetic-standard-only",
         "the synthetic-square condition forces [f] = [f¬] in this carrier",
         all(row["synthetic"]["nonstandard_satisfiers"] == 0 for row in rows),
     )
     return {"sweeps": rows}
 
 
-def _matrix_section(expect: _Expectations, atom_count: int) -> dict:
+def _matrix_section(expectations: list[dict], atom_count: int) -> dict:
     checks = matrix_properties()
     for name, ok in checks.items():
-        expect.add(f"matrix-{name.replace('_', '-')}", f"matrix logic: {name}", ok)
+        _expect(expectations, f"matrix-{name.replace('_', '-')}", f"matrix logic: {name}", ok)
     return {"atom_count": atom_count, "elements": 4**atom_count, **checks}
 
 
-def _bridge_section(expect: _Expectations, algebra: FiniteBooleanAlgebra) -> dict:
+def _bridge_section(expectations: list[dict], algebra: FiniteBooleanAlgebra) -> dict:
     tables = bridge_tables(algebra)
     strict_nonstandard, strict_top = tables[0], tables[4]  # the primary column, strict
-    expect.add(
-        "bridge-strict-nonstandard-atom",
+    _expect(
+        expectations, "bridge-strict-nonstandard-atom",
         "strict designation leaves the nonstandard a-form atom unsatisfied",
         not strict_nonstandard["satisfied"]["sa"],
     )
-    expect.add(
-        "bridge-strict-axiom5-shape",
+    _expect(
+        expectations, "bridge-strict-axiom5-shape",
         "the axiom-5 shape is satisfied in the strict nonstandard model",
         strict_nonstandard["axiom5_shape_satisfied"],
     )
-    expect.add(
-        "bridge-strict-top-atom",
+    _expect(
+        expectations, "bridge-strict-top-atom",
         "the a-form atom is satisfied when the generator is *1",
         strict_top["satisfied"]["sa"],
     )
     return {"atom_count": algebra.atom_count, "tables": tables}
 
 
-def _derivations_section(expect: _Expectations, results: tuple[CatalogResult, ...]) -> dict:
+def _derivations_section(expectations: list[dict], results: tuple[CatalogResult, ...]) -> dict:
     """Check each bundled derivation; its semantic status is the catalog's
     verdict for that theorem."""
     catalog = {r.entry.id: r for r in results}
@@ -241,13 +217,13 @@ def _derivations_section(expect: _Expectations, results: tuple[CatalogResult, ..
                 "semantic_status": target.verdict.describe(),
             }
         )
-    expect.add(
-        "derivations-ok",
+    _expect(
+        expectations, "derivations-ok",
         "all bundled theorem derivations check under axiom5 + definitional schemas",
         all_ok,
     )
-    expect.add(
-        "derivations-sound",
+    _expect(
+        expectations, "derivations-sound",
         "every bundled conclusion is confirmed valid by the model checker",
         all_valid,
     )
@@ -267,34 +243,34 @@ def run_verify_paper(model_bound: int = 3, atom_count: int = 2) -> dict:
     """
     DIRECT_NONEMPTY.sizes(model_bound)  # or the model bound's error
     algebra = FiniteBooleanAlgebra(atom_count)  # or the atom count's bound error
-    expect = _Expectations()
+    expectations: list[dict] = []
     sections: dict = {}
     # one catalog run for both sections; an error is not cached, so each gets its marker
     catalog = functools.cache(lambda: run_catalog(model_bound, DIRECT_NONEMPTY))
     builders = (
-        ("analytic_square", lambda: _analytic_section(expect)),
-        ("synthetic_square", lambda: _synthetic_square_section(expect, model_bound)),
-        ("theorem_catalog", lambda: _catalog_section(expect, model_bound, catalog())),
-        ("case_sweep", lambda: _case_section(expect, algebra)),
-        ("proposition1", lambda: _proposition1_section(expect, atom_count)),
-        ("matrix_properties", lambda: _matrix_section(expect, atom_count)),
-        ("bridge_models", lambda: _bridge_section(expect, algebra)),
-        ("derivations", lambda: _derivations_section(expect, catalog())),
+        ("analytic_square", lambda: _analytic_section(expectations)),
+        ("synthetic_square", lambda: _synthetic_square_section(expectations, model_bound)),
+        ("theorem_catalog", lambda: _catalog_section(expectations, model_bound, catalog())),
+        ("case_sweep", lambda: _case_section(expectations, algebra)),
+        ("proposition1", lambda: _proposition1_section(expectations, atom_count)),
+        ("matrix_properties", lambda: _matrix_section(expectations, atom_count)),
+        ("bridge_models", lambda: _bridge_section(expectations, algebra)),
+        ("derivations", lambda: _derivations_section(expectations, catalog())),
     )
     for name, build in builders:
         try:
             sections[name] = build()
         except TwoSquaresError as exc:  # partial report with a failure marker
             sections[name] = {"error": str(exc)}
-            expect.add(f"section-{name}", f"section {name} completed", False)
+            _expect(expectations, f"section-{name}", f"section {name} completed", False)
     return {
         "title": "two squares of opposition: verification report",
         "version": __version__,
         "bounds": {"model_bound": model_bound, "atom_count": atom_count},
         "sections": sections,
-        "expectations": expect.rows,
+        "expectations": expectations,
         "notes": list(_NOTES),
-        "pass": expect.all_met,
+        "pass": all(row["status"] == "met" for row in expectations),
     }
 
 

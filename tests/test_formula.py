@@ -232,6 +232,8 @@ _NESTINGS = {
     "disjunctions": lambda n: " | ".join(["S a P"] * (n + 1)),
     "disjunct-conjunctions": lambda n: "S a P | " + " & ".join(["S a P"] * n),
     "negated-conjuncts": lambda n: " & ".join(["~S a P"] * n),
+    "parenthesized-conjunctions": lambda n: "(" + " & ".join(["S a P"] * n) + ")",
+    "negated-parenthesized-conjunctions": lambda n: "~(" + " & ".join(["S a P"] * (n - 1)) + ")",
 }
 
 

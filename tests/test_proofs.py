@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twosquares import proofs
 from twosquares.cli import main
 from twosquares.errors import BoundError, ParseError
 from twosquares.formula import And, Atom, Copula, Implies, Not, Or, parse
@@ -229,6 +230,17 @@ def test_any_malformed_binding_is_a_rejection(binding, prefix):
     assert (result.ok, result.line, result.refuted_axioms_used) == (False, 1, ())
     # the rest of the message is worded differently across Python versions
     assert result.reason.startswith(prefix)
+
+
+def test_a_program_error_in_instantiate_propagates(monkeypatch):
+    """Only a malformed binding reads as a rejection: any other error inside
+    `instantiate` is a fault of the program, and propagates."""
+    def broken(schema, binding):
+        raise KeyError("not a binding error")
+
+    monkeypatch.setattr(proofs, "instantiate", broken)
+    with pytest.raises(KeyError):
+        check_derivation(Derivation((_line(1, "S sa P -> S se P", _A5),)), ALL_SOURCES)
 
 
 def test_flags_semantically_refuted_axioms():

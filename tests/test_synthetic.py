@@ -9,6 +9,7 @@ import pytest
 from twosquares import copula, synthetic
 from twosquares.copula import (
     CopulaStructure,
+    build_structure,
     derived_copula,
     enumerate_copula_structures,
     induced_model,
@@ -199,6 +200,13 @@ def test_derived_copula_unknown_individual():
     c = structure("ab", set())
     with pytest.raises(SemanticsError):
         derived_copula(c, "a", "z", charitable=True)
+
+
+def test_build_structure_reads_the_mask_as_the_columns_do():
+    # bit size*y + x of the mask is set iff y is primitively related to x
+    assert build_structure(("P", "S"), 2, 0b0110, (1, 0)).to_dict() == {
+        "universe": ["u", "v"], "isPrim": [["u", "v"], ["v", "u"]], "denote": {"P": "v", "S": "u"},
+    }
 
 
 @pytest.mark.parametrize("terms", [("P", "S"), ("M", "P", "S")])

@@ -54,7 +54,6 @@ class OppositionRelation(Record):
     for each truth-pair category that is possible at the bound."""
 
     kind: RelationKind
-    bound: int
     both_true: object | None = None
     both_false: object | None = None
     first_only: object | None = None
@@ -96,7 +95,7 @@ def classify_pair(
         kind = RelationKind.SUBALTERNATION_BACKWARD
     else:
         kind = RelationKind.INDEPENDENT
-    return OppositionRelation(kind, bound, both_true, both_false, first_only, second_only)
+    return OppositionRelation(kind, both_true, both_false, first_only, second_only)
 
 
 # --- squares ---------------------------------------------------------------

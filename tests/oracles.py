@@ -151,7 +151,7 @@ def scan_decide(semantics, f, bound):
     return first_counterexample(models(semantics, term_names(f), bound), f, semantics.evaluate, bound)
 
 
-def scan_classify(left, right, models, evaluate, bound):
+def scan_classify(left, right, models, evaluate):
     """The relation of two formulas with the first model of each
     truth-pair category among `models`."""
     both_true = both_false = first_only = second_only = None
@@ -179,7 +179,7 @@ def scan_classify(left, right, models, evaluate, bound):
         kind = RelationKind.SUBALTERNATION_BACKWARD
     else:
         kind = RelationKind.INDEPENDENT
-    return OppositionRelation(kind, bound, both_true, both_false, first_only, second_only)
+    return OppositionRelation(kind, both_true, both_false, first_only, second_only)
 
 
 # --- the pair carrier -----------------------------------------------------------

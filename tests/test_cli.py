@@ -84,7 +84,7 @@ IMPORTED = ("cli", "errors", "formula", "record", "search", "synthetic")
 HANDLERS = ("analytic", "commands", "opposition")  # what the handlers in `commands` load
 # the lines of the modules a default `verify-paper --json` loads, so that code
 # added to that path shows; a deliberate change to the path updates it here
-VERIFY_PAPER_LINES = 2605
+VERIFY_PAPER_LINES = 2583
 
 
 @pytest.mark.parametrize(
@@ -410,17 +410,67 @@ def test_verify_paper_decides_each_claim_once(monkeypatch, bound, atoms):
     assert decisions == {DIRECT_NONEMPTY: 23, DIRECT_EMPTY_OK: 1, "analytic": 1}
 
 
-def test_a_failed_catalog_run_marks_both_sections_that_use_it(monkeypatch):
-    def refuse(bound, options):
-        raise BoundError("catalog refused")
+# the expectation rows each `verify-paper` section writes, by id prefix, in section order
+SECTION_ROW_PREFIXES = {
+    "analytic_square": ("analytic-",),
+    "synthetic_square": ("synthetic-square",),
+    "theorem_catalog": ("T", "A", "catalog-"),
+    "case_sweep": ("case-sweep", "inf-sup-standard"),
+    "proposition1": ("proposition1-", "prop1-"),
+    "matrix_properties": ("matrix-",),
+    "bridge_models": ("bridge-",),
+    "derivations": ("derivations-",),
+}
 
-    monkeypatch.setattr(report, "run_catalog", refuse)
+
+# the names the sections call in `report`, each with the sections that call it
+SECTION_CALLS = {
+    "analytic_square": ("analytic_square",),
+    "synthetic_square": ("synthetic_square",),
+    "run_catalog": ("theorem_catalog", "derivations"),
+    "case_analysis": ("case_sweep",),
+    "verify_two_squares": ("proposition1",),
+    "matrix_properties": ("matrix_properties",),
+    "bridge_tables": ("bridge_models",),
+    "bundled_theorem_derivations": ("derivations",),
+}
+
+
+@pytest.fixture(scope="module")
+def whole_report():
+    return report.run_verify_paper(3, 1)
+
+
+@pytest.mark.parametrize("call", SECTION_CALLS)
+def test_a_failed_call_marks_each_section_that_makes_it(monkeypatch, whole_report, call):
+    """A section whose call raises reads as its error, with one failed row in
+    place of its rows; every other section and row is the unpatched report's."""
+    failing = SECTION_CALLS[call]
+    rows = {name: [] for name in SECTION_ROW_PREFIXES}
+    for row in whole_report["expectations"]:
+        owner = next(n for n, ids in SECTION_ROW_PREFIXES.items() if row["id"].startswith(ids))
+        rows[owner].append(row)
+    assert whole_report["pass"] is True and all(rows.values())
+    assert [row for name in rows for row in rows[name]] == whole_report["expectations"]
+
+    def refuse(*args):
+        raise BoundError(f"{call} refused")
+
+    monkeypatch.setattr(report, call, refuse)
     result = report.run_verify_paper(3, 1)
-    for name in ("theorem_catalog", "derivations"):
-        assert result["sections"][name] == {"error": "catalog refused"}
-        assert {"id": f"section-{name}", "description": f"section {name} completed",
-                "status": "failed"} in result["expectations"]
+    error = {"error": f"{call} refused"}
+    assert list(result["sections"]) == list(whole_report["sections"]) == list(rows)
+    assert result["sections"] == {
+        name: error if name in failing else section
+        for name, section in whole_report["sections"].items()
+    }
+    marker = {name: [{"id": f"section-{name}", "description": f"section {name} completed",
+                      "status": "failed"}] for name in failing}
+    assert result["expectations"] == [row for name in rows for row in marker.get(name, rows[name])]
     assert result["pass"] is False
+    assert {k: v for k, v in result.items() if k not in ("sections", "expectations", "pass")} == {
+        k: v for k, v in whole_report.items() if k not in ("sections", "expectations", "pass")
+    }
 
 
 def test_verify_paper_builds_one_algebra_for_the_case_and_bridge_sections(monkeypatch):

@@ -337,7 +337,6 @@ def full_scan_witnesses(phi, psi, opts, bound):
         instantiate(psi, {m: m for m in psi.metavars}),
         scan.structures,
         scan.evaluate,
-        bound,
     ).witnesses()
 
 

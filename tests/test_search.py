@@ -115,10 +115,8 @@ def test_decisions_and_classifications_match_the_oracle(semantics, bounds):
         for phi, psi in pairs:
             left = instantiate(phi, {m: m for m in phi.metavars})
             right = instantiate(psi, {m: m for m in psi.metavars})
-            expected = scan_classify(
-                left, right, models(semantics, tuple(sorted(phi.metavars)), bound),
-                semantics.evaluate, bound,
-            )
+            scope = models(semantics, tuple(sorted(phi.metavars)), bound)
+            expected = scan_classify(left, right, scope, semantics.evaluate)
             assert relation_bytes(classify_pair(phi, psi, semantics, bound)) == relation_bytes(
                 expected
             ), (left, right, bound)

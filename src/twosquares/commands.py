@@ -3,7 +3,9 @@ which `cli` loads when one of them runs; only `prove` loads the prover.
 A square's text and DOT writers both sit here: compiling the DOT writer
 costs `square` and `eval` about 1 ms a cold process (medians of 30
 alternating ones, `python -S`, no bytecode cache, shared 2-core host:
-54.1 -> 55.2 and 53.7 -> 54.4 ms), against a module of its own."""
+54.1 -> 55.2 and 53.7 -> 54.4 ms), against a module of its own.  Every
+handler but `diagram`'s builds its JSON and its text and ends in the one
+writer, `_emit`."""
 
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ def _semantics(args):
 
 
 def _load_model(path: str, args):
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle)
         except RecursionError:
@@ -46,16 +48,19 @@ def _load_model(path: str, args):
     return CopulaStructure.from_dict(data)
 
 
+def _emit(args, json_text: str, text: str, code: int = 0) -> int:
+    """Write `json_text` under `--json`, else `text`, with one trailing newline,
+    to `--out` or stdout, and return the exit code `code`."""
+    _write((json_text if args.json else text) + "\n", args.out)
+    return code
+
+
 def run_eval(args) -> int:
     semantics = _semantics(args)
     formula = parse(args.formula)
-    model = _load_model(args.model, args)
-    value = semantics.evaluate(model, formula)
-    if args.json:
-        _write(json.dumps({"formula": render(formula), "value": value}) + "\n", args.out)
-    else:
-        _write(("true" if value else "false") + "\n", args.out)
-    return 0
+    value = semantics.evaluate(_load_model(args.model, args), formula)
+    text = "true" if value else "false"
+    return _emit(args, json.dumps({"formula": render(formula), "value": value}), text)
 
 
 def run_classify(args) -> int:
@@ -64,22 +69,18 @@ def run_classify(args) -> int:
     relation = classify_pair(
         Schema(first, term_names(first)), Schema(second, term_names(second)), semantics, args.bound
     )
-    if args.json:
-        payload = {
-            "first": render(first),
-            "second": render(second),
-            "semantics": semantics.label(),
-            "bound": args.bound,
-            "relation": relation.kind.value,
-            "witnesses": {k: m.to_dict() for k, m in relation.witnesses().items()},
-        }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [f"{render(first)}  /  {render(second)}: {relation.kind.value} (bound {args.bound})"]
-        for name, model in relation.witnesses().items():
-            lines.append(f"  {name}: {model.summary()}")
-        _write("\n".join(lines) + "\n", args.out)
-    return 0
+    witnesses = relation.witnesses()
+    payload = {
+        "first": render(first),
+        "second": render(second),
+        "semantics": semantics.label(),
+        "bound": args.bound,
+        "relation": relation.kind.value,
+        "witnesses": {k: m.to_dict() for k, m in witnesses.items()},
+    }
+    lines = [f"{render(first)}  /  {render(second)}: {relation.kind.value} (bound {args.bound})"]
+    lines += (f"  {name}: {model.summary()}" for name, model in witnesses.items())
+    return _emit(args, json.dumps(payload, indent=2), "\n".join(lines))
 
 
 def _square_report(args):
@@ -89,19 +90,16 @@ def _square_report(args):
 
 def run_square(args) -> int:
     report = _square_report(args)
-    if args.json:
-        _write(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
-    else:
-        lines = [f"{report.name} square ({report.semantics_label}, bound {report.bound})"]
-        for pv in report.pairs:
-            mark = "ok  " if pv.ok else "FAIL"
-            lines.append(
-                f"  [{mark}] {pv.first}-{pv.second}: expected {pv.expected.value}, "
-                f"got {pv.relation.kind.value}"
-            )
-        lines.append("PASS" if report.passed else "FAIL")
-        _write("\n".join(lines) + "\n", args.out)
-    return 0 if report.passed else 1
+    lines = [f"{report.name} square ({report.semantics_label}, bound {report.bound})"]
+    for pv in report.pairs:
+        mark = "ok  " if pv.ok else "FAIL"
+        lines.append(
+            f"  [{mark}] {pv.first}-{pv.second}: expected {pv.expected.value}, "
+            f"got {pv.relation.kind.value}"
+        )
+    lines.append("PASS" if report.passed else "FAIL")
+    text = "\n".join(lines)
+    return _emit(args, json.dumps(report.to_dict(), indent=2), text, 0 if report.passed else 1)
 
 
 _EDGE_STYLE = {
@@ -119,11 +117,8 @@ def _edge(pair: PairVerdict) -> str:
     style = _EDGE_STYLE[pair.relation.kind]
     color = ""
     if not pair.ok:
-        witness = ""
-        for name, model in pair.relation.witnesses().items():
-            witness = f"; witness {name}: {model.summary()}"
-            break
-        label = f"expected {pair.expected.value}, got {pair.relation.kind.value}{witness}"
+        witnesses = (f"; witness {n}: {m.summary()}" for n, m in pair.relation.witnesses().items())
+        label = f"expected {pair.expected.value}, got {label}{next(witnesses, '')}"
         color = ', color=red'
     return f'  {pair.first} -> {pair.second} [label="{label}", {style}{color}];'
 
@@ -133,9 +128,8 @@ def run_diagram(args) -> int:
     style is fixed by the relation kind; failing edges turn red and carry
     their witness."""
     report = _square_report(args)
-    lines = [f"digraph {report.name}_square {{"]
-    lines.append(f'  label="{report.name} square of opposition ({report.semantics_label}, bound {report.bound})";')
-    lines.append("  node [shape=plaintext];")
+    title = f"{report.name} square of opposition ({report.semantics_label}, bound {report.bound})"
+    lines = [f"digraph {report.name}_square {{", f'  label="{title}";', "  node [shape=plaintext];"]
     for corner in ("a", "i", "e", "o"):
         lines.append(f'  {corner} [label="{report.corner_text[corner]}"];')
     for pair in report.pairs:
@@ -149,24 +143,15 @@ def run_prove(args) -> int:
     from .proofs import AxiomSet, check_derivation
     from .proofscript import parse_script
 
-    with open(args.script, encoding="utf-8") as handle:
+    with open(args.script, encoding="utf-8-sig") as handle:
         try:
             derivation = parse_script(handle.read())
         except UnicodeDecodeError:
             raise InputError(f"proof script {args.script!r} is not UTF-8") from None
     axioms = AxiomSet(frozenset(w.strip() for w in args.axioms.split(",") if w.strip()))
     result = check_derivation(derivation, axioms)
-    conclusion = derivation.conclusion
-    if args.json:
-        payload = {
-            "ok": result.ok,
-            "detail": result.describe(),
-            "conclusion": render(conclusion) if conclusion is not None else None,
-        }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        line = result.describe()
-        if result.ok and conclusion is not None:
-            line += f"; derives {render(conclusion)}"
-        _write(line + "\n", args.out)
-    return 0 if result.ok else 1
+    rendered = render(derivation.conclusion) if derivation.conclusion is not None else None
+    payload = {"ok": result.ok, "detail": result.describe(), "conclusion": rendered}
+    derives = f"; derives {rendered}" if result.ok and rendered is not None else ""
+    text = payload["detail"] + derives
+    return _emit(args, json.dumps(payload, indent=2), text, 0 if result.ok else 1)

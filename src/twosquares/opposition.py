@@ -60,12 +60,8 @@ class OppositionRelation(Record):
     second_only: object | None = None
 
     def witnesses(self) -> dict[str, object]:
-        out = {}
-        for name in ("both_true", "both_false", "first_only", "second_only"):
-            model = getattr(self, name)
-            if model is not None:
-                out[name] = model
-        return out
+        """Each category's witness that was found, by its field name: a field after `kind`."""
+        return {n: m for n in self._fields[1:] if (m := getattr(self, n)) is not None}
 
 
 def classify_pair(

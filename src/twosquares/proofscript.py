@@ -10,9 +10,11 @@ Proof script line format (one line per derivation step)::
     n. <formula> ; mp i j        # line i: phi, line j: phi -> psi
 
 The definitional schemas (`proofs.DEFINITIONS`) bind their terms by
-position, the axioms by name.  Lines must be numbered in strictly increasing
-order; `mp` may cite earlier lines only; the derived formula is the last
-line.  Blank lines and lines starting with `#` are ignored.
+position, the axioms by name, each metavariable once; `taut` takes no
+arguments.  Lines must be numbered in strictly increasing order; `mp` may
+cite earlier lines only; the derived formula is the last line.  Blank
+lines and lines starting with `#` are ignored, and `prove` reads past a
+leading UTF-8 byte-order mark.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ def _parse_justification(text: str, lineno: int, at: int) -> Justification:
         raise ParseError(f"line {lineno}: empty justification", at)
     (rule_at, rule), args = words[0], [w for _, w in words[1:]]
     if rule == "taut":
+        if args:
+            raise ParseError(f"line {lineno}: taut takes no arguments", words[1][0])
         return Tautology()
     if rule == "mp":
         numbers = [_number(w) for w in args]
@@ -98,6 +102,8 @@ def _parse_justification(text: str, lineno: int, at: int) -> Justification:
             name, sep, value = arg.partition(":=")
             if not sep:
                 raise ParseError(f"line {lineno}: expected NAME:=TERM, got {arg!r}", arg_at)
+            if name in binding:
+                raise ParseError(f"line {lineno}: {rule} binds {name} twice", arg_at)
             binding[name] = value
         order = SCHEMAS[rule].metavars
         if set(binding) != set(order):

@@ -84,7 +84,7 @@ IMPORTED = ("cli", "errors", "formula", "record", "search", "synthetic")
 HANDLERS = ("analytic", "commands", "opposition")  # what the handlers in `commands` load
 # the lines of the modules a default `verify-paper --json` loads, so that code
 # added to that path shows; a deliberate change to the path updates it here
-VERIFY_PAPER_LINES = 2583
+VERIFY_PAPER_LINES = 2579
 
 
 @pytest.mark.parametrize(
@@ -692,6 +692,87 @@ def test_verify_paper_output_matches_recorded_digests(capsys):
             "json_sha256": hashlib.sha256(out.encode()).hexdigest(),
         }
     assert got == json.loads((GOLDEN / "verify_paper_digests.json").read_text())
+
+
+# The runs `command_digests.json` pins; `{name}` stands for the input file `name`.
+COMMAND_RUNS = {
+    "eval synthetic": ("eval", "S si P | S sa P", "--model", "{synthetic}"),
+    "eval analytic": ("eval", "S e P", "--model", "{analytic}", "--semantics", "analytic"),
+    "eval structure":
+        ("eval", "S sa P", "--model", "{structure}", "--reading", "derived-charitable"),
+    "classify": ("classify", "S sa P", "S si P"),
+    "classify derived-charitable":
+        ("classify", "S sa P", "S si P", "--reading", "derived-charitable"),
+    "square": ("square",),
+    "square analytic import off": ("square", "--semantics", "analytic", "--import", "off"),
+    "prove theorem": ("prove", "{theorem}"),
+    "prove rejected": ("prove", "{rejected}"),
+}
+
+
+@pytest.fixture
+def inputs(tmp_path, analytic_model, synthetic_model, copula_structure):
+    """The input files of `COMMAND_RUNS`, by the names its argv use."""
+    scripts = {
+        "theorem": bundled_theorem_scripts()["T01"],
+        "rejected": "1. S sa P -> S si P ; axiom5 S:=S P:=P\n",
+    }
+    for name, text in scripts.items():
+        (tmp_path / f"{name}.proof").write_text(text)
+    files = {name: str(tmp_path / f"{name}.proof") for name in scripts}
+    return {"analytic": analytic_model, "synthetic": synthetic_model,
+            "structure": copula_structure, **files}
+
+
+def filled(argv, inputs):
+    return [word.format(**inputs) for word in argv]
+
+
+def test_command_output_matches_recorded_digests(capsys, inputs):
+    """The text and `--json` output of `eval`, `classify`, `square` and
+    `prove`, pinned by SHA-256 next to the exit code as for `verify-paper`."""
+    got = {}
+    for name, argv in COMMAND_RUNS.items():
+        code, text, text_err = run(capsys, *filled(argv, inputs))
+        json_code, out, json_err = run(capsys, *filled(argv, inputs), "--json")
+        assert (json_code, text_err, json_err) == (code, "", "")
+        got[name] = {
+            "exit_code": code,
+            "text_sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "json_sha256": hashlib.sha256(out.encode()).hexdigest(),
+        }
+    assert got == json.loads((GOLDEN / "command_digests.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        COMMAND_RUNS["eval structure"],
+        (*COMMAND_RUNS["classify derived-charitable"], "--json"),
+        COMMAND_RUNS["square analytic import off"],
+        ("diagram", "--allow-empty", "--bound", "2"),
+        COMMAND_RUNS["prove rejected"],
+    ],
+    ids=["eval", "classify", "square", "diagram", "prove"],
+)
+def test_out_writes_the_bytes_the_run_prints(capsys, tmp_path, inputs, argv):
+    printed_code, printed, _ = run(capsys, *filled(argv, inputs))
+    path = tmp_path / "out"
+    assert run(capsys, *filled(argv, inputs), "--out", str(path)) == (printed_code, "", "")
+    assert path.read_bytes() == printed.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "name, file",
+    [("eval synthetic", "synthetic"), ("eval structure", "structure"), ("prove theorem", "theorem")],
+    ids=["model", "structure", "script"],
+)
+def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, inputs, name, file):
+    plain = run(capsys, *filled(COMMAND_RUNS[name], inputs))
+    marked = tmp_path / "marked"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(inputs[file]).read_bytes())
+    assert plain[0] == 0
+    assert run(capsys, *filled(COMMAND_RUNS[name], {**inputs, file: str(marked)})) == plain
 
 
 # --- fuzzing the command line -------------------------------------------------

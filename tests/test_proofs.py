@@ -301,6 +301,8 @@ def test_script_round_trip():
         ("1. S sa P -> S se P ; axiom5 S P", "line 1: expected NAME:=TERM, got 'S' at offset 29"),
         ("1. S sa P -> S se P ; axiom5 S:=S", "line 1: axiom5 needs bindings for S, P at offset 22"),
         ("1. S sa P ; modus 1 2", "line 1: unknown rule 'modus' at offset 12"),
+        ("1. S sa P | ~(S sa P) ; taut 3", "line 1: taut takes no arguments at offset 29"),
+        ("1. M sa P -> M se P ; axiom5 S:=S S:=M P:=P", "line 1: axiom5 binds S twice at offset 34"),
         # a superscript digit is a digit but not a decimal one, which int() reads
         ("1². S sa P ; taut", "line 1: expected 'n. <formula> ; <rule>' at offset 0"),
         ("1. S sa P ; mp 1 ²", "line 1: mp needs two line numbers at offset 12"),
@@ -310,7 +312,8 @@ def test_script_round_trip():
     ],
     ids=["no-separator", "no-dot", "bad-number", "empty-rule", "mp-one-line", "mp-not-a-number",
          "mp-indented", "def-one-term", "binding-without-assignment", "binding-missing",
-         "unknown-rule", "superscript-number", "mp-superscript", "bad-formula"],
+         "unknown-rule", "taut-with-arguments", "binding-repeated", "superscript-number",
+         "mp-superscript", "bad-formula"],
 )
 def test_parse_script_rejects_malformed_lines(script, message):
     with pytest.raises(ParseError) as exc:

@@ -1,5 +1,6 @@
 """Syllogistic formula language: AST, parser, printer, schema instantiation,
-and `truth_vector`, the one evaluator of a formula as an int of bits.
+and `truth_vector`, the one eager walk: it evaluates every operand of a
+formula, in ints of truth bits or in any Boolean algebra.
 
 Surface grammar (exact)::
 
@@ -20,7 +21,6 @@ keywords are reserved and cannot be used as term names.  Blanks (what
 
 from __future__ import annotations
 
-import operator
 import re
 from collections.abc import Callable, Mapping
 from enum import Enum
@@ -86,8 +86,9 @@ Formula = Atom | Not | And | Or | Implies
 
 def atoms(f: Formula) -> tuple[Atom, ...]:
     """Distinct atoms of `f` in first-occurrence order."""
-    add = operator.add
-    return tuple(dict.fromkeys(fold(f, lambda a: (a,), tuple, add, add, add)))
+    seen = {}
+    truth_vector(f, lambda a: seen.setdefault(a, 0))
+    return tuple(seen)
 
 
 def holds(f: Formula, atom: Callable[[Atom], bool]) -> bool:
@@ -108,33 +109,11 @@ def holds(f: Formula, atom: Callable[[Atom], bool]) -> bool:
     return (not holds(f.left, atom)) or holds(f.right, atom)
 
 
-def fold(
-    f: Formula,
-    atom: Callable[[Atom], object],
-    neg: Callable[[object], object],
-    conj: Callable[[object, object], object],
-    disj: Callable[[object, object], object],
-    imp: Callable[[object, object], object],
-) -> object:
-    """The value of `f`, with `atom` giving each atom's value and the
-    other four combining operand values; every operand is evaluated,
-    left to right."""
-
-    def walk(g: Formula) -> object:
-        node = type(g)
-        if node is Atom:
-            return atom(g)
-        if node is Not:
-            return neg(walk(g.operand))
-        op = conj if node is And else disj if node is Or else imp
-        return op(walk(g.left), walk(g.right))
-
-    return walk(f)
-
-
 def truth_vector(f: Formula, atom: Callable[[Atom], int]) -> int:
-    """The truth of `f` as an int of bits, with `atom` giving each atom's; `x -> y`
-    is `~x | y`, and every operand is evaluated, left to right."""
+    """The value of `f`: the values `atom` gives its atoms, combined with `~`, `&`
+    and `|`, with `x -> y` read as `~x | y`.  They are ints of truth bits, or the
+    elements of any Boolean algebra with those operators.  The one eager walk:
+    every operand is evaluated, left to right."""
     node = type(f)
     if node is Atom:
         return atom(f)
@@ -149,17 +128,14 @@ def truth_vector(f: Formula, atom: Callable[[Atom], int]) -> int:
 
 def term_names(f: Formula) -> tuple[str, ...]:
     """Sorted term identifiers occurring in `f`."""
-    names, stack = set(), [f]
-    while stack:
-        g = stack.pop()
-        node = type(g)
-        if node is Atom:
-            names.add(g.subject)
-            names.add(g.predicate)
-        elif node is Not:
-            stack.append(g.operand)
-        else:
-            stack += g.left, g.right
+    names = set()
+
+    def add(a: Atom) -> int:
+        names.add(a.subject)
+        names.add(a.predicate)
+        return 0
+
+    truth_vector(f, add)
     return tuple(sorted(names))
 
 
@@ -197,14 +173,15 @@ def instantiate(schema: Schema, binding: Mapping[str, str]) -> Formula:
     def subst(name: str) -> str:
         return binding[name] if name in meta else name
 
-    return fold(
-        schema.formula,
-        lambda a: Atom(subst(a.subject), a.copula, subst(a.predicate)),
-        Not,
-        And,
-        Or,
-        Implies,
-    )
+    def walk(g: Formula) -> Formula:
+        node = type(g)
+        if node is Atom:
+            return Atom(subst(g.subject), g.copula, subst(g.predicate))
+        if node is Not:
+            return Not(walk(g.operand))
+        return node(walk(g.left), walk(g.right))
+
+    return walk(schema.formula)
 
 
 def schema_of(text: str) -> Schema:

@@ -8,8 +8,9 @@ class only; `NotImplemented` otherwise), `__hash__` (of that tuple),
 the dataclass `repr`, and `AttributeError` on assignment and deletion.
 Instances keep a `__dict__`, so `cached_property`, `copy` and `pickle`
 work unchanged.  `__init__`, `__eq__` and `__hash__` come from an
-`exec` of source written for each class, so they cost per call what the
-dataclass's do; the source names only the class's own annotated fields.
+`exec` of source written for each class, so they cost per call no more
+than the dataclass's do (`__init__` writes the instance dict); the source
+names only the class's own annotated fields.
 A stub compiles `__init__` at the first construction, and `__eq__` with
 `__hash__` at the first comparison or hash, and puts them in its place:
 `exec` compiles even where bytecode is cached, and most classes are
@@ -49,9 +50,12 @@ def _stub(cls: type, qualname: str, name: str):
         if name == "__init__":
             namespace = {f"_d_{n}": getattr(cls, n) for n in fields if hasattr(cls, n)}
             params = "".join(f", {n}=_d_{n}" if f"_d_{n}" in namespace else f", {n}" for n in fields)
-            namespace["_set"] = object.__setattr__
-            source = f"def __init__(self{params}):\n" + "".join(f"    _set(self, {n!r}, {n})\n" for n in fields)
-            source += "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else "    pass\n"
+            d = "d"  # the name of the instance dict, which no parameter may have
+            while d in fields:
+                d += "_"
+            source = f"def __init__(self{params}):\n    {d} = self.__dict__\n"
+            source += "".join(f"    {d}[{n!r}] = {n}\n" for n in fields)
+            source += "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
         else:
             namespace, mine = {}, "(" + "".join(f"self.{n}," for n in fields) + ")"
             source = (

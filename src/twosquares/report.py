@@ -55,7 +55,7 @@ _NOTES = (
     "so `S sa P` is true whenever anything is S",
     "strict designation is never met by a nonstandard atom value; the filter "
     "policy is reported alongside",
-    "all validity verdicts are bounded; no unbounded claim is made",
+    "all validity verdicts are bounded; no unbounded validity claim is made",
     "the carrier results (case sweep, proposition 1, matrix properties) hold for every "
     "finite atom count: the n-atom carrier is the n-th direct power of the one-atom "
     "carrier, which decides them",

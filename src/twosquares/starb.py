@@ -17,9 +17,10 @@ in that form's class, and a class is its coefficient pair alone.
 
 Classes of constant functions are the standard elements *m (pairs with
 f0 = f1).  The argument-flip x |-> x(~a) swaps the coefficients; the
-pointwise lattice operations act componentwise.  Everything the
-twelve-case analysis and the two-square classification manipulate --
-[f], its flip, and their complements -- lives in this fragment.
+pointwise lattice operations, the carrier's `&`, `|` and `~`, act
+componentwise.  Everything the twelve-case analysis and the two-square
+classification manipulate -- [f], its flip, and their complements --
+lives in this fragment.
 
 An element is a `Record` of its algebra and its two coefficients; every
 operation acts on the two coefficients and builds its result through
@@ -47,7 +48,7 @@ from collections.abc import Callable, Mapping
 from functools import cached_property
 
 from .errors import BoundError, SemanticsError
-from .formula import Atom, Copula, Formula, fold, holds
+from .formula import Atom, Copula, Formula, holds, truth_vector
 from .opposition import (
     RelationKind,
     SquareSpec,
@@ -147,6 +148,10 @@ def join(x: UltraElement, y: UltraElement) -> UltraElement:
 def complement(x: UltraElement) -> UltraElement:
     top = x.algebra.top
     return UltraElement(x.algebra, top ^ x.f0, top ^ x.f1)
+
+
+# the carrier is a Boolean algebra, with these as its `&`, `|` and `~`
+UltraElement.__and__, UltraElement.__or__, UltraElement.__invert__ = meet, join, complement
 
 
 def fneg(x: UltraElement) -> UltraElement:
@@ -359,13 +364,12 @@ def matrix_neg(x: UltraElement) -> UltraElement:
 
 def matrix_imp(x: UltraElement, y: UltraElement) -> UltraElement:
     # "top minus sup, plus y" read with minus as complement and plus as
-    # join; equals complement(x) ∨ y.
-    alg = _same_algebra(x, y)
-    return UltraElement(alg, alg.top ^ (x.f0 | y.f0) | y.f0, alg.top ^ (x.f1 | y.f1) | y.f1)
+    # join; equals ~x | y.
+    return ~(x | y) | y
 
 
 def matrix_eval(f: Formula, valuation: Mapping[Atom, UltraElement]) -> UltraElement:
-    """Evaluate a formula over opaque atoms into the carrier."""
+    """Evaluate a formula over opaque atoms into the carrier, by `truth_vector`."""
 
     def atom(a: Atom) -> UltraElement:
         try:
@@ -373,7 +377,7 @@ def matrix_eval(f: Formula, valuation: Mapping[Atom, UltraElement]) -> UltraElem
         except KeyError:
             raise SemanticsError(f"no value bound for atom {a}") from None
 
-    return fold(f, atom, matrix_neg, meet, join, matrix_imp)
+    return truth_vector(f, atom)
 
 
 def matrix_properties() -> dict[str, bool]:

@@ -375,6 +375,18 @@ def _check_instantiate_distributes(f, fresh):
 
     assert instantiate(schema, binding) == push(f)
 
+    def leaves(g):
+        """The atoms of `g`, left to right, each as often as it occurs."""
+        if isinstance(g, Atom):
+            return [g]
+        if isinstance(g, Not):
+            return leaves(g.operand)
+        return leaves(g.left) + leaves(g.right)
+
+    found = leaves(f)
+    assert atoms(f) == tuple(a for i, a in enumerate(found) if a not in found[:i])
+    assert term_names(f) == tuple(sorted({t for a in found for t in (a.subject, a.predicate)}))
+
 
 @given(_formulas(max_depth=4), st.permutations(["A", "B", "C", "D", "E", "F"]))
 @settings(max_examples=50)

@@ -145,6 +145,21 @@ def test_copy_and_pickle_round_trips(protocol):
                 assert vars(twin) == vars(obj)
 
 
+def test_a_field_named_d_keeps_its_value():
+    class Named(Record):
+        d: int
+        d_: int = 2
+
+    @dataclasses.dataclass(frozen=True)
+    class NamedTwin:
+        d: int
+        d_: int = 2
+
+    for args in ((1,), (1, 3)):
+        record, twin = Named(*args), NamedTwin(*args)
+        assert vars(record) == vars(twin) and hash(record) == hash(twin)
+
+
 def test_package_records_hash_as_the_tuple_of_their_fields():
     f = parse("S a P -> S i P")
     alg = FiniteBooleanAlgebra(2)

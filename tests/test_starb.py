@@ -1,5 +1,6 @@
 import copy
 import itertools
+import operator
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 import oracles
 from twosquares import starb
 from twosquares.errors import BoundError, SemanticsError
-from twosquares.formula import Atom, Copula, parse
+from twosquares.formula import And, Atom, Copula, Implies, Not, Or, parse
 from twosquares.opposition import RelationKind, SquareSpec, analytic_square, synthetic_square
 from twosquares.report import report_json, run_verify_paper
 from twosquares.starb import (
+    ONE,
     BridgeModel,
     FiniteBooleanAlgebra,
     UltraElement,
@@ -139,6 +141,16 @@ def test_algebra_mismatch_rejected():
         with pytest.raises(SemanticsError):
             op(x, y)
     assert x != y
+
+
+def test_the_carrier_operators_are_its_lattice_operations():
+    for alg in (ONE, ALG2):
+        for x, y in itertools.product(all_elements(alg), repeat=2):
+            assert (x & y, x | y, ~x) == (meet(x, y), join(x, y), complement(x))
+    x, y = mk_standard(ALG2, 0), mk_standard(ONE, 0)
+    for op in (operator.and_, operator.or_):
+        with pytest.raises(SemanticsError):
+            op(x, y)
 
 
 def test_equal_algebras_combine():
@@ -654,6 +666,29 @@ def test_matrix_eval_compound():
     assert matrix_eval(parse("~(S sa P)"), v) == complement(x)
     with pytest.raises(SemanticsError):
         matrix_eval(parse("X si Y"), v)
+
+
+def _reference_matrix_eval(f, valuation):
+    if isinstance(f, Atom):
+        return valuation[f]
+    if isinstance(f, Not):
+        return matrix_neg(_reference_matrix_eval(f.operand, valuation))
+    op = {And: meet, Or: join, Implies: matrix_imp}[type(f)]
+    return op(_reference_matrix_eval(f.left, valuation), _reference_matrix_eval(f.right, valuation))
+
+
+def test_matrix_eval_matches_a_reference_walk_on_every_depth_two_formula():
+    # each connective over each depth-1 child, `->` included, under every
+    # valuation of the two atoms
+    a, b = Atom("S", Copula.SA, "P"), Atom("M", Copula.SI, "S")
+    shallow = [a, b, Not(b)] + [node(a, b) for node in (And, Or, Implies)]
+    formulas = shallow + [Not(f) for f in shallow]
+    formulas += [node(f, g) for f in shallow for g in shallow for node in (And, Or, Implies)]
+    for alg in (ONE, ALG2):
+        for x, y in itertools.product(all_elements(alg), repeat=2):
+            valuation = {a: x, b: y}
+            for f in formulas:
+                assert matrix_eval(f, valuation) == _reference_matrix_eval(f, valuation), (f, x, y)
 
 
 # --- bridge models ------------------------------------------------------------------------
